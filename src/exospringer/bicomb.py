@@ -50,10 +50,6 @@ def partitions_of(n):
     return tuple(out)
 
 
-def partition_count(n):
-    return len(partitions_of(n))
-
-
 def n_invariant(parts):
     """The statistic sum (i-1)*parts[i-1] controlling orbit dimensions."""
     return sum(i * part for i, part in enumerate(parts))

@@ -3,8 +3,10 @@
 Everything here enumerates honestly: the symplectic group by closure
 from transvection generators, the exotic cone point by point, orbits
 by union-find under the generator action.  Hard size gates (n <= 2,
-p in {3, 5}) keep the combinatorial explosion out; anything bigger
-raises SizeGateError instead of silently grinding.
+p in {3, 5}, and no group listed with more than |Sp_4(F_3)| = 51,840
+elements) keep the combinatorial explosion out; anything bigger
+raises SizeGateError, before any enumeration, instead of silently
+grinding.
 
 The census is a map over contiguous chunks of the self-adjoint
 coordinate space with an exact-sum merge, so chunk order and worker
@@ -24,6 +26,7 @@ from .symplectic import ExoticPair, SymplecticSpace
 
 CENSUS_MAX_N = 2
 CENSUS_PRIMES = (3, 5)
+GROUP_MAX_ORDER = 51840  # |Sp_4(F_3)|; Sp_4(F_5) has 9,360,000 elements
 
 
 class SizeGateError(ValueError):
@@ -37,18 +40,21 @@ def _gate(n, p):
         raise SizeGateError("census is gated to p in %r (got p=%d)" % (CENSUS_PRIMES, p))
 
 
+def _gate_group(n, p):
+    """Refuse to list Sp_2n(F_p) element by element when it is too large."""
+    _gate(n, p)
+    order = sp_group_order(n, p)
+    if order > GROUP_MAX_ORDER:
+        raise SizeGateError(
+            "Sp_%d(F_%d) has %d elements; listing a group is gated to at "
+            "most %d" % (2 * n, p, order, GROUP_MAX_ORDER))
+
+
 def sp_group_order(n, q):
     """|Sp_2n(F_q)| = q^(n^2) prod_{i=1}^{n} (q^(2i) - 1)."""
     order = q ** (n * n)
     for i in range(1, n + 1):
         order *= q ** (2 * i) - 1
-    return order
-
-
-def gl_group_order(n, q):
-    order = 1
-    for i in range(n):
-        order *= q ** n - q ** i
     return order
 
 
@@ -71,8 +77,9 @@ def transvection(space, u, c=1):
         coeff = (c * space.pairing(tuple(e), u)) % p
         col = [(e[i] + coeff * u[i]) % p for i in range(dim)]
         cols.append(col)
-    mat = FpMatrix(tuple(zip(*cols)), p)
-    assert space.membership(mat, "H_group")
+    mat = FpMatrix._trusted(tuple(zip(*cols)), p)
+    if not space.membership(mat, "H_group"):
+        raise AssertionError("transvection along %r is not symplectic" % (u,))
     return mat
 
 
@@ -93,7 +100,7 @@ def sp_generators(space):
 
 def sp_group_elements(n, p):
     """All of Sp_2n(F_p) by breadth-first closure from the generators."""
-    _gate(n, p)
+    _gate_group(n, p)
     space = SymplecticSpace(n, p)
     gens = sp_generators(space)
     start = FpMatrix.identity(2 * n, p)
@@ -109,7 +116,10 @@ def sp_group_elements(n, p):
                     nxt.append(h)
         frontier = nxt
     elements = list(seen.values())
-    assert len(elements) == sp_group_order(n, p)
+    if len(elements) != sp_group_order(n, p):
+        raise AssertionError(
+            "closure found %d elements but |Sp_%d(F_%d)| = %d"
+            % (len(elements), 2 * n, p, sp_group_order(n, p)))
     return elements
 
 
@@ -122,7 +132,7 @@ def self_adjoint_basis(space):
         for j in range(dim):
             m = [[0] * dim for _ in range(dim)]
             m[i][j] = 1
-            units.append(FpMatrix(m, p))
+            units.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
     images = [space.adjoint(u) - u for u in units]
     for i in range(dim):
         for j in range(dim):
@@ -136,7 +146,7 @@ def self_adjoint_basis(space):
                 for a in range(dim):
                     for b in range(dim):
                         m[a][b] = (m[a][b] + val * unit.entries[a][b]) % p
-        basis.append(FpMatrix(m, p))
+        basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
     assert len(basis) == 2 * space.n * space.n - space.n
     return basis
 
@@ -153,7 +163,7 @@ def _decode_matrix(code, basis, space):
                 for j in range(dim):
                     if row[j]:
                         mi[j] = (mi[j] + digit * row[j]) % p
-    return FpMatrix(m, p)
+    return FpMatrix._trusted(tuple(map(tuple, m)), p)
 
 
 def self_adjoint_count(space):
@@ -277,7 +287,10 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
     basis_seed classifies through a seeded symplectic change of basis;
     the counts must not change (conjugation invariance).
     """
-    _gate(n, p)
+    if check_orbits:
+        _gate_group(n, p)
+    else:
+        _gate(n, p)
     space = SymplecticSpace(n, p)
     total_x = self_adjoint_count(space)
     if num_chunks is None:
@@ -381,10 +394,11 @@ def _orbit_checks(space, result):
         uf.add(key)
     gen_invs = [g.inverse() for g in gens]
     for (xe, v) in list(points):
-        x = FpMatrix(xe, p)
+        x = FpMatrix._trusted(xe, p)
         for g, gi in zip(gens, gen_invs):
             moved = ((g * x * gi).entries, g.apply(v))
-            assert moved in points
+            if moved not in points:
+                raise AssertionError("a generator moved a cone point off the cone")
             uf.union((xe, v), moved)
     roots_per_label = {}
     for key, label in points.items():
@@ -419,7 +433,7 @@ def _stabilizer_order(group, x, v):
 def stabilizer_census(pair):
     """|{g in Sp : g x g^-1 = x, g v = v}| by enumeration (n <= 2)."""
     space = pair.space
-    _gate(space.n, space.p)
+    _gate_group(space.n, space.p)
     group = sp_group_elements(space.n, space.p)
     return _stabilizer_order(group, pair.x, pair.v)
 
@@ -445,7 +459,9 @@ def klyachko_census(n, p):
     for x in points:
         for g, gi in zip(gens, gen_invs):
             moved = (g * x * gi).entries
-            assert moved in point_set
+            if moved not in point_set:
+                raise AssertionError(
+                    "a generator moved an invertible self-adjoint point off the locus")
             uf.union(x.entries, moved)
     orbit_count = uf.class_count()
     expected = gl_class_count(n, p)
@@ -475,7 +491,7 @@ def _iter_gl(n, p):
             for _ in range(n):
                 c, digit = divmod(c, p)
                 row.append(digit)
-            entries.append(row)
-        m = FpMatrix(entries, p)
+            entries.append(tuple(row))
+        m = FpMatrix._trusted(tuple(entries), p)
         if m.is_invertible():
             yield m

@@ -12,6 +12,8 @@ dimensions are recovered on the nose for odd p (checked across
 several primes in the tests).
 """
 
+from operator import mul
+
 from .bicomb import Bipartition
 from .ffield import (FpMatrix, Subspace, commutant_basis, induced_action,
                      nilpotent_jordan_type)
@@ -68,7 +70,7 @@ def enhanced_type(pair):
 def commutant_image(n_mat, v):
     """The subspace (commutant algebra of N) . v."""
     basis = commutant_basis(n_mat)
-    return Subspace(n_mat.rows, [z.apply(v) for z in basis], n_mat.p)
+    return Subspace._trusted(n_mat.rows, [z.apply(v) for z in basis], n_mat.p)
 
 
 def exotic_type(pair):
@@ -86,12 +88,15 @@ def exotic_labeler(n_mat):
     against every vector.  The label depends on v only through the
     canonical echelon span W, so results are cached per span.
     """
-    basis = commutant_basis(n_mat)
+    basis = [z.entries for z in commutant_basis(n_mat)]
     m, p = n_mat.rows, n_mat.p
     by_span = {}
 
     def label_of(v):
-        w = Subspace(m, [z.apply(v) for z in basis], p)
+        if len(v) != m:
+            raise ValueError("vector length mismatch")
+        w = Subspace._trusted(
+            m, [[sum(map(mul, row, v)) % p for row in z] for z in basis], p)
         label = by_span.get(w.basis)
         if label is None:
             gl_label = _label_from_span(n_mat, w)
@@ -125,7 +130,7 @@ def sp_lie_basis(space):
     def make(fill):
         m = [[0] * dim for _ in range(dim)]
         fill(m)
-        return FpMatrix(m, p)
+        return FpMatrix._trusted(tuple(map(tuple, m)), p)
 
     for i in range(n):
         for j in range(n):
@@ -151,7 +156,7 @@ def _kernel_dim(space, conditions, num_unknowns):
     """dim of the solution space of homogeneous conditions (rows)."""
     if not conditions:
         return num_unknowns
-    mat = FpMatrix(conditions, space.p)
+    mat = FpMatrix._trusted(tuple(map(tuple, conditions)), space.p)
     return num_unknowns - mat.rank()
 
 
@@ -194,7 +199,7 @@ def cyclic_dim(pair):
     for _ in range(space.dim):
         vecs.append(cur)
         cur = pair.x.apply(cur)
-    return Subspace(space.dim, vecs, space.p).dim
+    return Subspace._trusted(space.dim, vecs, space.p).dim
 
 
 def parabolic_stabilizer_dim(nf, i, case):

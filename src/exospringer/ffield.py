@@ -4,9 +4,20 @@ Everything here is pure and exact: field elements are plain ints in
 [0, p), matrices are immutable tuples of tuples, and all eliminations
 are integer arithmetic mod p.  Subspaces are kept in reduced row
 echelon form so that equal subspaces compare equal.
+
+Inputs are validated once, at the API edge.  The public constructors
+(`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity`,
+`FpMatrix.zeros` and `Subspace(...)`) check the modulus, reduce every
+entry mod p and check the shape; the primality verdict is cached per
+modulus.  Results are trusted inside: every operation's output is
+reduced by construction, so it is built with the private `_trusted`
+constructors, which skip all three checks.  Library code that builds
+an already-reduced matrix or span in a hot loop uses them too.
 """
 
+from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 
 class NonSquareError(ValueError):
@@ -32,8 +43,13 @@ def is_odd_prime(p):
     return True
 
 
+# The verdict is pure, so a few recent moduli are remembered; typed, so
+# that 3.0 is tried (and refused) on its own rather than taken for 3.
+_is_odd_prime_cached = lru_cache(maxsize=64, typed=True)(is_odd_prime)
+
+
 def check_modulus(p):
-    if not is_odd_prime(p):
+    if not _is_odd_prime_cached(p):
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
     if p > 2**31:
         raise ValueError("modulus too large: %d" % p)
@@ -47,19 +63,52 @@ def inv_mod(a, p):
     return pow(a, -1, p)
 
 
-def field_arith(a, b, op, p):
-    """Field operation on representatives a, b in [0, p)."""
-    if op == "add":
-        return (a + b) % p
-    if op == "sub":
-        return (a - b) % p
-    if op == "mul":
-        return (a * b) % p
-    if op == "inv":
-        return inv_mod(b, p)
-    if op == "div":
-        return (a * inv_mod(b, p)) % p
-    raise ValueError("unknown op %r" % (op,))
+def json_fields(obj, names, what):
+    """The values of `names` in the JSON object `obj`, in order.
+
+    Raises ValueError naming the first missing field, so that bad input
+    gets a message a user can act on rather than a bare KeyError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("%s JSON must be an object" % what)
+    for name in names:
+        if name not in obj:
+            raise ValueError("%s JSON is missing field %r" % (what, name))
+    return tuple(obj[name] for name in names)
+
+
+def _rref_rows(rows, ncols, p):
+    """Reduce a list of row lists, entries in [0, p), to reduced row echelon form.
+
+    Works in place and returns (rows, pivot column indices); the first
+    len(pivots) rows are the nonzero ones.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        top = rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def _set_matrix(m, rows, p):
+    object.__setattr__(m, "p", p)
+    object.__setattr__(m, "rows", len(rows))
+    object.__setattr__(m, "cols", len(rows[0]))
+    object.__setattr__(m, "entries", rows)
 
 
 class FpMatrix:
@@ -75,10 +124,15 @@ class FpMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        _set_matrix(self, rows, p)
+
+    @classmethod
+    def _trusted(cls, rows, p):
+        """Wrap rows that are already valid: a non-empty tuple of
+        equal-length tuples of ints in [0, p), over a checked modulus p."""
+        m = object.__new__(cls)
+        _set_matrix(m, rows, p)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("FpMatrix is immutable")
@@ -91,13 +145,18 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, n, p):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)), p)
+        check_modulus(p)
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n))
+                     for i in range(n))
+        if not rows:
+            raise ValueError("empty matrix")
+        return cls._trusted(rows, p)
 
     @classmethod
     def from_json(cls, obj):
-        m = cls(_unflatten(obj["entries"], obj["rows"], obj["cols"]), obj["p"])
-        return m
+        p, rows, cols, entries = json_fields(
+            obj, ("p", "rows", "cols", "entries"), "matrix")
+        return cls(_unflatten(entries, rows, cols), p)
 
     def to_json(self):
         return {"p": self.p, "rows": self.rows, "cols": self.cols,
@@ -118,27 +177,29 @@ class FpMatrix:
     def __add__(self, other):
         self._compat(other)
         p = self.p
-        return FpMatrix(tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.entries, other.entries)), p)
+        return FpMatrix._trusted(
+            tuple(tuple((a + b) % p for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.entries, other.entries)), p)
 
     def __sub__(self, other):
         self._compat(other)
         p = self.p
-        return FpMatrix(tuple(tuple((a - b) % p for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.entries, other.entries)), p)
+        return FpMatrix._trusted(
+            tuple(tuple((a - b) % p for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.entries, other.entries)), p)
 
     def __mul__(self, other):
         if isinstance(other, int):
             p = self.p
-            return FpMatrix(tuple(tuple((other * a) % p for a in row)
-                                  for row in self.entries), p)
+            return FpMatrix._trusted(tuple(tuple((other * a) % p for a in row)
+                                           for row in self.entries), p)
         if self.cols != other.rows or self.p != other.p:
             raise ValueError("shape/modulus mismatch in matmul")
         p = self.p
         bt = tuple(zip(*other.entries))
-        return FpMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) % p
-                                    for col in bt)
-                              for row in self.entries), p)
+        return FpMatrix._trusted(tuple(tuple(sum(map(mul, row, col)) % p
+                                             for col in bt)
+                                       for row in self.entries), p)
 
     __rmul__ = __mul__
 
@@ -150,7 +211,7 @@ class FpMatrix:
             raise ValueError("shape/modulus mismatch")
 
     def transpose(self):
-        return FpMatrix(tuple(zip(*self.entries)), self.p)
+        return FpMatrix._trusted(tuple(zip(*self.entries)), self.p)
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -163,11 +224,11 @@ class FpMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         p = self.p
-        return tuple(sum(a * x for a, x in zip(row, vec)) % p
-                     for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
     def power(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError("negative matrix power")
         if not self.is_square():
             raise NonSquareError("power of non-square matrix")
         result = FpMatrix.identity(self.rows, self.p)
@@ -183,26 +244,9 @@ class FpMatrix:
 
     def rref(self):
         """(reduced echelon form, pivot column indices)."""
-        p = self.p
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = inv_mod(m[r][c], p)
-            m[r] = [(x * inv) % p for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return FpMatrix(m, p), tuple(pivots)
+        red, pivots = _rref_rows([list(row) for row in self.entries],
+                                 self.cols, self.p)
+        return FpMatrix._trusted(tuple(map(tuple, red)), self.p), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -218,20 +262,20 @@ class FpMatrix:
             v[c] = 1
             for i, pc in enumerate(pivots):
                 v[pc] = (-red.entries[i][c]) % p
-            vecs.append(tuple(v))
-        return Subspace(self.cols, vecs, p)
+            vecs.append(v)
+        return Subspace._trusted(self.cols, vecs, p)
 
     def inverse(self):
         if not self.is_square():
             raise NonSquareError("inverse of non-square matrix")
         n = self.rows
         p = self.p
-        aug = FpMatrix(tuple(tuple(row) + tuple(1 if i == j else 0 for j in range(n))
-                             for i, row in enumerate(self.entries)), p)
-        red, pivots = aug.rref()
-        if len(pivots) < n or pivots[:n] != tuple(range(n)):
+        aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+               for i, row in enumerate(self.entries)]
+        red, pivots = _rref_rows(aug, 2 * n, p)
+        if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return FpMatrix(tuple(row[n:] for row in red.entries), p)
+        return FpMatrix._trusted(tuple(tuple(row[n:]) for row in red), p)
 
     def is_invertible(self):
         return self.is_square() and self.rank() == self.rows
@@ -254,19 +298,26 @@ class Subspace:
 
     def __init__(self, ambient_dim, vectors, p):
         check_modulus(p)
-        vecs = [tuple(int(x) % p for x in v) for v in vectors]
+        vecs = [[int(x) % p for x in v] for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length != ambient dim")
-        vecs = [v for v in vecs if any(v)]
-        if vecs:
-            red, pivots = FpMatrix(vecs, p).rref()
-            rows = red.entries[: len(pivots)]
-        else:
-            rows, pivots = (), ()
+        self._set_span(ambient_dim, vecs, p)
+
+    @classmethod
+    def _trusted(cls, ambient_dim, vectors, p):
+        """The span of vectors that are already valid: sequences of
+        ambient_dim ints in [0, p), over a checked modulus p."""
+        w = object.__new__(cls)
+        w._set_span(ambient_dim, vectors, p)
+        return w
+
+    def _set_span(self, ambient_dim, vectors, p):
+        red, pivots = _rref_rows([list(v) for v in vectors if any(v)],
+                                 ambient_dim, p)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(rows))
+        object.__setattr__(self, "basis", tuple(map(tuple, red[:len(pivots)])))
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_pivots", pivots)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -324,12 +375,9 @@ def commutant_basis(y):
             for i in range(m):
                 img[i][l] = (img[i][l] - y.entries[i][k]) % p
             cols.append([img[i][j] for i in range(m) for j in range(m)])
-    big = FpMatrix(tuple(zip(*cols)), p)  # m^2 x m^2, columns indexed by (k,l)
-    ker = big.kernel_basis()
-    basis = []
-    for v in ker.basis:
-        basis.append(FpMatrix(_unflatten(v, m, m), p))
-    return basis
+    big = FpMatrix._trusted(tuple(zip(*cols)), p)  # m^2 x m^2, columns (k,l)
+    return [FpMatrix._trusted(_unflatten(v, m, m), p)
+            for v in big.kernel_basis().basis]
 
 
 def nilpotent_jordan_type(n_mat):
@@ -384,7 +432,7 @@ def induced_action(m_mat, w, mode):
         if w.dim == 0:
             raise ValueError("restriction to the zero subspace")
         cols = [w.coordinates(m_mat.apply(b)) for b in w.basis]
-        return FpMatrix(tuple(zip(*cols)), p)
+        return FpMatrix._trusted(tuple(zip(*cols)), p)
     if mode == "quotient":
         pivots = set(w._pivots)
         rest = [c for c in range(w.ambient_dim) if c not in pivots]
@@ -404,9 +452,5 @@ def induced_action(m_mat, w, mode):
             e[c] = 1
             img = reduce_mod_w(m_mat.apply(tuple(e)))
             cols.append([img[j] for j in rest])
-        return FpMatrix(tuple(zip(*cols)), p)
+        return FpMatrix._trusted(tuple(zip(*cols)), p)
     raise ValueError("mode must be 'restrict' or 'quotient'")
-
-
-def span_of(vectors, ambient_dim, p):
-    return Subspace(ambient_dim, vectors, p)

@@ -77,19 +77,24 @@ def springer_table(n):
         ))
     table = SpringerTable(n, tuple(records))
     dims_sq = sum(r.irrep_dim ** 2 for r in records)
-    assert dims_sq == hyperoct.wn_order(n)
+    if dims_sq != hyperoct.wn_order(n):
+        raise AssertionError("squared irrep dims sum to %d, but |W_%d| = %d"
+                             % (dims_sq, n, hyperoct.wn_order(n)))
     for r in records:
-        assert r.orbit_dim + 2 * r.d == 2 * n * n
+        if r.orbit_dim + 2 * r.d != 2 * n * n:
+            raise AssertionError("dim + 2d != 2n^2 for %s" % (r.label,))
     return table
 
 
 def _branch_children(n):
     """label -> frozenset of labels appearing in its restriction (from
-    characters, multiplicity-free asserted)."""
+    characters, multiplicity-free checked)."""
     matrix = hyperoct.restrict_branching(n)
     out = {}
     for label, row in matrix.items():
-        assert all(v in (0, 1) for v in row.values())
+        if not all(v in (0, 1) for v in row.values()):
+            raise AssertionError("branching of %s is not multiplicity-free"
+                                 % (label,))
         out[label] = frozenset(k for k, v in row.items() if v == 1)
     return out
 
@@ -130,7 +135,7 @@ def determine_correspondence(n_max):
 
     Returns {rank: {orbit label: irrep label}}.  Raises
     AmbiguousAssignmentError if the constraints ever admit zero or
-    several bijections; asserts the unique solution is the identity.
+    several bijections; checks that the unique solution is the identity.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -161,8 +166,8 @@ def determine_correspondence(n_max):
         if count != 1:
             raise AmbiguousAssignmentError(
                 "rank %d admits %s bijections" % (n, "no" if count == 0 else str(count)))
-        assert all(witness[label] == label for label in labels), \
-            "constraint solution differs from the identity map"
+        if any(witness[label] != label for label in labels):
+            raise AssertionError("constraint solution differs from the identity map")
         solution[n] = witness
         prev = witness
     return solution

@@ -8,7 +8,7 @@ module builds representatives for.
 """
 
 from . import bicomb
-from .ffield import FpMatrix, check_modulus
+from .ffield import FpMatrix, check_modulus, json_fields
 
 
 class SingularError(ZeroDivisionError):
@@ -130,7 +130,7 @@ class SymplecticSpace:
         """diag(x, 1) -> a theta(a)^-1 = diag(x, x^T)."""
         self._check_size(a)
         n, p = self.n, self.p
-        x = FpMatrix(tuple(row[:n] for row in a.entries[:n]), p)
+        x = FpMatrix._trusted(tuple(row[:n] for row in a.entries[:n]), p)
         if self.embed_gl(x) != a:
             raise NotInAError("expected a block matrix diag(x, 1_n)")
         if not x.is_invertible():
@@ -219,9 +219,10 @@ class ExoticPair:
 
     @classmethod
     def from_json(cls, obj):
-        space = SymplecticSpace(obj["n"], obj["p"])
-        return cls(space, FpMatrix.from_json(obj["x"]), tuple(obj["v"]),
-                   obj["flavor"])
+        n, p, flavor, x, v = json_fields(
+            obj, ("n", "p", "flavor", "x", "v"), "exotic pair")
+        space = SymplecticSpace(n, p)
+        return cls(space, FpMatrix.from_json(x), tuple(v), flavor)
 
 
 class NormalFormData:

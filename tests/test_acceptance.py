@@ -24,20 +24,20 @@ def report(number, name, elapsed, bound):
 
 
 def test_01_orbit_parametrization():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n, p, expected in ((1, 3, 2), (1, 5, 2)):
         result = census.orbit_census(n, p)
         assert len(result.label_counts) == expected == len(bipartitions_of(n))
-    t1 = time.time()
+    t1 = time.perf_counter()
     result = census.orbit_census(2, 3)
     assert len(result.label_counts) == 5 == len(bipartitions_of(2))
-    elapsed_n2 = time.time() - t1
+    elapsed_n2 = time.perf_counter() - t1
     assert elapsed_n2 < 60, "n=2 census must finish within 60 s on one core"
-    report(1, "orbit-parametrization", time.time() - t0, 120)
+    report(1, "orbit-parametrization", time.perf_counter() - t0, 120)
 
 
 def test_02_orbit_stabilizer_and_dimension():
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = census.orbit_census(2, 3, check_orbits=True)
     order = census.sp_group_order(2, 3)
     for chk in result.orbit_checks:
@@ -51,46 +51,46 @@ def test_02_orbit_stabilizer_and_dimension():
                 dims.add(classify.stabilizer_dim(pair, include_v=True))
             assert len(dims) == 1, "cross-prime disagreement at %s" % (label,)
             assert dims.pop() == (2 * n * n + n) - orbit_dim(label, n)
-    report(2, "orbit-stabilizer+dimension", time.time() - t0, 600)
+    report(2, "orbit-stabilizer+dimension", time.perf_counter() - t0, 600)
 
 
 def test_03_sum_of_squares():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(1, 9):
         total = sum(irrep_dim(b) ** 2 for b in bipartitions_of(n))
         assert total == wn_order(n)
     assert wn_order(8) == 10321920
-    report(3, "sum-of-squares", time.time() - t0, 1)
+    report(3, "sum-of-squares", time.perf_counter() - t0, 1)
 
 
 def test_04_restriction_shadow():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(2, 7):
         matrix = hyperoct.restrict_branching(n)
         for row in matrix.values():
             assert all(v in (0, 1) for v in row.values())
         assert springer.verify_restriction(n) == []
-    report(4, "restriction-shadow", time.time() - t0, 30)
+    report(4, "restriction-shadow", time.perf_counter() - t0, 30)
 
 
 def test_05_fiber_dimension_law():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(2, 8):
         assert springer.d_difference_check(n) == []
-    report(5, "fiber-dimension-law", time.time() - t0, 1)
+    report(5, "fiber-dimension-law", time.perf_counter() - t0, 1)
 
 
 def test_06_springer_determination():
-    t0 = time.time()
+    t0 = time.perf_counter()
     solution = springer.determine_correspondence(6)
     for n, mapping in solution.items():
         assert all(orbit == irrep for orbit, irrep in mapping.items())
         assert len(set(mapping.values())) == len(bipartitions_of(n))
-    report(6, "springer-determination", time.time() - t0, 60)
+    report(6, "springer-determination", time.perf_counter() - t0, 60)
 
 
 def test_07_parabolic_line_stabilizers():
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances = 0
     for n in (2, 3, 4):
         for p in (3, 5):
@@ -113,29 +113,29 @@ def test_07_parabolic_line_stabilizers():
                         assert got == z - 2 * q + 1, (label, i, p)
                         instances += 1
     assert instances >= 100
-    report(7, "parabolic-line-stabilizers", time.time() - t0, 120)
+    report(7, "parabolic-line-stabilizers", time.perf_counter() - t0, 120)
 
 
 def test_08_klyachko_bijection():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n, p, expected in ((1, 3, 2), (1, 5, 4), (2, 3, 8)):
         result = census.klyachko_census(n, p)
         assert result["orbit_count"] == expected == result["gl_class_count"]
         assert result["every_orbit_hit_by_embedding"]
-    report(8, "klyachko-bijection", time.time() - t0, 300)
+    report(8, "klyachko-bijection", time.perf_counter() - t0, 300)
 
 
 def test_09_log_map_coherence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in (1, 2):
         lie = census.orbit_census(n, 3, flavor="lie")
         group = census.orbit_census(n, 3, flavor="group")
         assert lie.label_counts == group.label_counts
-    report(9, "log-map-coherence", time.time() - t0, 120)
+    report(9, "log-map-coherence", time.perf_counter() - t0, 120)
 
 
 def test_10_stratification_and_closure():
-    t0 = time.time()
+    t0 = time.perf_counter()
     n, p = 2, 3
     by_cyclic = {}
     for pair in census.enumerate_exotic_nilcone(n, p):
@@ -167,11 +167,11 @@ def test_10_stratification_and_closure():
                 if up[i] >> j & 1:
                     closure |= up[j]
             assert closure == up[i]       # transitive
-    report(10, "stratification+closure", time.time() - t0, 120)
+    report(10, "stratification+closure", time.perf_counter() - t0, 120)
 
 
 def test_11_character_table_integrity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(1, 7):
         rows = {b: {c.signature: wn_character(b, c.signature)
                     for c in wn_classes(n)} for b in bipartitions_of(n)}
@@ -194,4 +194,4 @@ def test_11_character_table_integrity():
     g1 = graded_fiber_module(1, 0, (), (1,))
     assert g1.degrees[0] == {Bipartition((1,), ()): 1}
     assert g1.degrees[2] == {Bipartition((), (1,)): 1}
-    report(11, "character-table-integrity", time.time() - t0, 120)
+    report(11, "character-table-integrity", time.perf_counter() - t0, 120)

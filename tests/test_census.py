@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_sp_element
-from exospringer import classify
+from exospringer import census as census_mod, classify
 from exospringer.bicomb import Bipartition, bipartitions_of, closure_leq, \
     format_bipartition
 from exospringer.census import (
@@ -235,3 +239,45 @@ def test_checkpoint_resume(tmp_path):
     assert replayed.label_counts == full.label_counts
     with pytest.raises(ValueError):
         orbit_census(1, 3, checkpoint=path, num_chunks=2)
+
+
+def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise RuntimeError("enumeration started past the size gate")
+
+    monkeypatch.setattr(census_mod, "_census_chunk", no_enumeration)
+    monkeypatch.setattr(census_mod, "sp_generators", no_enumeration)
+    space = SymplecticSpace(2, 5)
+    zero = FpMatrix.zeros(4, 4, 5)
+    for call in (lambda: sp_group_elements(2, 5),
+                 lambda: stabilizer_census(ExoticPair(space, zero, (0,) * 4, "lie")),
+                 lambda: orbit_census(2, 5, check_orbits=True),
+                 lambda: orbit_census(2, 5, flavor="group", check_orbits=True)):
+        with pytest.raises(SizeGateError, match="Sp_4\\(F_5\\) has 9360000"):
+            call()
+
+
+def test_group_listing_gate_allows_the_listed_sizes():
+    census_mod._gate_group(2, 3)            # |Sp_4(F_3)| = 51,840: allowed
+    assert len(sp_group_elements(1, 5)) == sp_group_order(1, 5) == 120
+    assert orbit_census(1, 5, check_orbits=True).orbit_checks
+
+
+def test_group_order_check_survives_python_O(monkeypatch):
+    monkeypatch.setattr(census_mod, "sp_group_order", lambda n, q: 25)
+    with pytest.raises(AssertionError, match="closure found 24 elements"):
+        sp_group_elements(1, 3)
+    # the same check under -O, where a bare assert would be stripped
+    src = pathlib.Path(census_mod.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from exospringer import census\n"
+            "census.sp_group_order = lambda n, q: 25\n"
+            "try:\n"
+            "    census.sp_group_elements(1, 3)\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 closure found 24 elements")

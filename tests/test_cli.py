@@ -148,6 +148,37 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):
+    code, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
+    pair = json.loads(out)
+    for drop, where in (("n", None), ("flavor", None), ("entries", "x")):
+        broken = json.loads(out)
+        del (broken[where] if where else broken)[drop]
+        path = tmp_path / ("no_%s.json" % drop)
+        path.write_text(json.dumps(broken))
+        code = main(["classify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "missing field %r" % drop in captured.err
+    assert pair["n"] == 1
+
+
+def test_census_check_orbits_at_p5_is_gated(monkeypatch, capsys):
+    from exospringer import census
+
+    def no_enumeration(*args):
+        raise RuntimeError("enumeration started past the size gate")
+
+    monkeypatch.setattr(census, "_census_chunk", no_enumeration)
+    code = main(["verify", "--suite", "census", "--n", "2", "--p", "5",
+                 "--check-orbits"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Sp_4(F_5) has 9360000 elements" in captured.err
+
+
 def test_orbits_json(capsys):
     code, out = run(capsys, "orbits", "--n", "1", "--format", "json")
     assert code == 0

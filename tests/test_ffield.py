@@ -3,8 +3,23 @@ import pytest
 from conftest import random_matrix, random_invertible
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
-    commutant_basis, field_arith, induced_action, inv_mod,
+    commutant_basis, induced_action, inv_mod,
     nilpotent_jordan_type, is_odd_prime)
+
+
+def field_arith(a, b, op, p):
+    """Field operation on representatives a, b in [0, p)."""
+    if op == "add":
+        return (a + b) % p
+    if op == "sub":
+        return (a - b) % p
+    if op == "mul":
+        return (a * b) % p
+    if op == "inv":
+        return inv_mod(b, p)
+    if op == "div":
+        return (a * inv_mod(b, p)) % p
+    raise ValueError("unknown op %r" % (op,))
 
 
 def egcd_inverse(a, p):
