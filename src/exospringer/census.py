@@ -433,7 +433,6 @@ def _stabilizer_order(group, x, v):
 def stabilizer_census(pair):
     """|{g in Sp : g x g^-1 = x, g v = v}| by enumeration (n <= 2)."""
     space = pair.space
-    _gate_group(space.n, space.p)
     group = sp_group_elements(space.n, space.p)
     return _stabilizer_order(group, pair.x, pair.v)
 

@@ -8,16 +8,15 @@ echelon form so that equal subspaces compare equal.
 Inputs are validated once, at the API edge.  The public constructors
 (`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity`,
 `FpMatrix.zeros` and `Subspace(...)`) check the modulus, reduce every
-entry mod p and check the shape; the primality verdict is cached per
-modulus.  Results are trusted inside: every operation's output is
-reduced by construction, so it is built with the private `_trusted`
-constructors, which skip all three checks.  Library code that builds
+entry mod p and check the shape; the primality test is a deterministic
+Miller-Rabin, cheap even at p = 2^31 - 1.  Results are trusted inside:
+every operation's output is reduced by construction, so it is built
+with the private `_trusted` constructors, which skip all three checks.  Library code that builds
 an already-reduced matrix or span in a hot loop uses them too.
 """
 
-from functools import lru_cache
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 
 class NonSquareError(ValueError):
@@ -32,24 +31,39 @@ class NotStableError(ValueError):
     pass
 
 
+# Miller-Rabin with these bases is exact below 3,215,031,751, which
+# covers every modulus check_modulus accepts (p <= 2^31).
+_MR_BASES = (2, 3, 5, 7)
+_MR_EXACT_BELOW = 3215031751
+
+
 def is_odd_prime(p):
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d <= isqrt(p):
-        if p % d == 0:
+    n = index(p)                    # refuses non-integers such as 3.0
+    if n >= _MR_EXACT_BELOW:
+        return all(n % d for d in range(3, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        if a == n:
+            return True
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
-# The verdict is pure, so a few recent moduli are remembered; typed, so
-# that 3.0 is tried (and refused) on its own rather than taken for 3.
-_is_odd_prime_cached = lru_cache(maxsize=64, typed=True)(is_odd_prime)
-
-
 def check_modulus(p):
-    if not _is_odd_prime_cached(p):
+    if not is_odd_prime(p):
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
     if p > 2**31:
         raise ValueError("modulus too large: %d" % p)

@@ -5,11 +5,13 @@ equal the same entries pushed through the public constructor, which
 reduces mod p and checks the modulus and the shape.
 """
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exospringer.ffield import (FpMatrix, Subspace, check_modulus,
-                                commutant_basis, induced_action)
+                                commutant_basis, induced_action, is_odd_prime)
 
 LARGE_P = 2**31 - 1
 PRIMES = (3, 5, 7, LARGE_P)
@@ -117,9 +119,9 @@ def test_trusted_span_equals_public_span(data):
         assert all(isinstance(v, tuple) for v in trusted.basis)
 
 
-def test_cached_modulus_still_rejects_bad_moduli():
+def test_modulus_check_rejects_bad_moduli_after_a_good_one():
     assert check_modulus(LARGE_P) == LARGE_P
-    FpMatrix([[1]], LARGE_P)                    # 2^31 - 1 is now cached
+    FpMatrix([[1]], LARGE_P)
     for bad in (1, 2, 9, -3, 2147483659):       # the last is prime, too large
         with pytest.raises(ValueError):
             check_modulus(bad)
@@ -129,9 +131,30 @@ def test_cached_modulus_still_rejects_bad_moduli():
             Subspace(1, [(1,)], bad)
     assert check_modulus(3) == 3
     with pytest.raises((TypeError, ValueError)):
-        check_modulus(3.0)                      # not taken for the cached 3
+        check_modulus(3.0)                      # not taken for 3
     with pytest.raises((TypeError, ValueError)):
         FpMatrix([[1]], 3.0)
+
+
+def _by_trial_division(n):
+    return n >= 3 and n % 2 == 1 and all(
+        n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def test_primality_test_agrees_with_trial_division():
+    assert all(is_odd_prime(n) == _by_trial_division(n)
+               for n in range(-5, 20000))
+    # strong pseudoprimes to base 2, Carmichael numbers, and the least
+    # strong pseudoprime to bases 2, 3, 5 and 7, where the exact test ends
+    for n in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001,
+              3215031751, 2**31 - 3, 2**31 + 1, 2147483659):
+        assert is_odd_prime(n) == _by_trial_division(n), n
+
+
+@given(st.integers(2**31 - 2**16, 2**31 + 2**16))
+@settings(max_examples=200, deadline=None)
+def test_primality_test_agrees_with_trial_division_near_the_bound(n):
+    assert is_odd_prime(n) == _by_trial_division(n)
 
 
 @pytest.mark.parametrize("p", PRIMES)
