@@ -11,7 +11,9 @@ grinding.
 The census is a map over contiguous chunks of the self-adjoint
 coordinate space with an exact-sum merge, so chunk order and worker
 count never change the result; chunk results can be checkpointed to
-JSON and resumed.
+JSON and resumed.  A checkpoint records what fixes its counts (n, p,
+flavor, basis seed and chunk count) and is refused by a census that
+differs in any of them.
 """
 
 import json
@@ -21,7 +23,7 @@ import random
 
 from . import classify
 from .bicomb import format_bipartition
-from .ffield import FpMatrix
+from .ffield import FpMatrix, _unflatten, json_fields
 from .symplectic import ExoticPair, SymplecticSpace
 
 CENSUS_MAX_N = 2
@@ -151,11 +153,15 @@ def self_adjoint_basis(space):
     return basis
 
 
+def _digits(code, p, k):
+    """The k base-p digits of code, least significant first."""
+    return [code // p ** i % p for i in range(k)]
+
+
 def _decode_matrix(code, basis, space):
     dim, p = space.dim, space.p
     m = [[0] * dim for _ in range(dim)]
-    for b in basis:
-        code, digit = divmod(code, p)
+    for digit, b in zip(_digits(code, p, len(basis)), basis):
         if digit:
             for i in range(dim):
                 row = b.entries[i]
@@ -181,27 +187,40 @@ def iter_self_adjoint(space, lo=0, hi=None):
 
 
 def _is_nilpotent(x):
-    power = x
-    k = 1
-    while k < x.rows:
-        power = power * power
-        k *= 2
-    return power.is_zero()
+    return x.is_nilpotent()
 
 
 def _is_unipotent(x):
-    return _is_nilpotent(x - FpMatrix.identity(x.rows, x.p))
+    return (x - FpMatrix.identity(x.rows, x.p)).is_nilpotent()
 
 
 def iter_vectors(space):
     dim, p = space.dim, space.p
     for code in range(p ** dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            c, digit = divmod(c, p)
-            v.append(digit)
-        yield tuple(v)
+        yield tuple(_digits(code, p, dim))
+
+
+def _cone_xs(space, flavor, lo=0, hi=None):
+    """The self-adjoint x numbered lo..hi-1 that lie on the cone of the
+    flavor: nilpotent for 'lie', unipotent for 'group'."""
+    keep = _is_nilpotent if flavor == "lie" else _is_unipotent
+    for x in iter_self_adjoint(space, lo, hi):
+        if keep(x):
+            yield x
+
+
+def _labelled_points(space, flavor, lo=0, hi=None, move=None):
+    """(x, v, label) for the cone points whose x is numbered lo..hi-1,
+    each first carried to (g x g^-1, g v) when move = (g, g^-1)."""
+    for x in _cone_xs(space, flavor, lo, hi):
+        if move is not None:
+            x = move[0] * x * move[1]
+        labeler = classify.exotic_labeler(
+            x if flavor == "lie" else space.log_map(x))
+        for v in iter_vectors(space):
+            if move is not None:
+                v = move[0].apply(v)
+            yield x, v, format_bipartition(labeler(v))
 
 
 def enumerate_exotic_nilcone(n, p, flavor="lie", lo=0, hi=None):
@@ -212,12 +231,9 @@ def enumerate_exotic_nilcone(n, p, flavor="lie", lo=0, hi=None):
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    keep = _is_nilpotent if flavor == "lie" else _is_unipotent
-    for x in iter_self_adjoint(space, lo, hi):
-        if not keep(x):
-            continue
+    for x in _cone_xs(space, flavor, lo, hi):
         for v in iter_vectors(space):
-            yield ExoticPair(space, x, v, flavor, validate=False)
+            yield ExoticPair._trusted(space, x, v, flavor)
 
 
 def seeded_basis_change(space, seed):
@@ -234,28 +250,16 @@ def _census_chunk(args):
     """Label counts over one chunk of the x coordinate space."""
     n, p, flavor, lo, hi, basis_seed = args
     space = SymplecticSpace(n, p)
-    keep = _is_nilpotent if flavor == "lie" else _is_unipotent
     move = None
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
-        gi = g.inverse()
-        move = (g, gi)
+        move = (g, g.inverse())
     counts = {}
     reps = {}
-    for x in iter_self_adjoint(space, lo, hi):
-        if not keep(x):
-            continue
-        if move is not None:
-            x = move[0] * x * move[1]
-        n_mat = x if flavor == "lie" else space.log_map(x)
-        labeler = classify.exotic_labeler(n_mat)
-        for v in iter_vectors(space):
-            if move is not None:
-                v = move[0].apply(v)
-            label = format_bipartition(labeler(v))
-            counts[label] = counts.get(label, 0) + 1
-            if label not in reps:
-                reps[label] = (x.to_json(), list(v))
+    for x, v, label in _labelled_points(space, flavor, lo, hi, move):
+        counts[label] = counts.get(label, 0) + 1
+        if label not in reps:
+            reps[label] = (x.to_json(), list(v))
     return counts, reps
 
 
@@ -278,14 +282,15 @@ class CensusResult:
 
 
 def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
-                 num_chunks=None, check_orbits=False, basis_seed=0):
+                 check_orbits=False, basis_seed=0):
     """Count cone points per label; optionally verify orbit structure.
 
-    check_orbits runs the union-find transitivity test under the
-    generator action and the exact orbit-stabilizer comparison (this
-    needs the full group, so it is the slow part).  A nonzero
-    basis_seed classifies through a seeded symplectic change of basis;
-    the counts must not change (conjugation invariance).
+    The x coordinate space is cut into min(p, #x) chunks.  check_orbits
+    runs the union-find transitivity test under the generator action
+    and the exact orbit-stabilizer comparison (this needs the full
+    group, so it is the slow part).  A nonzero basis_seed classifies
+    through a seeded symplectic change of basis; the counts must not
+    change (conjugation invariance).
     """
     if check_orbits:
         _gate_group(n, p)
@@ -293,14 +298,14 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
         _gate(n, p)
     space = SymplecticSpace(n, p)
     total_x = self_adjoint_count(space)
-    if num_chunks is None:
-        num_chunks = min(p, total_x)
-    bounds = _chunk_bounds(total_x, num_chunks)
+    bounds = _chunk_bounds(total_x, min(p, total_x))
+    num_chunks = len(bounds)
 
-    done, counts, reps = _load_checkpoint(checkpoint, n, p, flavor, num_chunks)
-    todo = [(n, p, flavor, lo, hi, basis_seed)
-            for idx, (lo, hi) in enumerate(bounds) if idx not in done]
+    identity = {"n": n, "p": p, "flavor": flavor, "basis_seed": basis_seed,
+                "num_chunks": num_chunks}
+    done, counts, reps = _load_checkpoint(checkpoint, identity)
     todo_ids = [idx for idx in range(num_chunks) if idx not in done]
+    todo = [(n, p, flavor) + bounds[idx] + (basis_seed,) for idx in todo_ids]
 
     if jobs > 1 and len(todo) > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -315,8 +320,7 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
             reps.setdefault(label, rep)
         done.add(idx)
         if checkpoint:
-            _save_checkpoint(checkpoint, n, p, flavor, num_chunks, done,
-                             counts, reps)
+            _save_checkpoint(checkpoint, identity, done, counts, reps)
 
     total = sum(counts.values())
     result = CensusResult(n, p, flavor, counts, total, reps)
@@ -326,25 +330,38 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
 
 
 def _chunk_bounds(total, num_chunks):
-    num_chunks = max(1, min(num_chunks, total))
     step = -(-total // num_chunks)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _load_checkpoint(path, n, p, flavor, num_chunks):
+def _load_checkpoint(path, identity):
+    """(done chunk ids, label counts, reps) saved for this census.
+
+    identity maps the fields that fix a census's chunks and counts (n, p,
+    flavor, basis_seed, num_chunks) to their values; a checkpoint saved
+    under any other value, with a field missing or of the wrong JSON
+    type, or naming a chunk that does not exist is refused with
+    ValueError.
+    """
     if not path or not os.path.exists(path):
         return set(), {}, {}
     with open(path) as fh:
         data = json.load(fh)
-    if (data["n"], data["p"], data["flavor"], data["num_chunks"]) != \
-            (n, p, flavor, num_chunks):
+    names = tuple(identity) + ("done", "labels", "reps")
+    *saved, done, labels, reps = json_fields(data, names, "checkpoint")
+    if tuple(saved) != tuple(identity.values()):
         raise ValueError("checkpoint %s does not match this census" % path)
-    return set(data["done"]), dict(data["labels"]), dict(data["reps"])
+    if not (isinstance(done, list)
+            and all(idx in range(identity["num_chunks"]) for idx in done)):
+        raise ValueError("checkpoint %s: done must list chunks in 0..%d"
+                         % (path, identity["num_chunks"] - 1))
+    if not (isinstance(labels, dict) and isinstance(reps, dict)):
+        raise ValueError("checkpoint %s: labels and reps must be objects" % path)
+    return set(done), labels, reps
 
 
-def _save_checkpoint(path, n, p, flavor, num_chunks, done, counts, reps):
-    data = {"n": n, "p": p, "flavor": flavor, "num_chunks": num_chunks,
-            "done": sorted(done), "labels": counts, "reps": reps}
+def _save_checkpoint(path, identity, done, counts, reps):
+    data = dict(identity, done=sorted(done), labels=counts, reps=reps)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(data, fh)
@@ -375,31 +392,33 @@ class UnionFind:
         return len({self.find(x) for x in self.parent})
 
 
-def _orbit_checks(space, result):
-    """Union-find transitivity plus orbit-stabilizer arithmetic per label."""
-    n, p = space.n, space.p
-    flavor = result.flavor
-    gens = sp_generators(space)
-    points = {}
-    labeler = None
-    current_x = None
-    for pair in enumerate_exotic_nilcone(n, p, flavor):
-        if pair.x is not current_x:
-            current_x = pair.x
-            n_mat = pair.x if flavor == "lie" else space.log_map(pair.x)
-            labeler = classify.exotic_labeler(n_mat)
-        points[(pair.x.entries, pair.v)] = format_bipartition(labeler(pair.v))
+def _generator_classes(space, points, move, what):
+    """Union-find of `points` (a set or dict) under the generators of Sp,
+    where move(point, g, g^-1) is the image of a point under g; an image
+    outside `points` raises AssertionError naming `what`."""
+    moves = [(g, g.inverse()) for g in sp_generators(space)]
     uf = UnionFind()
-    for key in points:
-        uf.add(key)
-    gen_invs = [g.inverse() for g in gens]
-    for (xe, v) in list(points):
-        x = FpMatrix._trusted(xe, p)
-        for g, gi in zip(gens, gen_invs):
-            moved = ((g * x * gi).entries, g.apply(v))
+    for point in points:
+        uf.add(point)
+    for point in points:
+        for g, gi in moves:
+            moved = move(point, g, gi)
             if moved not in points:
-                raise AssertionError("a generator moved a cone point off the cone")
-            uf.union((xe, v), moved)
+                raise AssertionError("a generator moved a point off the %s" % what)
+            uf.union(point, moved)
+    return uf
+
+
+def _orbit_checks(space, result):
+    """Union-find transitivity plus orbit-stabilizer arithmetic per label.
+    Points are labelled again: resumed chunks carry no per-point labels."""
+    n, p = space.n, space.p
+    points = {(x.entries, v): label
+              for x, v, label in _labelled_points(space, result.flavor)}
+    uf = _generator_classes(
+        space, points, lambda pt, g, gi: (
+            (g * FpMatrix._trusted(pt[0], p) * gi).entries, g.apply(pt[1])),
+        "cone")
     roots_per_label = {}
     for key, label in points.items():
         roots_per_label.setdefault(label, set()).add(uf.find(key))
@@ -445,23 +464,10 @@ def klyachko_census(n, p):
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    gens = sp_generators(space)
-    gen_invs = [g.inverse() for g in gens]
-    points = []
-    for x in iter_self_adjoint(space):
-        if x.is_invertible():
-            points.append(x)
-    point_set = {x.entries for x in points}
-    uf = UnionFind()
-    for x in points:
-        uf.add(x.entries)
-    for x in points:
-        for g, gi in zip(gens, gen_invs):
-            moved = (g * x * gi).entries
-            if moved not in point_set:
-                raise AssertionError(
-                    "a generator moved an invertible self-adjoint point off the locus")
-            uf.union(x.entries, moved)
+    points = {x.entries: x for x in iter_self_adjoint(space) if x.is_invertible()}
+    uf = _generator_classes(space, points,
+                            lambda xe, g, gi: (g * points[xe] * gi).entries,
+                            "invertible self-adjoint locus")
     orbit_count = uf.class_count()
     expected = gl_class_count(n, p)
 
@@ -469,7 +475,7 @@ def klyachko_census(n, p):
     for g in _iter_gl(n, p):
         embedded = space.klyachko_embed(space.embed_gl(g))
         covered.add(uf.find(embedded.entries))
-    all_roots = {uf.find(x.entries) for x in points}
+    all_roots = {uf.find(xe) for xe in points}
 
     return {
         "n": n, "p": p,
@@ -483,14 +489,6 @@ def klyachko_census(n, p):
 
 def _iter_gl(n, p):
     for code in range(p ** (n * n)):
-        c = code
-        entries = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                c, digit = divmod(c, p)
-                row.append(digit)
-            entries.append(tuple(row))
-        m = FpMatrix._trusted(tuple(entries), p)
+        m = FpMatrix._trusted(_unflatten(_digits(code, p, n * n), n, n), p)
         if m.is_invertible():
             yield m

@@ -63,7 +63,6 @@ def _label_from_span(n_mat, w):
 def enhanced_type(pair):
     """Orbit label of an enhanced pair: (type on W, type on ambient/W)."""
     n_mat = pair.nilpotent_part()
-    nilpotent_jordan_type(n_mat)  # raises NotNilpotentError early
     return _label_from_span(n_mat, commutant_image(n_mat, pair.v))
 
 

@@ -240,6 +240,16 @@ class FpMatrix:
         p = self.p
         return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
+    def is_nilpotent(self):
+        """N^k = 0 for some k; squares up to a power >= m, as N^m = 0."""
+        if not self.is_square():
+            raise NonSquareError("nilpotence of non-square matrix")
+        power, k = self, 1
+        while k < self.rows:
+            power = power * power
+            k *= 2
+        return power.is_zero()
+
     def power(self, k):
         if k < 0:
             raise ValueError("negative matrix power")
@@ -356,17 +366,21 @@ class Subspace:
 
     def coordinates(self, vec):
         """Coefficients of vec in the echelon basis, or None."""
+        coeffs, rest = self._reduce([int(x) % self.p for x in vec])
+        return None if any(rest) else coeffs
+
+    def _reduce(self, vec):
+        """(coefficients, remainder) of vec, entries in [0, p), against the
+        echelon basis; the remainder is zero iff vec lies in the span."""
         p = self.p
-        v = [int(x) % p for x in vec]
+        v = list(vec)
         coeffs = []
         for row, pc in zip(self.basis, self._pivots):
             c = v[pc]
             coeffs.append(c)
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coeffs)
+        return tuple(coeffs), v
 
 
 def commutant_basis(y):
@@ -397,24 +411,21 @@ def commutant_basis(y):
 def nilpotent_jordan_type(n_mat):
     """Jordan type (a partition of m) of a nilpotent m x m matrix.
 
-    The multiplicity of parts >= j is rank(N^(j-1)) - rank(N^j).
+    The multiplicity of parts >= j is rank(N^(j-1)) - rank(N^j).  The
+    ranks of the powers never rise, and once two in a row are equal they
+    stay equal, so a repeat above 0 means N is not nilpotent.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan type of non-square matrix")
     m = n_mat.rows
-    # repeated squaring up to a power >= m
-    power = n_mat
-    k = 1
-    while k < m:
-        power = power * power
-        k *= 2
-    if not power.is_zero():
-        raise NotNilpotentError("matrix is not nilpotent")
     ranks = [m]
     cur = FpMatrix.identity(m, n_mat.p)
     while ranks[-1] > 0:
         cur = cur * n_mat
-        ranks.append(cur.rank())
+        rank = cur.rank()
+        if rank == ranks[-1]:
+            raise NotNilpotentError("matrix is not nilpotent")
+        ranks.append(rank)
     # number of parts >= j is ranks[j-1] - ranks[j]
     parts = []
     for j in range(1, len(ranks)):
@@ -439,32 +450,27 @@ def induced_action(m_mat, w, mode):
     if m_mat.cols != w.ambient_dim or m_mat.p != w.p:
         raise ValueError("ambient mismatch")
     p = m_mat.p
+    images = []
     for b in w.basis:
-        if not w.contains(m_mat.apply(b)):
+        coeffs, rem = w._reduce(m_mat.apply(b))
+        if any(rem):
             raise NotStableError("subspace is not stable under the matrix")
+        images.append(coeffs)
     if mode == "restrict":
         if w.dim == 0:
             raise ValueError("restriction to the zero subspace")
-        cols = [w.coordinates(m_mat.apply(b)) for b in w.basis]
-        return FpMatrix._trusted(tuple(zip(*cols)), p)
+        return FpMatrix._trusted(tuple(zip(*images)), p)
     if mode == "quotient":
         pivots = set(w._pivots)
         rest = [c for c in range(w.ambient_dim) if c not in pivots]
         if not rest:
             raise ValueError("quotient by the full space")
-        # reduce a vector mod W, then read off the non-pivot coordinates
-        def reduce_mod_w(vec):
-            v = list(vec)
-            for row, pc in zip(w.basis, w._pivots):
-                c = v[pc]
-                if c:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
-            return v
+        # reduce each image mod W, then read off the non-pivot coordinates
         cols = []
         for c in rest:
             e = [0] * w.ambient_dim
             e[c] = 1
-            img = reduce_mod_w(m_mat.apply(tuple(e)))
+            img = w._reduce(m_mat.apply(tuple(e)))[1]
             cols.append([img[j] for j in rest])
         return FpMatrix._trusted(tuple(zip(*cols)), p)
     raise ValueError("mode must be 'restrict' or 'quotient'")

@@ -123,7 +123,8 @@ class SymplecticSpace:
         z = x - FpMatrix.identity(self.dim, self.p)
         half = pow(2, -1, self.p)
         out = half * (z + self.adjoint(z))
-        assert self.adjoint(out) == out
+        if self.adjoint(out) != out:
+            raise AssertionError("log map left the self-adjoint summand")
         return out
 
     def klyachko_embed(self, a):
@@ -165,18 +166,25 @@ class ExoticPair:
 
     __slots__ = ("space", "x", "v", "flavor")
 
-    def __init__(self, space, x, v, flavor, validate=True):
+    def __init__(self, space, x, v, flavor):
         if flavor not in ("lie", "group"):
             raise ValueError("flavor must be 'lie' or 'group'")
         v = tuple(int(c) % space.p for c in v)
         if len(v) != space.dim:
             raise ValueError("vector length != 2n")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "flavor", flavor)
-        if validate:
-            self.validate()
+        self._set(space, x, v, flavor)
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, space, x, v, flavor):
+        """Wrap a valid pair: v a tuple of 2n ints in [0, p), x on the cone."""
+        pair = object.__new__(cls)
+        pair._set(space, x, v, flavor)
+        return pair
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("ExoticPair is immutable")
@@ -187,10 +195,10 @@ class ExoticPair:
             raise ValueError("x is not self-adjoint")
         one = FpMatrix.identity(sp.dim, sp.p)
         if self.flavor == "lie":
-            if not self.x.power(sp.dim).is_zero():
+            if not self.x.is_nilpotent():
                 raise ValueError("lie flavor requires nilpotent x")
         else:
-            if not (self.x - one).power(sp.dim).is_zero():
+            if not (self.x - one).is_nilpotent():
                 raise ValueError("group flavor requires unipotent x")
             if not self.x.is_invertible():
                 raise ValueError("group flavor requires invertible x")
@@ -316,7 +324,8 @@ def normal_form_pair(label, space):
     y_small = FpMatrix(y_top, p)
     y = space.embed_gl(y_small)
     x = y * space.theta_group(y).inverse()
-    assert x == space.pair_block(y_small, y_small.transpose())
+    if x != space.pair_block(y_small, y_small.transpose()):
+        raise AssertionError("y theta(y)^-1 is not diag(y, y^T)")
 
     jordan_basis = {}
     for (i, j), col in index.items():
@@ -372,12 +381,18 @@ def _check_normal_form(space, nf, y):
     shift_dual = yprime - one
     for (i, j), vec in nf.jordan_basis.items():
         expect = nf.jordan_basis.get((i, j - 1), (0,) * space.dim)
-        assert shift.apply(vec) == tuple(expect)
+        if shift.apply(vec) != tuple(expect):
+            raise AssertionError("y - 1 does not shift the Jordan basis at %r"
+                                 % ((i, j),))
     for (i, j), vec in nf.dual_basis.items():
         nu_i = nf.nu[i - 1]
         expect = nf.dual_basis.get((i, j + 1)) if j < nu_i else (0,) * space.dim
-        assert shift_dual.apply(vec) == tuple(expect)
+        if shift_dual.apply(vec) != tuple(expect):
+            raise AssertionError("theta(y)^-1 - 1 does not shift the dual "
+                                 "basis at %r" % ((i, j),))
     for ka, va in nf.jordan_basis.items():
         for kb, vb in nf.dual_basis.items():
-            want = 1 if ka == kb else 0
-            assert space.pairing(va, vb) == want
+            got, want = space.pairing(va, vb), 1 if ka == kb else 0
+            if got != want:
+                raise AssertionError("Jordan basis %r pairs to %d, not %d, "
+                                     "with dual basis %r" % (ka, got, want, kb))

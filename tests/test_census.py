@@ -186,7 +186,7 @@ def test_census_second_prime_matches_orbit_stabilizer_predictions():
     #   1,1|-  |Z| = |Sp_2(F_p)| p^3
     #   -|2    |Z| = |Sp_2(F_p)| p^3
     #   -|1,1  the whole group
-    result = orbit_census(2, 5, num_chunks=25)
+    result = orbit_census(2, 5)
     sp4 = sp_group_order(2, 5)
     sp2 = sp_group_order(1, 5)
     assert result.label_counts == {
@@ -217,8 +217,12 @@ def test_klyachko_second_prime():
 
 def test_parallel_census_matches_serial():
     serial = orbit_census(2, 3, jobs=1)
-    parallel = orbit_census(2, 3, jobs=2, num_chunks=4)
+    parallel = orbit_census(2, 3, jobs=2)
     assert serial.label_counts == parallel.label_counts
+
+
+CHECKPOINT_N1_P3 = {"n": 1, "p": 3, "flavor": "lie", "basis_seed": 0,
+                    "num_chunks": 3}
 
 
 def test_checkpoint_resume(tmp_path):
@@ -228,17 +232,45 @@ def test_checkpoint_resume(tmp_path):
     # simulate an interrupted run: only chunk 0 done and checkpointed
     bounds = _chunk_bounds(3 ** 1, 3)
     counts0, reps0 = _census_chunk((1, 3, "lie", bounds[0][0], bounds[0][1], 0))
-    _save_checkpoint(path, 1, 3, "lie", 3, {0}, counts0, reps0)
-    resumed = orbit_census(1, 3, checkpoint=path, num_chunks=3)
+    _save_checkpoint(path, CHECKPOINT_N1_P3, {0}, counts0, reps0)
+    resumed = orbit_census(1, 3, checkpoint=path)
     assert resumed.label_counts == full.label_counts
     with open(path) as fh:
         saved = json.load(fh)
     assert sorted(saved["done"]) == [0, 1, 2]
     # a finished checkpoint replays without recomputation
-    replayed = orbit_census(1, 3, checkpoint=path, num_chunks=3)
+    replayed = orbit_census(1, 3, checkpoint=path)
     assert replayed.label_counts == full.label_counts
     with pytest.raises(ValueError):
-        orbit_census(1, 3, checkpoint=path, num_chunks=2)
+        orbit_census(1, 3, flavor="group", checkpoint=path)
+
+
+def test_checkpoint_identity(tmp_path, capsys):
+    from exospringer.cli import main
+    path = tmp_path / "census.json"
+    orbit_census(1, 3, checkpoint=str(path))
+    saved = json.loads(path.read_text())
+    assert saved["basis_seed"] == 0
+    # written without a seed, so a seeded run must recompute, not replay
+    with pytest.raises(ValueError, match="does not match"):
+        orbit_census(1, 3, checkpoint=str(path), basis_seed=7)
+    # done lists existing chunks only; labels and reps are objects
+    for bad, message in (({"done": [0, 1, 2, 7]}, "done must list chunks in 0..2"),
+                         ({"done": 5}, "done must list chunks in 0..2"),
+                         ({"labels": []}, "labels and reps must be objects")):
+        path.write_text(json.dumps(dict(saved, **bad)))
+        with pytest.raises(ValueError, match=message):
+            orbit_census(1, 3, checkpoint=str(path))
+    # a missing field is a usage error that names the field
+    broken = dict(saved)
+    del broken["flavor"]
+    path.write_text(json.dumps(broken))
+    code = main(["verify", "--suite", "census", "--n", "1", "--p", "3",
+                 "--checkpoint", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "checkpoint JSON is missing field 'flavor'" in captured.err
 
 
 def test_group_listing_gate_refuses_before_enumerating(monkeypatch):

@@ -45,6 +45,13 @@ def test_output_bytes_deterministic(capsys):
     # emitted JSON re-parses to the in-memory structure
     from exospringer.springer import springer_table
     assert parsed == springer_table(3).to_json()
+    # verify reports too: no wall-clock field
+    argv = ("verify", "--suite", "census", "--n", "1", "--p", "3", "--seed", "5")
+    code, first = run(capsys, *argv)
+    assert code == 0
+    _, second = run(capsys, *argv)
+    assert first == second
+    assert "elapsed_s" not in json.loads(first)
 
 
 def test_repr_classify_roundtrip(tmp_path, capsys):
@@ -145,6 +152,17 @@ def test_usage_errors(capsys):
     code, _ = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "9")
     assert code == 2        # composite modulus
     code, _ = run(capsys, "classify", "--input", "/nonexistent/file.json")
+    assert code == 2
+    # one --n rule: n >= 1 everywhere, n >= 2 for branch
+    for argv in (["orbits", "--n", "0"], ["chartable", "--n", "0"],
+                 ["verify", "--suite", "sum-squares", "--n", "0"],
+                 ["springer", "--n", "0"], ["hasse", "--n", "-1"],
+                 ["verify", "--suite", "determine", "--n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --n: must be >= 1" in capsys.readouterr().err
+    code, _ = run(capsys, "branch", "--n", "1")
     assert code == 2
 
 

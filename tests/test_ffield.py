@@ -172,6 +172,7 @@ def test_commutant_closed_under_product(rng):
 def test_jordan_type_examples():
     assert nilpotent_jordan_type(FpMatrix.zeros(3, 3, 3)) == (1, 1, 1)
     assert nilpotent_jordan_type(jordan_block_nilpotent(4, 5)) == (4,)
+    assert all(jordan_block_nilpotent(m, 3).is_nilpotent() for m in range(1, 6))
     n22 = FpMatrix([[0, 0, 1, 0], [0, 0, 0, 1],
                     [0, 0, 0, 0], [0, 0, 0, 0]], 3)
     assert (n22 * n22).is_zero() and n22.rank() == 2
@@ -182,8 +183,15 @@ def test_jordan_type_examples():
 def test_jordan_type_errors():
     with pytest.raises(NotNilpotentError):
         nilpotent_jordan_type(FpMatrix.identity(2, 3))
+    # singular but not nilpotent: the ranks 3, 2, 2 stall above 0
+    idempotent = FpMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3)
+    assert not idempotent.is_nilpotent()
+    with pytest.raises(NotNilpotentError):
+        nilpotent_jordan_type(idempotent)
     with pytest.raises(NonSquareError):
         nilpotent_jordan_type(FpMatrix.zeros(2, 3, 3))
+    with pytest.raises(NonSquareError):
+        FpMatrix.zeros(2, 3, 3).is_nilpotent()
 
 
 def test_jordan_conjugation_invariant(rng):

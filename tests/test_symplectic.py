@@ -291,3 +291,62 @@ def test_exotic_pair_validation():
         ExoticPair(sp, FpMatrix.identity(2, 3), (0, 0), "lie")  # not nilpotent
     with pytest.raises(ValueError):
         ExoticPair(sp, FpMatrix.zeros(2, 2, 3), (0, 0), "group")
+
+
+def _corrupted_normal_form_errors():
+    """The error raised by the normal-form check on each of three
+    corrupted copies of the 1|1 normal form over F_3 (None if none)."""
+    from exospringer.symplectic import _check_normal_form
+    space = SymplecticSpace(2, 3)
+    label = parse_bipartition("1|1")
+    x = normal_form_pair(label, space).pair.x
+    y = space.embed_gl(FpMatrix([row[:2] for row in x.entries[:2]], 3))
+
+    def scale(vec, c):
+        return tuple(c * a % 3 for a in vec)
+
+    def jordan_off_chain(nf):
+        nf.jordan_basis[(1, 2)] = scale(nf.jordan_basis[(1, 2)], 2)
+
+    def dual_off_chain(nf):
+        nf.dual_basis[(1, 1)] = scale(nf.dual_basis[(1, 1)], 2)
+
+    def dual_not_dual(nf):
+        # still a shift chain, but every pairing is 2 instead of 1
+        nf.dual_basis = {k: scale(v, 2) for k, v in nf.dual_basis.items()}
+
+    errors = []
+    for corrupt in (None, jordan_off_chain, dual_off_chain, dual_not_dual):
+        nf = normal_form_pair(label, space)
+        if corrupt:
+            corrupt(nf)
+        try:
+            _check_normal_form(space, nf, y)
+            errors.append(None)
+        except AssertionError as exc:
+            errors.append(str(exc))
+    return errors
+
+
+def test_normal_form_check_survives_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    expected = [None,
+                "y - 1 does not shift the Jordan basis at (1, 2)",
+                "theta(y)^-1 - 1 does not shift the dual basis at (1, 1)",
+                "Jordan basis (1, 1) pairs to 2, not 1, with dual basis (1, 1)"]
+    assert _corrupted_normal_form_errors() == expected
+    # the same checks under -O, where bare asserts would be stripped
+    tests = pathlib.Path(__file__).resolve().parent
+    code = ("import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from test_symplectic import _corrupted_normal_form_errors\n"
+            "print(sys.flags.optimize, _corrupted_normal_form_errors())\n"
+            % str(tests))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 %r\n" % (expected,)
