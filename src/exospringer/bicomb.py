@@ -9,6 +9,8 @@ String grammar: "2,1|1" means ((2,1),(1)); an empty component is "-".
 """
 
 import functools
+from itertools import accumulate
+from operator import le
 
 
 class RankMismatchError(ValueError):
@@ -77,8 +79,11 @@ def standard_tableau_count(parts):
     for row in hook_lengths(parts):
         for h in row:
             den *= h
-    assert num % den == 0
-    return num // den
+    count, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("hook product %d does not divide %d! for %r"
+                             % (den, n, parts))
+    return count
 
 
 class Bipartition:
@@ -201,7 +206,9 @@ def orbit_dim(bla, n):
         raise RankMismatchError("|label| = %d but n = %d" % (bla.n, n))
     nu = partition_sum(bla.first, bla.second)
     d = 2 * n * n - 2 * n - 4 * n_invariant(nu) + 2 * sum(bla.first)
-    assert d >= 0 and d % 2 == 0
+    if d < 0 or d % 2:
+        raise AssertionError("orbit dimension %d of %s is not even and >= 0"
+                             % (d, bla))
     return d
 
 
@@ -212,7 +219,8 @@ def fiber_dim_d(bla, n):
     nu = partition_sum(bla.first, bla.second)
     d = 2 * n_invariant(nu) + n - sum(bla.first)
     # cross identity with the orbit dimension: dim + 2d = 2n^2
-    assert orbit_dim(bla, n) + 2 * d == 2 * n * n
+    if orbit_dim(bla, n) + 2 * d != 2 * n * n:
+        raise AssertionError("dim + 2d != 2n^2 for %s" % (bla,))
     return d
 
 
@@ -242,13 +250,18 @@ def hasse_covers(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = bipartitions_of(n)
-    below = {b: [a for a in labels if a != b and closure_leq(a, b)] for b in labels}
+    # closure_leq(a, b) iff every prefix sum of c(a) is <= that of c(b);
+    # zip may stop at the shorter composition: its last prefix sum is n
+    sums = [tuple(accumulate(interleave_c(b))) for b in labels]
+    below = [[j for j, lo in enumerate(sums) if j != i and all(map(le, lo, hi))]
+             for i, hi in enumerate(sums)]
     covers = []
-    for upper in labels:
-        under = below[upper]
-        for lower in under:
-            if not any(lower != mid and closure_leq(lower, mid) for mid in under):
-                covers.append((lower, upper))
+    for upper, under in zip(labels, below):
+        # lower is covered by upper unless it lies below some mid in between
+        between = set()
+        for mid in under:
+            between.update(below[mid])
+        covers.extend((labels[j], upper) for j in under if j not in between)
     return tuple(covers)
 
 

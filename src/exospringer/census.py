@@ -415,10 +415,16 @@ def _orbit_checks(space, result):
     n, p = space.n, space.p
     points = {(x.entries, v): label
               for x, v, label in _labelled_points(space, result.flavor)}
-    uf = _generator_classes(
-        space, points, lambda pt, g, gi: (
-            (g * FpMatrix._trusted(pt[0], p) * gi).entries, g.apply(pt[1])),
-        "cone")
+    conjugates = {}  # (x entries, id(g)) -> g x g^-1: one per x, not per (x, v)
+
+    def move(pt, g, gi):
+        xe, v = pt
+        key = (xe, id(g))
+        if key not in conjugates:
+            conjugates[key] = (g * FpMatrix._trusted(xe, p) * gi).entries
+        return conjugates[key], g.apply(v)
+
+    uf = _generator_classes(space, points, move, "cone")
     roots_per_label = {}
     for key, label in points.items():
         roots_per_label.setdefault(label, set()).add(uf.find(key))

@@ -17,6 +17,7 @@ action" is locked by the identity/sign acceptance checks.
 import functools
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .bicomb import Bipartition, bipartitions_of, partitions_of, \
     standard_tableau_count
@@ -53,8 +54,10 @@ class WnClass:
     def __init__(self, signature, order):
         self.signature = signature
         self.centralizer_order = centralizer_order(signature)
-        assert order % self.centralizer_order == 0
-        self.size = order // self.centralizer_order
+        self.size, rem = divmod(order, self.centralizer_order)
+        if rem:
+            raise AssertionError("centralizer order %d of %s does not divide %d"
+                                 % (self.centralizer_order, signature, order))
 
     def __repr__(self):
         return "WnClass(%s, size=%d)" % (self.signature, self.size)
@@ -77,7 +80,10 @@ def wn_classes(n):
     order = wn_order(n)
     sigs = sorted(bipartitions_of(n), key=class_sort_key)
     classes = tuple(WnClass(s, order) for s in sigs)
-    assert sum(c.size for c in classes) == order
+    total = sum(c.size for c in classes)
+    if total != order:
+        raise AssertionError("class sizes of W_%d sum to %d, not %d"
+                             % (n, total, order))
     return classes
 
 
@@ -191,6 +197,14 @@ def _character_table_rows(n):
     return {irrep: wn_character_row(irrep) for irrep in bipartitions_of(n)}
 
 
+def _class_ordered_rows(n):
+    """irrep -> tuple of its values on wn_classes(n) in order (identity
+    class first), irreps in bipartitions_of(n) order."""
+    classes = wn_classes(n)
+    return {irrep: tuple(row[c.signature] for c in classes)
+            for irrep, row in _character_table_rows(n).items()}
+
+
 class CharacterTable:
     """Square integer character table of W_n.
 
@@ -203,11 +217,11 @@ class CharacterTable:
         self.n = n
         self.classes = wn_classes(n)
         self.rows = bipartitions_of(n)
-        data = _character_table_rows(n)
-        self.values = tuple(tuple(data[r][c.signature] for c in self.classes)
-                            for r in self.rows)
+        self.values = tuple(_class_ordered_rows(n).values())
         for label, row in zip(self.rows, self.values):
-            assert row[0] == irrep_dim(label)
+            if row[0] != irrep_dim(label):
+                raise AssertionError("chi^%s(1) = %d, but dim %s = %d"
+                                     % (label, row[0], label, irrep_dim(label)))
 
     def row(self, irrep):
         return dict(zip((c.signature for c in self.classes),
@@ -233,13 +247,6 @@ def inner_product(f, g, n):
     return Fraction(total, order)
 
 
-def regular_character(n):
-    out = {}
-    for cls in wn_classes(n):
-        out[cls.signature] = wn_order(n) if cls.signature == identity_class(n) else 0
-    return out
-
-
 def identity_class(n):
     return Bipartition((1,) * n, ())
 
@@ -258,19 +265,30 @@ def restrict_row(irrep):
 
 
 def restrict_branching(n):
-    """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1)."""
+    """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1).
+
+    Each entry is sum_c |c| Res chi(c) chi'(c) / |W_{n-1}|, an integer
+    dot product over class-ordered rows; a non-zero remainder raises
+    AssertionError.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    down = bipartitions_of(n - 1)
-    table_down = _character_table_rows(n - 1)
+    column = {c.signature: j for j, c in enumerate(wn_classes(n))}
+    down_classes = wn_classes(n - 1)
+    fusion = [column[fuse_class_up(c.signature)] for c in down_classes]
+    sizes = [c.size for c in down_classes]
+    order = wn_order(n - 1)
+    down = _class_ordered_rows(n - 1).items()
     out = {}
-    for irrep in bipartitions_of(n):
-        res = restrict_row(irrep)
+    for irrep, values in _class_ordered_rows(n).items():
+        weighted = [size * values[j] for size, j in zip(sizes, fusion)]
         row = {}
-        for other in down:
-            val = inner_product(res, table_down[other], n - 1)
-            assert val.denominator == 1
-            row[other] = int(val)
+        for other, chi in down:
+            mult, rem = divmod(sum(map(mul, weighted, chi)), order)
+            if rem:
+                raise AssertionError("<Res chi^%s, chi^%s> is not an integer"
+                                     % (irrep, other))
+            row[other] = mult
         out[irrep] = row
     return out
 
@@ -282,7 +300,8 @@ class GradedWnModule:
         self.n = n
         self.degrees = degrees  # degree -> {Bipartition: multiplicity}
         for mults in degrees.values():
-            assert all(m >= 0 for m in mults.values())
+            if any(m < 0 for m in mults.values()):
+                raise AssertionError("negative multiplicity in %r" % (mults,))
 
     def total_dim(self):
         return sum(m * irrep_dim(label)
@@ -349,9 +368,10 @@ def graded_fiber_module(n, m, rho1, rho2):
         mults = {}
         for irrep in bipartitions_of(n):
             val = inner_product(values, table[irrep], n)
-            assert val.denominator == 1
+            if val.denominator != 1 or val < 0:
+                raise AssertionError("multiplicity of %s in degree %d is %s"
+                                     % (irrep, 2 * k, val))
             mult = int(val)
-            assert mult >= 0
             if mult:
                 mults[irrep] = mult
         degrees[2 * k] = mults

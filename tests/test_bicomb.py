@@ -125,6 +125,20 @@ def test_hasse_n1_n2():
                      ("-|1,1", "1,1|-"), ("-|1,1", "-|2")}
 
 
+def test_hasse_covers_match_brute_force_closure_order():
+    # the prefix-sum kernel against covers read off closure_leq directly,
+    # in the same order
+    for n in range(1, 6):
+        labels = bipartitions_of(n)
+        expected = []
+        for upper in labels:
+            under = [a for a in labels if a != upper and closure_leq(a, upper)]
+            expected += [(lower, upper) for lower in under
+                         if not any(lower != mid and closure_leq(lower, mid)
+                                    for mid in under)]
+        assert list(hasse_covers(n)) == expected
+
+
 def test_hasse_n3_graded():
     labels = bipartitions_of(3)
     assert len(labels) == 10

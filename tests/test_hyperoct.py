@@ -1,15 +1,20 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from exospringer import hyperoct
 from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, \
     partitions_of, removable_nodes
 from exospringer.hyperoct import (
     CharacterTable, SizeMismatchError, centralizer_order, graded_fiber_module,
-    identity_class, inner_product, irrep_dim, regular_character,
-    restrict_branching, sn_character, wn_character, wn_classes, wn_order)
+    identity_class, inner_product, irrep_dim, restrict_branching, restrict_row,
+    sn_character, wn_character, wn_classes, wn_order)
 
 
 def bp(s):
@@ -166,6 +171,11 @@ def test_column_orthogonality():
                 assert total == expected
 
 
+def regular_character(n):
+    return {cls.signature: wn_order(n) if cls.signature == identity_class(n) else 0
+            for cls in wn_classes(n)}
+
+
 def test_regular_character_decomposition():
     n = 3
     reg = regular_character(n)
@@ -211,6 +221,62 @@ def test_branching_is_removable_node_incidence():
             nodes = {r for _, _, r in removable_nodes(label)}
             assert sum(row.values()) == len(nodes)
             assert {k for k, v in row.items() if v} == nodes
+
+
+def test_branching_matches_fraction_inner_products():
+    # the integer dot-product kernel against the Fraction definition
+    for n in range(1, 6):
+        table = CharacterTable(n - 1)
+        expected = {b: {other: inner_product(restrict_row(b), table.row(other), n - 1)
+                        for other in table.rows}
+                    for b in bipartitions_of(n)}
+        assert restrict_branching(n) == expected
+
+
+def _corrupted_table_errors(n=3):
+    """Messages raised by restrict_branching(n + 1) and CharacterTable(n)
+    when chi^(n|-) on the identity class of W_n reads 2 instead of 1."""
+    clean = hyperoct._character_table_rows
+
+    def corrupted(m):
+        rows = clean(m)
+        if m != n:
+            return rows
+        rows = {label: dict(row) for label, row in rows.items()}
+        rows[Bipartition((n,), ())][identity_class(n)] += 1
+        return rows
+
+    errors = []
+    hyperoct._character_table_rows = corrupted
+    try:
+        for check in (lambda: restrict_branching(n + 1), lambda: CharacterTable(n)):
+            try:
+                check()
+                errors.append(None)
+            except AssertionError as exc:
+                errors.append(str(exc))
+    finally:
+        hyperoct._character_table_rows = clean
+    return errors
+
+
+def test_corrupted_table_checks_survive_python_O():
+    expected = ["<Res chi^4|-, chi^3|-> is not an integer",
+                "chi^3|-(1) = 2, but dim 3|- = 1"]
+    assert _corrupted_table_errors() == expected
+    assert restrict_branching(4)[Bipartition((4,), ())][Bipartition((3,), ())] == 1
+    # the same checks under -O, where bare asserts would be stripped
+    tests = pathlib.Path(__file__).resolve().parent
+    code = ("import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from test_hyperoct import _corrupted_table_errors\n"
+            "print(sys.flags.optimize, _corrupted_table_errors())\n"
+            % str(tests))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 %r\n" % (expected,)
 
 
 def test_graded_fiber_top_and_bottom():
