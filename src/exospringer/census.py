@@ -10,20 +10,19 @@ grinding.
 
 The census is a map over contiguous chunks of the self-adjoint
 coordinate space with an exact-sum merge, so chunk order and worker
-count never change the result; chunk results can be checkpointed to
-JSON and resumed.  A checkpoint records what fixes its counts (n, p,
-flavor, basis seed and chunk count) and is refused by a census that
-differs in any of them.
+count never change the result.  Each chunk is one labelling pass over
+v = 0 and one vector per line through 0: a label depends on v only
+through the span of (commutant of x) . v, which c.v shares for every
+c != 0, so each line is labelled once, at its smallest-code vector, and
+counted p - 1 times.  The orbit check reuses these labels.
 """
 
-import json
 import multiprocessing
-import os
 import random
 
 from . import classify
 from .bicomb import format_bipartition
-from .ffield import FpMatrix, _unflatten, json_fields
+from .ffield import FpMatrix, _unflatten
 from .symplectic import ExoticPair, SymplecticSpace
 
 CENSUS_MAX_N = 2
@@ -149,7 +148,9 @@ def self_adjoint_basis(space):
                     for b in range(dim):
                         m[a][b] = (m[a][b] + val * unit.entries[a][b]) % p
         basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
-    assert len(basis) == 2 * space.n * space.n - space.n
+    if len(basis) != 2 * space.n * space.n - space.n:
+        raise AssertionError("self-adjoint basis has %d elements, expected %d"
+                             % (len(basis), 2 * space.n * space.n - space.n))
     return basis
 
 
@@ -209,18 +210,15 @@ def _cone_xs(space, flavor, lo=0, hi=None):
             yield x
 
 
-def _labelled_points(space, flavor, lo=0, hi=None, move=None):
-    """(x, v, label) for the cone points whose x is numbered lo..hi-1,
-    each first carried to (g x g^-1, g v) when move = (g, g^-1)."""
-    for x in _cone_xs(space, flavor, lo, hi):
-        if move is not None:
-            x = move[0] * x * move[1]
-        labeler = classify.exotic_labeler(
-            x if flavor == "lie" else space.log_map(x))
-        for v in iter_vectors(space):
-            if move is not None:
-                v = move[0].apply(v)
-            yield x, v, format_bipartition(labeler(v))
+def _line_reps(space):
+    """(v, weight) for v = 0 (weight 1) and, on each line through 0, the
+    smallest-code vector, whose last non-zero coordinate is 1 (weight
+    p - 1); in code order."""
+    reps = []
+    for v in iter_vectors(space):
+        if next((c for c in reversed(v) if c), 1) == 1:
+            reps.append((v, space.p - 1 if any(v) else 1))
+    return reps
 
 
 def enumerate_exotic_nilcone(n, p, flavor="lie", lo=0, hi=None):
@@ -247,20 +245,36 @@ def seeded_basis_change(space, seed):
 
 
 def _census_chunk(args):
-    """Label counts over one chunk of the x coordinate space."""
-    n, p, flavor, lo, hi, basis_seed = args
+    """Label counts and first representatives over one chunk of the x
+    coordinate space, with each point first carried to (g x g^-1, g v)
+    under a seeded g when basis_seed is set.  With keep_points it also
+    returns the {(x entries, v): label} map of the line representatives
+    it labelled, and None without."""
+    n, p, flavor, lo, hi, basis_seed, keep_points = args
     space = SymplecticSpace(n, p)
-    move = None
+    lines = _line_reps(space)
+    g = None
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
-        move = (g, g.inverse())
+        gi = g.inverse()
+        # g is linear, so it carries each line, and its weight, to a line
+        lines = [(g.apply(v), weight) for v, weight in lines]
     counts = {}
     reps = {}
-    for x, v, label in _labelled_points(space, flavor, lo, hi, move):
-        counts[label] = counts.get(label, 0) + 1
-        if label not in reps:
-            reps[label] = (x.to_json(), list(v))
-    return counts, reps
+    labelled = {} if keep_points else None
+    for x in _cone_xs(space, flavor, lo, hi):
+        if g is not None:
+            x = g * x * gi
+        labeler = classify.exotic_labeler(
+            x if flavor == "lie" else space.log_map(x))
+        for v, weight in lines:
+            label = format_bipartition(labeler(v))
+            counts[label] = counts.get(label, 0) + weight
+            if label not in reps:
+                reps[label] = (x.to_json(), list(v))
+            if keep_points:
+                labelled[x.entries, v] = label
+    return counts, reps, labelled
 
 
 class CensusResult:
@@ -281,16 +295,16 @@ class CensusResult:
                 "orbit_checks": self.orbit_checks}
 
 
-def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
-                 check_orbits=False, basis_seed=0):
+def orbit_census(n, p, flavor="lie", jobs=1, check_orbits=False, basis_seed=0):
     """Count cone points per label; optionally verify orbit structure.
 
-    The x coordinate space is cut into min(p, #x) chunks.  check_orbits
-    runs the union-find transitivity test under the generator action
-    and the exact orbit-stabilizer comparison (this needs the full
-    group, so it is the slow part).  A nonzero basis_seed classifies
-    through a seeded symplectic change of basis; the counts must not
-    change (conjugation invariance).
+    The x coordinate space is cut into min(p, #x) chunks, labelled in
+    one pass over 0 and one vector per line.  check_orbits reuses those
+    labels for the union-find transitivity test under the generator
+    action, and adds the exact orbit-stabilizer comparison (this needs
+    the full group, so it is the slow part).  A nonzero basis_seed
+    classifies through a seeded symplectic change of basis; the counts
+    must not change (conjugation invariance).
     """
     if check_orbits:
         _gate_group(n, p)
@@ -298,14 +312,8 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
         _gate(n, p)
     space = SymplecticSpace(n, p)
     total_x = self_adjoint_count(space)
-    bounds = _chunk_bounds(total_x, min(p, total_x))
-    num_chunks = len(bounds)
-
-    identity = {"n": n, "p": p, "flavor": flavor, "basis_seed": basis_seed,
-                "num_chunks": num_chunks}
-    done, counts, reps = _load_checkpoint(checkpoint, identity)
-    todo_ids = [idx for idx in range(num_chunks) if idx not in done]
-    todo = [(n, p, flavor) + bounds[idx] + (basis_seed,) for idx in todo_ids]
+    todo = [(n, p, flavor, lo, hi, basis_seed, check_orbits)
+            for lo, hi in _chunk_bounds(total_x, min(p, total_x))]
 
     if jobs > 1 and len(todo) > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -313,59 +321,25 @@ def orbit_census(n, p, flavor="lie", jobs=1, checkpoint=None,
     else:
         results = [_census_chunk(args) for args in todo]
 
-    for idx, (chunk_counts, chunk_reps) in zip(todo_ids, results):
+    counts, reps, labelled = {}, {}, {}
+    for chunk_counts, chunk_reps, chunk_labelled in results:
         for label, cnt in chunk_counts.items():
             counts[label] = counts.get(label, 0) + cnt
         for label, rep in chunk_reps.items():
             reps.setdefault(label, rep)
-        done.add(idx)
-        if checkpoint:
-            _save_checkpoint(checkpoint, identity, done, counts, reps)
+        if check_orbits:
+            labelled.update(chunk_labelled)
 
     total = sum(counts.values())
     result = CensusResult(n, p, flavor, counts, total, reps)
     if check_orbits:
-        result.orbit_checks = _orbit_checks(space, result)
+        result.orbit_checks = _orbit_checks(space, result, labelled)
     return result
 
 
 def _chunk_bounds(total, num_chunks):
     step = -(-total // num_chunks)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _load_checkpoint(path, identity):
-    """(done chunk ids, label counts, reps) saved for this census.
-
-    identity maps the fields that fix a census's chunks and counts (n, p,
-    flavor, basis_seed, num_chunks) to their values; a checkpoint saved
-    under any other value, with a field missing or of the wrong JSON
-    type, or naming a chunk that does not exist is refused with
-    ValueError.
-    """
-    if not path or not os.path.exists(path):
-        return set(), {}, {}
-    with open(path) as fh:
-        data = json.load(fh)
-    names = tuple(identity) + ("done", "labels", "reps")
-    *saved, done, labels, reps = json_fields(data, names, "checkpoint")
-    if tuple(saved) != tuple(identity.values()):
-        raise ValueError("checkpoint %s does not match this census" % path)
-    if not (isinstance(done, list)
-            and all(idx in range(identity["num_chunks"]) for idx in done)):
-        raise ValueError("checkpoint %s: done must list chunks in 0..%d"
-                         % (path, identity["num_chunks"] - 1))
-    if not (isinstance(labels, dict) and isinstance(reps, dict)):
-        raise ValueError("checkpoint %s: labels and reps must be objects" % path)
-    return set(done), labels, reps
-
-
-def _save_checkpoint(path, identity, done, counts, reps):
-    data = dict(identity, done=sorted(done), labels=counts, reps=reps)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
 
 
 class UnionFind:
@@ -409,12 +383,13 @@ def _generator_classes(space, points, move, what):
     return uf
 
 
-def _orbit_checks(space, result):
+def _orbit_checks(space, result, labelled):
     """Union-find transitivity plus orbit-stabilizer arithmetic per label.
-    Points are labelled again: resumed chunks carry no per-point labels."""
+    `labelled` maps the census's (x entries, v) to their labels, one v per
+    line; each line's p - 1 multiples c.v share its label."""
     n, p = space.n, space.p
-    points = {(x.entries, v): label
-              for x, v, label in _labelled_points(space, result.flavor)}
+    points = {(xe, tuple(c * a % p for a in v)): label
+              for (xe, v), label in labelled.items() for c in range(1, p)}
     conjugates = {}  # (x entries, id(g)) -> g x g^-1: one per x, not per (x, v)
 
     def move(pt, g, gi):

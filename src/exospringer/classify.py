@@ -56,7 +56,9 @@ def _label_from_span(n_mat, w):
     else:
         lam1 = nilpotent_jordan_type(induced_action(n_mat, w, "restrict"))
         lam2 = nilpotent_jordan_type(induced_action(n_mat, w, "quotient"))
-    assert sum(lam1) == w.dim
+    if sum(lam1) != w.dim:
+        raise AssertionError("Jordan type %r on W does not add up to dim W = %d"
+                             % (lam1, w.dim))
     return Bipartition(lam1, lam2)
 
 
@@ -147,7 +149,9 @@ def sp_lie_basis(space):
                 m[n + j][i] = 1
             basis.append(make(fill_b))
             basis.append(make(fill_c))
-    assert len(basis) == 2 * n * n + n
+    if len(basis) != 2 * n * n + n:
+        raise AssertionError("sp basis has %d elements, expected %d"
+                             % (len(basis), 2 * n * n + n))
     return basis
 
 

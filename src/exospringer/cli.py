@@ -73,7 +73,6 @@ def build_parser():
     s.add_argument("--p", type=int, default=3)
     s.add_argument("--flavor", choices=("lie", "group"), default="lie")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--checkpoint", default=None)
     s.add_argument("--check-orbits", action="store_true")
     s.add_argument("--seed", type=int, default=0,
                    help="census only: classify through a seeded symplectic "
@@ -219,8 +218,7 @@ def cmd_verify(args):
         report["p"] = args.p
         result = census.orbit_census(
             args.n, args.p, flavor=args.flavor, jobs=args.jobs,
-            checkpoint=args.checkpoint, check_orbits=args.check_orbits,
-            basis_seed=args.seed)
+            check_orbits=args.check_orbits, basis_seed=args.seed)
         report["census"] = result.to_json()
         expected_labels = len(bipartitions_of(args.n))
         if len(result.label_counts) != expected_labels:

@@ -6,10 +6,10 @@ are integer arithmetic mod p.  Subspaces are kept in reduced row
 echelon form so that equal subspaces compare equal.
 
 Inputs are validated once, at the API edge.  The public constructors
-(`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity`,
-`FpMatrix.zeros` and `Subspace(...)`) check the modulus, reduce every
-entry mod p and check the shape; the primality test is a deterministic
-Miller-Rabin, cheap even at p = 2^31 - 1.  Results are trusted inside:
+(`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity` and
+`Subspace(...)`) check the modulus, reduce every entry mod p and check
+the shape; the primality test is a deterministic Miller-Rabin, cheap
+even at p = 2^31 - 1.  Results are trusted inside:
 every operation's output is reduced by construction, so it is built
 with the private `_trusted` constructors, which skip all three checks.  Library code that builds
 an already-reduced matrix or span in a hot loop uses them too.
@@ -152,10 +152,6 @@ class FpMatrix:
         raise AttributeError("FpMatrix is immutable")
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows, cols, p):
-        return cls(((0,) * cols,) * rows, p)
 
     @classmethod
     def identity(cls, n, p):
@@ -436,7 +432,8 @@ def nilpotent_jordan_type(n_mat):
     for j in range(len(parts), 0, -1):
         out.extend([j] * (parts[j - 1] - (parts[j] if j < len(parts) else 0)))
     out.sort(reverse=True)
-    assert sum(out) == m
+    if sum(out) != m:
+        raise AssertionError("Jordan type %r does not add up to %d" % (out, m))
     return tuple(out)
 
 

@@ -302,7 +302,9 @@ def normal_form_pair(label, space):
     for start, size in zip(p_rows, sizes):
         vals = {mu1[r - 1] if r - 1 < len(mu1) else 0
                 for r in range(start, start + size)}
-        assert len(vals) == 1  # mu1 is constant on each nu-block
+        if len(vals) != 1:
+            raise AssertionError("mu1 takes values %r on the nu-block at row %d"
+                                 % (sorted(vals), start))
         mu1_values.append(vals.pop())
 
     # index map (i, j) -> position in the e-basis, row-major over rows of nu
@@ -312,7 +314,9 @@ def normal_form_pair(label, space):
         for j in range(1, part + 1):
             index[(i, j)] = pos
             pos += 1
-    assert pos == n
+    if pos != n:
+        raise AssertionError("the rows of nu index %d basis vectors, not n = %d"
+                             % (pos, n))
 
     # unipotent y = 1 + N on M_n, identity on the f-span
     y_top = [[0] * n for _ in range(n)]

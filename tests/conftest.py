@@ -11,6 +11,10 @@ def rng():
     return random.Random(20260809)
 
 
+def zeros(rows, cols, p):
+    return FpMatrix(((0,) * cols,) * rows, p)
+
+
 def random_matrix(rng, rows, cols, p):
     return FpMatrix([[rng.randrange(p) for _ in range(cols)]
                      for _ in range(rows)], p)

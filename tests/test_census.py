@@ -1,5 +1,4 @@
 import itertools
-import json
 import os
 import pathlib
 import subprocess
@@ -7,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import random_sp_element
+from conftest import random_sp_element, zeros
 from exospringer import census as census_mod, classify
 from exospringer.bicomb import Bipartition, bipartitions_of, closure_leq, \
     format_bipartition
@@ -115,7 +114,7 @@ def test_orbit_census_n2_counts():
 
 def test_stabilizer_census_examples():
     sp = SymplecticSpace(1, 3)
-    zero = FpMatrix.zeros(2, 2, 3)
+    zero = zeros(2, 2, 3)
     assert stabilizer_census(ExoticPair(sp, zero, (0, 0), "lie")) == 24
     assert stabilizer_census(ExoticPair(sp, zero, (1, 0), "lie")) == 3
     sp2 = SymplecticSpace(2, 3)
@@ -221,56 +220,50 @@ def test_parallel_census_matches_serial():
     assert serial.label_counts == parallel.label_counts
 
 
-CHECKPOINT_N1_P3 = {"n": 1, "p": 3, "flavor": "lie", "basis_seed": 0,
-                    "num_chunks": 3}
+@pytest.mark.parametrize("n, p, seed", [(n, p, seed)
+                                        for n, p in ((1, 3), (1, 5), (2, 3))
+                                        for seed in (0, 7)])
+def test_census_matches_labelling_every_point(n, p, seed):
+    # the census labels 0 and one vector per line; labelling every point
+    # of the cone, through the same seeded basis change, must give the
+    # same counts and the same first point per label
+    space = SymplecticSpace(n, p)
+    g = census_mod.seeded_basis_change(space, seed) if seed else \
+        FpMatrix.identity(space.dim, p)
+    gi = g.inverse()
+    counts, reps = {}, {}
+    for pair in enumerate_exotic_nilcone(n, p):
+        moved = ExoticPair(space, g * pair.x * gi, g.apply(pair.v), "lie")
+        label = format_bipartition(classify.exotic_type(moved))
+        counts[label] = counts.get(label, 0) + 1
+        reps.setdefault(label, (moved.x.to_json(), list(moved.v)))
+    result = orbit_census(n, p, basis_seed=seed)
+    assert result.label_counts == counts
+    assert result.reps == reps
 
 
-def test_checkpoint_resume(tmp_path):
-    from exospringer.census import _census_chunk, _chunk_bounds, _save_checkpoint
-    path = str(tmp_path / "census.json")
-    full = orbit_census(1, 3)
-    # simulate an interrupted run: only chunk 0 done and checkpointed
-    bounds = _chunk_bounds(3 ** 1, 3)
-    counts0, reps0 = _census_chunk((1, 3, "lie", bounds[0][0], bounds[0][1], 0))
-    _save_checkpoint(path, CHECKPOINT_N1_P3, {0}, counts0, reps0)
-    resumed = orbit_census(1, 3, checkpoint=path)
-    assert resumed.label_counts == full.label_counts
-    with open(path) as fh:
-        saved = json.load(fh)
-    assert sorted(saved["done"]) == [0, 1, 2]
-    # a finished checkpoint replays without recomputation
-    replayed = orbit_census(1, 3, checkpoint=path)
-    assert replayed.label_counts == full.label_counts
-    with pytest.raises(ValueError):
-        orbit_census(1, 3, flavor="group", checkpoint=path)
+def test_census_labels_each_line_once(monkeypatch):
+    # one labeller call per x for v = 0 and one per line through 0, and
+    # the orbit check reuses those labels instead of labelling again
+    calls = []
+    labeler = classify.exotic_labeler
 
+    def counting_labeler(n_mat):
+        label_of = labeler(n_mat)
 
-def test_checkpoint_identity(tmp_path, capsys):
-    from exospringer.cli import main
-    path = tmp_path / "census.json"
-    orbit_census(1, 3, checkpoint=str(path))
-    saved = json.loads(path.read_text())
-    assert saved["basis_seed"] == 0
-    # written without a seed, so a seeded run must recompute, not replay
-    with pytest.raises(ValueError, match="does not match"):
-        orbit_census(1, 3, checkpoint=str(path), basis_seed=7)
-    # done lists existing chunks only; labels and reps are objects
-    for bad, message in (({"done": [0, 1, 2, 7]}, "done must list chunks in 0..2"),
-                         ({"done": 5}, "done must list chunks in 0..2"),
-                         ({"labels": []}, "labels and reps must be objects")):
-        path.write_text(json.dumps(dict(saved, **bad)))
-        with pytest.raises(ValueError, match=message):
-            orbit_census(1, 3, checkpoint=str(path))
-    # a missing field is a usage error that names the field
-    broken = dict(saved)
-    del broken["flavor"]
-    path.write_text(json.dumps(broken))
-    code = main(["verify", "--suite", "census", "--n", "1", "--p", "3",
-                 "--checkpoint", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "checkpoint JSON is missing field 'flavor'" in captured.err
+        def counted(v):
+            calls.append(v)
+            return label_of(v)
+        return counted
+
+    monkeypatch.setattr(classify, "exotic_labeler", counting_labeler)
+    n, p = 1, 3
+    result = orbit_census(n, p, check_orbits=True)
+    nilpotent_x = 1                                 # x = 0 only at n = 1
+    assert len(calls) == nilpotent_x * (1 + (p ** (2 * n) - 1) // (p - 1)) == 5
+    assert result.label_counts == {"-|1": 1, "1|-": 8}
+    assert all(chk["transitive"] and chk["orbit_stabilizer_ok"]
+               for chk in result.orbit_checks)
 
 
 def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
@@ -280,7 +273,7 @@ def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(census_mod, "_census_chunk", no_enumeration)
     monkeypatch.setattr(census_mod, "sp_generators", no_enumeration)
     space = SymplecticSpace(2, 5)
-    zero = FpMatrix.zeros(4, 4, 5)
+    zero = zeros(4, 4, 5)
     for call in (lambda: sp_group_elements(2, 5),
                  lambda: stabilizer_census(ExoticPair(space, zero, (0,) * 4, "lie")),
                  lambda: orbit_census(2, 5, check_orbits=True),

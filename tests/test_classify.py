@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from conftest import random_sp_element
+from conftest import random_sp_element, zeros
+from exospringer import classify
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
 from exospringer.classify import (
@@ -244,3 +250,26 @@ def test_parabolic_errors():
     nf_open = normal_form_pair(Bipartition((2,), ()), sp)
     with pytest.raises(IndexError):
         parabolic_stabilizer_dim(nf_open, 1, "ii_node")   # mu2 part is zero
+
+
+def test_span_type_check_survives_python_O(monkeypatch):
+    # a Jordan type on W that does not add up to dim W must raise, also
+    # under -O, where a bare assert would be stripped
+    monkeypatch.setattr(classify, "nilpotent_jordan_type", lambda m: (1,))
+    with pytest.raises(AssertionError, match="does not add up to dim W = 2"):
+        enhanced_type(EnhancedPair(zeros(2, 2, 3), (1, 0)))
+    src = pathlib.Path(classify.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from exospringer import classify\n"
+            "from exospringer.ffield import FpMatrix\n"
+            "classify.nilpotent_jordan_type = lambda m: (1,)\n"
+            "pair = classify.EnhancedPair(FpMatrix(((0, 0), (0, 0)), 3), (1, 0))\n"
+            "try:\n"
+            "    classify.enhanced_type(pair)\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 Jordan type (1,) on W does not add up to dim W = 2")

@@ -164,6 +164,12 @@ def test_usage_errors(capsys):
         assert "argument --n: must be >= 1" in capsys.readouterr().err
     code, _ = run(capsys, "branch", "--n", "1")
     assert code == 2
+    # the census has no --checkpoint flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "census", "--n", "1", "--p", "3",
+              "--checkpoint", "f.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
 
 
 def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):

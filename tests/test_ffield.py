@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_matrix, random_invertible
+from conftest import random_matrix, random_invertible, zeros
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
     commutant_basis, induced_action, inv_mod,
@@ -84,14 +84,14 @@ def test_inverse_matches_egcd_oracle(rng):
 
 
 def test_rank_examples():
-    assert FpMatrix.zeros(4, 4, 3).rank() == 0
+    assert zeros(4, 4, 3).rank() == 0
     assert FpMatrix.identity(5, 7).rank() == 5
     assert jordan_block_nilpotent(3, 3).rank() == 2
 
 
 def test_kernel_examples():
     assert FpMatrix.identity(3, 3).kernel_basis().dim == 0
-    assert FpMatrix.zeros(2, 2, 3).kernel_basis().dim == 2
+    assert zeros(2, 2, 3).kernel_basis().dim == 2
     # J_2 + J_1 nilpotent: rank-count oracle says kernel dim = 3 - rank = 2
     n = FpMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 5)
     assert 3 - n.rank() == 2
@@ -117,7 +117,7 @@ def test_subspace_canonical():
 
 
 def test_commutant_zero_matrix():
-    basis = commutant_basis(FpMatrix.zeros(3, 3, 5))
+    basis = commutant_basis(zeros(3, 3, 5))
     assert len(basis) == 9
 
 
@@ -139,7 +139,7 @@ def test_commutant_regular_nilpotent():
 
 
 def test_commutant_two_singletons_is_full_gl2():
-    assert len(commutant_basis(FpMatrix.zeros(2, 2, 3))) == 4
+    assert len(commutant_basis(zeros(2, 2, 3))) == 4
 
 
 def test_commutant_dimension_formula():
@@ -170,7 +170,7 @@ def test_commutant_closed_under_product(rng):
 
 
 def test_jordan_type_examples():
-    assert nilpotent_jordan_type(FpMatrix.zeros(3, 3, 3)) == (1, 1, 1)
+    assert nilpotent_jordan_type(zeros(3, 3, 3)) == (1, 1, 1)
     assert nilpotent_jordan_type(jordan_block_nilpotent(4, 5)) == (4,)
     assert all(jordan_block_nilpotent(m, 3).is_nilpotent() for m in range(1, 6))
     n22 = FpMatrix([[0, 0, 1, 0], [0, 0, 0, 1],
@@ -189,9 +189,9 @@ def test_jordan_type_errors():
     with pytest.raises(NotNilpotentError):
         nilpotent_jordan_type(idempotent)
     with pytest.raises(NonSquareError):
-        nilpotent_jordan_type(FpMatrix.zeros(2, 3, 3))
+        nilpotent_jordan_type(zeros(2, 3, 3))
     with pytest.raises(NonSquareError):
-        FpMatrix.zeros(2, 3, 3).is_nilpotent()
+        zeros(2, 3, 3).is_nilpotent()
 
 
 def test_jordan_conjugation_invariant(rng):
@@ -260,4 +260,4 @@ def test_matrix_inverse(rng):
         g = random_invertible(rng, n, p)
         assert g * g.inverse() == FpMatrix.identity(n, p)
     with pytest.raises(ZeroDivisionError):
-        FpMatrix.zeros(2, 2, 3).inverse()
+        zeros(2, 2, 3).inverse()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import random_matrix, random_invertible, random_sp_element
+from conftest import random_matrix, random_invertible, random_sp_element, zeros
 from exospringer.bicomb import Bipartition, parse_bipartition
 from exospringer.ffield import FpMatrix, nilpotent_jordan_type
 from exospringer.symplectic import (
@@ -39,7 +39,7 @@ def test_theta_examples(rng):
         assert sp.theta_group(sp.theta_group(a)) == a   # involutive
         assert sp.theta_group(a * b) == sp.theta_group(a) * sp.theta_group(b)
     with pytest.raises(SingularError):
-        sp.theta_group(FpMatrix.zeros(4, 4, 3))
+        sp.theta_group(zeros(4, 4, 3))
 
 
 def test_klyachko_block_identity(rng):
@@ -290,7 +290,7 @@ def test_exotic_pair_validation():
     with pytest.raises(ValueError):
         ExoticPair(sp, FpMatrix.identity(2, 3), (0, 0), "lie")  # not nilpotent
     with pytest.raises(ValueError):
-        ExoticPair(sp, FpMatrix.zeros(2, 2, 3), (0, 0), "group")
+        ExoticPair(sp, zeros(2, 2, 3), (0, 0), "group")
 
 
 def _corrupted_normal_form_errors():
