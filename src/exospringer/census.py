@@ -8,16 +8,13 @@ elements) keep the combinatorial explosion out; anything bigger
 raises SizeGateError, before any enumeration, instead of silently
 grinding.
 
-The census is a map over contiguous chunks of the self-adjoint
-coordinate space with an exact-sum merge, so chunk order and worker
-count never change the result.  Each chunk is one labelling pass over
-v = 0 and one vector per line through 0: a label depends on v only
-through the span of (commutant of x) . v, which c.v shares for every
-c != 0, so each line is labelled once, at its smallest-code vector, and
-counted p - 1 times.  The orbit check reuses these labels.
+The census is one serial labelling pass over every cone x in code
+order, with v = 0 and one vector per line through 0: a label depends on
+v only through the span of (commutant of x) . v, which c.v shares for
+every c != 0, so each line is labelled once, at its smallest-code
+vector, and counted p - 1 times.  The orbit check reuses these labels.
 """
 
-import multiprocessing
 import random
 
 from . import classify
@@ -177,13 +174,10 @@ def self_adjoint_count(space):
     return space.p ** (2 * space.n * space.n - space.n)
 
 
-def iter_self_adjoint(space, lo=0, hi=None):
-    """Self-adjoint matrices number lo..hi-1 in the fixed coordinate order."""
+def iter_self_adjoint(space):
+    """Every self-adjoint matrix, in the fixed coordinate order."""
     basis = self_adjoint_basis(space)
-    total = self_adjoint_count(space)
-    if hi is None:
-        hi = total
-    for code in range(lo, min(hi, total)):
+    for code in range(self_adjoint_count(space)):
         yield _decode_matrix(code, basis, space)
 
 
@@ -201,11 +195,11 @@ def iter_vectors(space):
         yield tuple(_digits(code, p, dim))
 
 
-def _cone_xs(space, flavor, lo=0, hi=None):
-    """The self-adjoint x numbered lo..hi-1 that lie on the cone of the
+def _cone_xs(space, flavor):
+    """The self-adjoint x, in code order, that lie on the cone of the
     flavor: nilpotent for 'lie', unipotent for 'group'."""
     keep = _is_nilpotent if flavor == "lie" else _is_unipotent
-    for x in iter_self_adjoint(space, lo, hi):
+    for x in iter_self_adjoint(space):
         if keep(x):
             yield x
 
@@ -221,15 +215,12 @@ def _line_reps(space):
     return reps
 
 
-def enumerate_exotic_nilcone(n, p, flavor="lie", lo=0, hi=None):
-    """Stream of exotic pairs (x self-adjoint nilpotent/unipotent, v).
-
-    Pairs come in a fixed deterministic order; lo/hi restrict to a
-    contiguous chunk of the x coordinate space for parallel use.
-    """
+def enumerate_exotic_nilcone(n, p, flavor="lie"):
+    """Stream of exotic pairs (x self-adjoint nilpotent/unipotent, v),
+    in a fixed deterministic order."""
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    for x in _cone_xs(space, flavor, lo, hi):
+    for x in _cone_xs(space, flavor):
         for v in iter_vectors(space):
             yield ExoticPair._trusted(space, x, v, flavor)
 
@@ -244,14 +235,12 @@ def seeded_basis_change(space, seed):
     return g
 
 
-def _census_chunk(args):
-    """Label counts and first representatives over one chunk of the x
-    coordinate space, with each point first carried to (g x g^-1, g v)
-    under a seeded g when basis_seed is set.  With keep_points it also
-    returns the {(x entries, v): label} map of the line representatives
-    it labelled, and None without."""
-    n, p, flavor, lo, hi, basis_seed, keep_points = args
-    space = SymplecticSpace(n, p)
+def _census_chunk(space, flavor, basis_seed, check_orbits):
+    """Label counts and first representatives over the whole cone, with
+    each point first carried to (g x g^-1, g v) under a seeded g when
+    basis_seed is set.  With check_orbits it also returns the
+    {(x entries, v): label} map of the line representatives it labelled,
+    and None without.  (The name is kept for perfbench's layer trace.)"""
     lines = _line_reps(space)
     g = None
     if basis_seed:
@@ -261,8 +250,8 @@ def _census_chunk(args):
         lines = [(g.apply(v), weight) for v, weight in lines]
     counts = {}
     reps = {}
-    labelled = {} if keep_points else None
-    for x in _cone_xs(space, flavor, lo, hi):
+    labelled = {} if check_orbits else None
+    for x in _cone_xs(space, flavor):
         if g is not None:
             x = g * x * gi
         labeler = classify.exotic_labeler(
@@ -272,7 +261,7 @@ def _census_chunk(args):
             counts[label] = counts.get(label, 0) + weight
             if label not in reps:
                 reps[label] = (x.to_json(), list(v))
-            if keep_points:
+            if check_orbits:
                 labelled[x.entries, v] = label
     return counts, reps, labelled
 
@@ -295,51 +284,27 @@ class CensusResult:
                 "orbit_checks": self.orbit_checks}
 
 
-def orbit_census(n, p, flavor="lie", jobs=1, check_orbits=False, basis_seed=0):
+def orbit_census(n, p, flavor="lie", check_orbits=False, basis_seed=0):
     """Count cone points per label; optionally verify orbit structure.
 
-    The x coordinate space is cut into min(p, #x) chunks, labelled in
-    one pass over 0 and one vector per line.  check_orbits reuses those
-    labels for the union-find transitivity test under the generator
-    action, and adds the exact orbit-stabilizer comparison (this needs
-    the full group, so it is the slow part).  A nonzero basis_seed
-    classifies through a seeded symplectic change of basis; the counts
-    must not change (conjugation invariance).
+    One serial pass labels 0 and one vector per line for every cone x.
+    check_orbits reuses those labels for the union-find transitivity
+    test under the generator action, and adds the exact orbit-stabilizer
+    comparison (this needs the full group, so it is the slow part).  A
+    nonzero basis_seed classifies through a seeded symplectic change of
+    basis; the counts must not change (conjugation invariance).
     """
     if check_orbits:
         _gate_group(n, p)
     else:
         _gate(n, p)
     space = SymplecticSpace(n, p)
-    total_x = self_adjoint_count(space)
-    todo = [(n, p, flavor, lo, hi, basis_seed, check_orbits)
-            for lo, hi in _chunk_bounds(total_x, min(p, total_x))]
-
-    if jobs > 1 and len(todo) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_census_chunk, todo)
-    else:
-        results = [_census_chunk(args) for args in todo]
-
-    counts, reps, labelled = {}, {}, {}
-    for chunk_counts, chunk_reps, chunk_labelled in results:
-        for label, cnt in chunk_counts.items():
-            counts[label] = counts.get(label, 0) + cnt
-        for label, rep in chunk_reps.items():
-            reps.setdefault(label, rep)
-        if check_orbits:
-            labelled.update(chunk_labelled)
-
-    total = sum(counts.values())
-    result = CensusResult(n, p, flavor, counts, total, reps)
+    counts, reps, labelled = _census_chunk(space, flavor, basis_seed,
+                                           check_orbits)
+    result = CensusResult(n, p, flavor, counts, sum(counts.values()), reps)
     if check_orbits:
         result.orbit_checks = _orbit_checks(space, result, labelled)
     return result
-
-
-def _chunk_bounds(total, num_chunks):
-    step = -(-total // num_chunks)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 class UnionFind:

@@ -357,9 +357,6 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d of %d, p=%d)" % (self.dim, self.ambient_dim, self.p)
 
-    def contains(self, vec):
-        return self.coordinates(vec) is not None
-
     def coordinates(self, vec):
         """Coefficients of vec in the echelon basis, or None."""
         coeffs, rest = self._reduce([int(x) % self.p for x in vec])

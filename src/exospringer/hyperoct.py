@@ -247,10 +247,6 @@ def inner_product(f, g, n):
     return Fraction(total, order)
 
 
-def identity_class(n):
-    return Bipartition((1,) * n, ())
-
-
 def fuse_class_up(signature):
     """Class fusion W_{n-1} -> W_n: add a positive fixed point."""
     return Bipartition(_merge_sorted(signature.first, (1,)), signature.second)
@@ -302,11 +298,6 @@ class GradedWnModule:
         for mults in degrees.values():
             if any(m < 0 for m in mults.values()):
                 raise AssertionError("negative multiplicity in %r" % (mults,))
-
-    def total_dim(self):
-        return sum(m * irrep_dim(label)
-                   for mults in self.degrees.values()
-                   for label, m in mults.items())
 
     def to_json(self):
         return {"n": self.n,

@@ -214,10 +214,21 @@ def test_klyachko_second_prime():
     assert result["count_matches"] and result["every_orbit_hit_by_embedding"]
 
 
-def test_parallel_census_matches_serial():
-    serial = orbit_census(2, 3, jobs=1)
-    parallel = orbit_census(2, 3, jobs=2)
-    assert serial.label_counts == parallel.label_counts
+@pytest.mark.parametrize("n, check_orbits", [(n, check)
+                                              for n in (1, 2)
+                                              for check in (False, True)])
+def test_census_scans_the_cone_once(monkeypatch, n, check_orbits):
+    scans = []
+    scan = census_mod._census_chunk
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(census_mod, "_census_chunk", counted)
+    result = orbit_census(n, 3, check_orbits=check_orbits)
+    assert len(scans) == 1
+    assert result.total_points == 3 ** (2 * n * n)   # the cone has dim 2n^2
 
 
 @pytest.mark.parametrize("n, p, seed", [(n, p, seed)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -76,13 +79,16 @@ def test_verify_sum_squares(capsys):
     assert report["pass"] is True and report["mismatches"] == []
 
 
-def test_verify_exit_contract_with_injected_mismatch(capsys):
-    code, out = run(capsys, "verify", "--suite", "sum-squares", "--n", "2",
-                    "--inject-failure")
+def test_verify_exit_contract_with_injected_mismatch(monkeypatch, capsys):
+    from exospringer import springer
+    monkeypatch.setattr(springer, "sum_squares_check", lambda n: False)
+    code, out = run(capsys, "verify", "--suite", "sum-squares", "--n", "2")
     assert code == 1
     report = json.loads(out)
+    validate(report, "verify_report.schema.json")
     assert report["pass"] is False
-    assert any(m["instance"] == "injected" for m in report["mismatches"])
+    assert [(m["check"], m["n"], m["expected"]) for m in report["mismatches"]] \
+        == [("sum-squares", 1, 2), ("sum-squares", 2, 8)]
 
 
 def test_verify_census_report(capsys):
@@ -164,12 +170,19 @@ def test_usage_errors(capsys):
         assert "argument --n: must be >= 1" in capsys.readouterr().err
     code, _ = run(capsys, "branch", "--n", "1")
     assert code == 2
-    # the census has no --checkpoint flag
+    # the census has no --checkpoint flag, and verify no failure hook
+    for flag, extra in (("--checkpoint", ["f.json"]), ("--inject-failure", [])):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "census", "--n", "1", "--p", "3",
+                  flag] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+    # the census is serial: --jobs accepts 1 only
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "census", "--n", "1", "--p", "3",
-              "--checkpoint", "f.json"])
+              "--jobs", "2"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
+    assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
 
 
 def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):
@@ -186,6 +199,19 @@ def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):
         assert captured.out == ""
         assert "missing field %r" % drop in captured.err
     assert pair["n"] == 1
+
+
+def test_cli_import_starts_no_process_pool():
+    # the census is serial, so the CLI's import graph holds no multiprocessing
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "import exospringer.cli\n"
+            "print('multiprocessing' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_census_check_orbits_at_p5_is_gated(monkeypatch, capsys):
