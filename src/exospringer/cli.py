@@ -195,9 +195,12 @@ def cmd_repr(args):
 def cmd_verify(args):
     report = {"suite": args.suite, "n": args.n, "mismatches": []}
     if args.suite == "restriction":
-        for n in range(2, args.n + 1):
+        for n in range(1, args.n + 1):
             report["mismatches"] += springer.verify_restriction(n)
     elif args.suite == "d-diff":
+        if args.n < 2:
+            print("verify --suite d-diff needs --n >= 2", file=sys.stderr)
+            return 2
         for n in range(2, args.n + 1):
             report["mismatches"] += springer.d_difference_check(n)
     elif args.suite == "sum-squares":

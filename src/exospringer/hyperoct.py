@@ -8,10 +8,16 @@ z_alpha 2^l(alpha) z_beta 2^l(beta).
 The irreducible labelled (mu, nu) is induced from W_m x W_{n-m}
 (m = |mu|): the S_m-character mu extended with the (Z/2Z)^m acting
 trivially, times the S_{n-m}-character nu twisted by the
-product-of-signs linear character delta.  Characters are computed by
-the standard induction formula over class fusion, so every value is an
+product-of-signs linear character delta.  Characters are given by the
+standard induction formula over class fusion, so every value is an
 exact integer.  The convention "first component <-> trivial Z/2
 action" is locked by the identity/sign acceptance checks.
+
+wn_character_row and induce_product state that formula irrep by irrep
+(the definition the tests check against); the cached table,
+_character_table_rows, evaluates the same sum with each class's size-m
+splittings reduced once to integer terms shared by every irrep
+(mu, nu) with |mu| = m.  Its rows are tuples in wn_classes(n) order.
 """
 
 import functools
@@ -116,7 +122,8 @@ def sn_character(lam, rho):
 
 @functools.lru_cache(maxsize=None)
 def _sub_multisets(parts):
-    """All multiset splittings of a partition: (sub, rest, weight)."""
+    """All multiset splittings (sub, rest, weight) of a partition, grouped
+    by size: entry s of the result holds those with |sub| = s."""
     mult = {}
     for part in parts:
         mult[part] = mult.get(part, 0) + 1
@@ -130,7 +137,22 @@ def _sub_multisets(parts):
                 grown.append((sub + (val,) * k, rest + (val,) * (m - k),
                               w * comb(m, k)))
         out = grown
-    return tuple(out)
+    groups = [[] for _ in range(sum(parts) + 1)]
+    for split in out:
+        groups[sum(split[0])].append(split)
+    return tuple(tuple(g) for g in groups)
+
+
+def _splittings(signature, m):
+    """Splittings (a1, b1, a2, b2, weight) of the class (alpha, beta) with
+    |a1| + |b1| = m: a1 + a2 = alpha and b1 + b2 = beta as multisets,
+    weight the product of the multiplicity binomials."""
+    alpha = _sub_multisets(signature.first)
+    beta = _sub_multisets(signature.second)
+    for s in range(max(0, m - len(beta) + 1), min(m, len(alpha) - 1) + 1):
+        for a1, a2, wa in alpha[s]:
+            for b1, b2, wb in beta[m - s]:
+                yield a1, b1, a2, b2, wa * wb
 
 
 def _merge_sorted(a, b):
@@ -148,21 +170,15 @@ def induce_product(n, m, f_left, f_right):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    values = {}
-    for cls in wn_classes(n):
-        alpha, beta = cls.signature.first, cls.signature.second
-        total = 0
-        for a1, a2, wa in _sub_multisets(alpha):
-            for b1, b2, wb in _sub_multisets(beta):
-                if sum(a1) + sum(b1) != m:
-                    continue
-                total += wa * wb * f_left(a1, b1) * f_right(a2, b2)
-        values[cls.signature] = total
-    return values
+    return {cls.signature: sum(w * f_left(a1, b1) * f_right(a2, b2)
+                               for a1, b1, a2, b2, w
+                               in _splittings(cls.signature, m))
+            for cls in wn_classes(n)}
 
 
 def wn_character_row(irrep):
-    """Values of the irreducible chi^(mu, nu) on all classes of W_n."""
+    """Values of the irreducible chi^(mu, nu) on all classes of W_n, by
+    the fusion formula (the definition _character_table_rows computes)."""
     mu, nu = irrep.first, irrep.second
     n = irrep.n
     m = sum(mu)
@@ -176,12 +192,17 @@ def wn_character_row(irrep):
     return induce_product(n, m, left, right)
 
 
+def _columns(n):
+    """signature -> its column, the position of its class in wn_classes(n)."""
+    return {c.signature: j for j, c in enumerate(wn_classes(n))}
+
+
 def wn_character(irrep, cls):
     """chi^(mu,nu) evaluated on the class (alpha, beta)."""
     if irrep.n != cls.n:
         raise SizeMismatchError("irrep rank %d != class rank %d"
                                 % (irrep.n, cls.n))
-    return _character_table_rows(irrep.n)[irrep][cls]
+    return _character_table_rows(irrep.n)[irrep][_columns(cls.n)[cls]]
 
 
 def irrep_dim(irrep):
@@ -194,15 +215,35 @@ def irrep_dim(irrep):
 
 @functools.lru_cache(maxsize=None)
 def _character_table_rows(n):
-    return {irrep: wn_character_row(irrep) for irrep in bipartitions_of(n)}
-
-
-def _class_ordered_rows(n):
     """irrep -> tuple of its values on wn_classes(n) in order (identity
-    class first), irreps in bipartitions_of(n) order."""
+    class first), irreps in bipartitions_of(n) order.
+
+    The fusion formula of wn_character_row, with the work shared: for
+    each m and each class the splittings of size m become one list of
+    integer terms (weight * (-1)^len(b2), left cycle type, right cycle
+    type), the cycle types as positions in partitions_of(m) and
+    partitions_of(n - m).  Every irrep (mu, nu) with |mu| = m sums that
+    list against the S_m row of mu and the S_{n-m} row of nu.
+    """
     classes = wn_classes(n)
-    return {irrep: tuple(row[c.signature] for c in classes)
-            for irrep, row in _character_table_rows(n).items()}
+    ranks = [partitions_of(k) for k in range(n + 1)]
+    position = [{rho: i for i, rho in enumerate(parts)} for parts in ranks]
+    sn_rows = [{lam: tuple(sn_character(lam, rho) for rho in parts)
+                for lam in parts} for parts in ranks]
+    terms = []
+    for m in range(n + 1):
+        left, right = position[m], position[n - m]
+        terms.append([[(-w if len(b2) % 2 else w,
+                        left[_merge_sorted(a1, b1)], right[_merge_sorted(a2, b2)])
+                       for a1, b1, a2, b2, w in _splittings(cls.signature, m)]
+                      for cls in classes])
+    rows = {}
+    for irrep in bipartitions_of(n):
+        m = sum(irrep.first)
+        chi_left, chi_right = sn_rows[m][irrep.first], sn_rows[n - m][irrep.second]
+        rows[irrep] = tuple(sum(w * chi_left[i] * chi_right[j] for w, i, j in column)
+                            for column in terms[m])
+    return rows
 
 
 class CharacterTable:
@@ -217,7 +258,7 @@ class CharacterTable:
         self.n = n
         self.classes = wn_classes(n)
         self.rows = bipartitions_of(n)
-        self.values = tuple(_class_ordered_rows(n).values())
+        self.values = tuple(_character_table_rows(n).values())
         for label, row in zip(self.rows, self.values):
             if row[0] != irrep_dim(label):
                 raise AssertionError("chi^%s(1) = %d, but dim %s = %d"
@@ -256,7 +297,8 @@ def restrict_row(irrep):
     """Values of Res chi^irrep on the classes of W_{n-1}."""
     n = irrep.n
     row = _character_table_rows(n)[irrep]
-    return {c.signature: row[fuse_class_up(c.signature)]
+    column = _columns(n)
+    return {c.signature: row[column[fuse_class_up(c.signature)]]
             for c in wn_classes(n - 1)}
 
 
@@ -269,14 +311,14 @@ def restrict_branching(n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    column = {c.signature: j for j, c in enumerate(wn_classes(n))}
+    column = _columns(n)
     down_classes = wn_classes(n - 1)
     fusion = [column[fuse_class_up(c.signature)] for c in down_classes]
     sizes = [c.size for c in down_classes]
     order = wn_order(n - 1)
-    down = _class_ordered_rows(n - 1).items()
+    down = _character_table_rows(n - 1).items()
     out = {}
-    for irrep, values in _class_ordered_rows(n).items():
+    for irrep, values in _character_table_rows(n).items():
         weighted = [size * values[j] for size, j in zip(sizes, fusion)]
         row = {}
         for other, chi in down:
@@ -344,6 +386,8 @@ def graded_fiber_module(n, m, rho1, rho2):
     if sum(rho1) != m or sum(rho2) != n - m:
         raise ValueError("|rho1| must be m and |rho2| must be n - m")
     table = _character_table_rows(n)
+    classes = wn_classes(n)
+    order = wn_order(n)
 
     def left(a1, b1):
         return sn_character(rho1, _merge_sorted(a1, b1))
@@ -356,9 +400,10 @@ def graded_fiber_module(n, m, rho1, rho2):
             return weight * sn_character(rho2, _merge_sorted(a2, b2))
 
         values = induce_product(n, m, left, right)
+        weighted = [c.size * values[c.signature] for c in classes]
         mults = {}
-        for irrep in bipartitions_of(n):
-            val = inner_product(values, table[irrep], n)
+        for irrep, chi in table.items():
+            val = Fraction(sum(map(mul, weighted, chi)), order)
             if val.denominator != 1 or val < 0:
                 raise AssertionError("multiplicity of %s in degree %d is %s"
                                      % (irrep, 2 * k, val))

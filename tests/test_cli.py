@@ -91,6 +91,20 @@ def test_verify_exit_contract_with_injected_mismatch(monkeypatch, capsys):
         == [("sum-squares", 1, 2), ("sum-squares", 2, 8)]
 
 
+def test_verify_restriction_checks_rank_one(monkeypatch, capsys):
+    # W_1 -> W_0 is a real restriction: --n 1 runs it rather than passing empty
+    from exospringer import springer
+    mismatch = {"check": "restriction", "n": 1, "instance": "1|- -> -|-",
+                "expected": 1, "got": 0}
+    monkeypatch.setattr(springer, "verify_restriction",
+                        lambda n: [mismatch] if n == 1 else [])
+    code, out = run(capsys, "verify", "--suite", "restriction", "--n", "1")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    assert report["pass"] is False and report["mismatches"] == [mismatch]
+
+
 def test_verify_census_report(capsys):
     code, out = run(capsys, "verify", "--suite", "census", "--n", "1", "--p", "3",
                     "--check-orbits")
@@ -170,6 +184,11 @@ def test_usage_errors(capsys):
         assert "argument --n: must be >= 1" in capsys.readouterr().err
     code, _ = run(capsys, "branch", "--n", "1")
     assert code == 2
+    # d-diff compares rank n with rank n - 1 >= 1: no vacuous pass at n = 1
+    code = main(["verify", "--suite", "d-diff", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--n >= 2" in captured.err
     # the census has no --checkpoint flag, and verify no failure hook
     for flag, extra in (("--checkpoint", ["f.json"]), ("--inject-failure", [])):
         with pytest.raises(SystemExit) as exc:

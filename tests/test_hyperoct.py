@@ -4,7 +4,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -13,8 +13,8 @@ from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, 
     partitions_of, removable_nodes
 from exospringer.hyperoct import (
     CharacterTable, SizeMismatchError, centralizer_order, graded_fiber_module,
-    inner_product, irrep_dim, restrict_branching, restrict_row,
-    sn_character, wn_character, wn_classes, wn_order)
+    induce_product, inner_product, irrep_dim, restrict_branching, restrict_row,
+    sn_character, wn_character, wn_character_row, wn_classes, wn_order)
 
 
 def bp(s):
@@ -156,6 +156,77 @@ def test_irrep_dims():
             assert wn_character(label, identity_class(n)) == irrep_dim(label)
 
 
+def test_table_kernel_matches_fusion_formula():
+    # the shared-term table against the definition, irrep order included
+    for n in range(1, 8):
+        expected = {}
+        for irrep in bipartitions_of(n):
+            row = wn_character_row(irrep)
+            expected[irrep] = tuple(row[c.signature] for c in wn_classes(n))
+        assert list(hyperoct._character_table_rows(n).items()) == \
+            list(expected.items())
+
+
+def test_wn_character_reads_the_class_column():
+    for n in range(1, 5):
+        table = CharacterTable(n)
+        for irrep in table.rows:
+            row = table.row(irrep)
+            for cls in wn_classes(n):
+                assert wn_character(irrep, cls.signature) == row[cls.signature]
+
+
+def flat_splittings(parts):
+    # every multiset splitting (sub, rest, weight), not grouped by size
+    out = [((), (), 1)]
+    for val in sorted(set(parts), reverse=True):
+        m = parts.count(val)
+        out = [(sub + (val,) * k, rest + (val,) * (m - k), w * comb(m, k))
+               for sub, rest, w in out for k in range(m + 1)]
+    return out
+
+
+def induce_oracle(n, m, f_left, f_right):
+    # the fusion sum over all splittings, those of the wrong size skipped
+    values = {}
+    for cls in wn_classes(n):
+        total = 0
+        for a1, a2, wa in flat_splittings(cls.signature.first):
+            for b1, b2, wb in flat_splittings(cls.signature.second):
+                if sum(a1) + sum(b1) == m:
+                    total += wa * wb * f_left(a1, b1) * f_right(a2, b2)
+        values[cls.signature] = total
+    return values
+
+
+def merged(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+def fiber_callables(rho1, rho2, k):
+    # the class functions graded_fiber_module induces in degree 2k
+    def left(a1, b1):
+        return sn_character(rho1, merged(a1, b1))
+
+    def right(a2, b2):
+        coeffs = hyperoct._subset_weight_poly(a2, b2)
+        weight = coeffs[k] if k < len(coeffs) else 0
+        return weight * sn_character(rho2, merged(a2, b2))
+
+    return left, right
+
+
+def test_induce_product_matches_unfiltered_fusion_sum():
+    for n in range(1, 7):
+        for m in range(n + 1):
+            for rho1 in partitions_of(m):
+                for rho2 in partitions_of(n - m):
+                    for k in range(n - m + 1):
+                        left, right = fiber_callables(rho1, rho2, k)
+                        assert induce_product(n, m, left, right) == \
+                            induce_oracle(n, m, left, right)
+
+
 def test_sum_of_squares():
     for n in range(1, 9):
         assert sum(irrep_dim(b) ** 2 for b in bipartitions_of(n)) == wn_order(n)
@@ -246,15 +317,17 @@ def test_branching_matches_fraction_inner_products():
 
 def _corrupted_table_errors(n=3):
     """Messages raised by restrict_branching(n + 1) and CharacterTable(n)
-    when chi^(n|-) on the identity class of W_n reads 2 instead of 1."""
+    when chi^(n|-) on the identity class of W_n (column 0) reads 2
+    instead of 1."""
     clean = hyperoct._character_table_rows
 
     def corrupted(m):
         rows = clean(m)
         if m != n:
             return rows
-        rows = {label: dict(row) for label, row in rows.items()}
-        rows[Bipartition((n,), ())][identity_class(n)] += 1
+        rows = dict(rows)
+        label = Bipartition((n,), ())
+        rows[label] = (rows[label][0] + 1,) + rows[label][1:]
         return rows
 
     errors = []
