@@ -13,6 +13,9 @@ order, with v = 0 and one vector per line through 0: a label depends on
 v only through the span of (commutant of x) . v, which c.v shares for
 every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  The orbit check reuses these labels.
+Code order is the base-p digits of x in the self-adjoint echelon basis,
+which `SymplecticSpace.adjoint_eigenbasis(1)` reads off J with no kernel
+solve.
 """
 
 import random
@@ -121,36 +124,6 @@ def sp_group_elements(n, p):
     return elements
 
 
-def self_adjoint_basis(space):
-    """Basis of {x : x* = x}, of dimension 2n^2 - n."""
-    dim, p = space.dim, space.p
-    rows = []
-    units = []
-    for i in range(dim):
-        for j in range(dim):
-            m = [[0] * dim for _ in range(dim)]
-            m[i][j] = 1
-            units.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
-    images = [space.adjoint(u) - u for u in units]
-    for i in range(dim):
-        for j in range(dim):
-            rows.append([img.entries[i][j] for img in images])
-    ker = FpMatrix(rows, p).kernel_basis()
-    basis = []
-    for coeffs in ker.basis:
-        m = [[0] * dim for _ in range(dim)]
-        for val, unit in zip(coeffs, units):
-            if val:
-                for a in range(dim):
-                    for b in range(dim):
-                        m[a][b] = (m[a][b] + val * unit.entries[a][b]) % p
-        basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
-    if len(basis) != 2 * space.n * space.n - space.n:
-        raise AssertionError("self-adjoint basis has %d elements, expected %d"
-                             % (len(basis), 2 * space.n * space.n - space.n))
-    return basis
-
-
 def _digits(code, p, k):
     """The k base-p digits of code, least significant first."""
     return [code // p ** i % p for i in range(k)]
@@ -175,8 +148,8 @@ def self_adjoint_count(space):
 
 
 def iter_self_adjoint(space):
-    """Every self-adjoint matrix, in the fixed coordinate order."""
-    basis = self_adjoint_basis(space)
+    """Every self-adjoint matrix, in code order."""
+    basis = space.adjoint_eigenbasis(1)
     for code in range(self_adjoint_count(space)):
         yield _decode_matrix(code, basis, space)
 

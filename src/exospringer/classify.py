@@ -4,7 +4,9 @@ The enhanced algorithm: given a nilpotent N and a vector v, the span
 W of (commutant of N) applied to v is N-stable; the pair of Jordan
 types of N on W and on ambient/W is the orbit label.  An exotic pair
 is classified through the ambient GL version, whose label is always
-the doubled bipartition, and halved.
+the doubled bipartition, and halved.  Every exotic label, one pair at
+a time or a whole census, is read by `exotic_labeler`: it computes the
+commutant of N once and labels each span once.
 
 Stabilizer dimensions are computed as kernels of explicit linear
 systems on the symplectic Lie algebra; the geometric (algebraic-group)
@@ -21,27 +23,6 @@ from .ffield import (FpMatrix, Subspace, commutant_basis, induced_action,
 
 class NotDoubledError(ValueError):
     pass
-
-
-class EnhancedPair:
-    """A nilpotent (or unipotent) m x m matrix with a marked vector."""
-
-    __slots__ = ("y", "v", "unipotent")
-
-    def __init__(self, y, v, unipotent=False):
-        if not y.is_square():
-            raise ValueError("matrix must be square")
-        v = tuple(int(c) % y.p for c in v)
-        if len(v) != y.rows:
-            raise ValueError("vector length mismatch")
-        self.y = y
-        self.v = v
-        self.unipotent = unipotent
-
-    def nilpotent_part(self):
-        if self.unipotent:
-            return self.y - FpMatrix.identity(self.y.rows, self.y.p)
-        return self.y
 
 
 def _label_from_span(n_mat, w):
@@ -62,32 +43,25 @@ def _label_from_span(n_mat, w):
     return Bipartition(lam1, lam2)
 
 
-def enhanced_type(pair):
-    """Orbit label of an enhanced pair: (type on W, type on ambient/W)."""
-    n_mat = pair.nilpotent_part()
-    return _label_from_span(n_mat, commutant_image(n_mat, pair.v))
-
-
-def commutant_image(n_mat, v):
-    """The subspace (commutant algebra of N) . v."""
-    basis = commutant_basis(n_mat)
-    return Subspace._trusted(n_mat.rows, [z.apply(v) for z in basis], n_mat.p)
+def enhanced_type(n_mat, v):
+    """Orbit label of the enhanced pair (N, v): (type on W, type on ambient/W)."""
+    images = [z.apply(v) for z in commutant_basis(n_mat)]
+    w = Subspace._trusted(n_mat.rows, images, n_mat.p)
+    return _label_from_span(n_mat, w)
 
 
 def exotic_type(pair):
     """Orbit label of an exotic pair (the halved doubled GL label)."""
-    n_mat = pair.nilpotent_part()
-    gl_label = enhanced_type(EnhancedPair(n_mat, pair.v))
-    return Bipartition(halve_doubled(gl_label.first),
-                       halve_doubled(gl_label.second))
+    return exotic_labeler(pair.nilpotent_part())(pair.v)
 
 
 def exotic_labeler(n_mat):
     """v -> exotic label, with the commutant of n_mat computed once.
 
-    Used by the census, where one nilpotent matrix is classified
-    against every vector.  The label depends on v only through the
-    canonical echelon span W, so results are cached per span.
+    The one path to an exotic label: the census classifies one
+    nilpotent matrix against every vector, `exotic_type` against one.
+    The label depends on v only through the canonical echelon span W,
+    so results are cached per span and halved once per span.
     """
     basis = [z.entries for z in commutant_basis(n_mat)]
     m, p = n_mat.rows, n_mat.p
@@ -119,46 +93,8 @@ def halve_doubled(parts):
     return parts[::2]
 
 
-def sp_lie_basis(space):
-    """Basis of the symplectic Lie algebra {h : h* = -h}, dim 2n^2 + n.
-
-    Blocks h = [[A, B], [C, -A^T]] with B, C symmetric.
-    """
-    n, p = space.n, space.p
-    dim = 2 * n
-    basis = []
-
-    def make(fill):
-        m = [[0] * dim for _ in range(dim)]
-        fill(m)
-        return FpMatrix._trusted(tuple(map(tuple, m)), p)
-
-    for i in range(n):
-        for j in range(n):
-            def fill_a(m, i=i, j=j):
-                m[i][j] = 1
-                m[n + j][n + i] = p - 1
-            basis.append(make(fill_a))
-    for i in range(n):
-        for j in range(i, n):
-            def fill_b(m, i=i, j=j):
-                m[i][n + j] = 1
-                m[j][n + i] = 1
-            def fill_c(m, i=i, j=j):
-                m[n + i][j] = 1
-                m[n + j][i] = 1
-            basis.append(make(fill_b))
-            basis.append(make(fill_c))
-    if len(basis) != 2 * n * n + n:
-        raise AssertionError("sp basis has %d elements, expected %d"
-                             % (len(basis), 2 * n * n + n))
-    return basis
-
-
 def _kernel_dim(space, conditions, num_unknowns):
     """dim of the solution space of homogeneous conditions (rows)."""
-    if not conditions:
-        return num_unknowns
     mat = FpMatrix._trusted(tuple(map(tuple, conditions)), space.p)
     return num_unknowns - mat.rank()
 
@@ -189,7 +125,7 @@ def _stabilizer_rows(space, basis, x, v, line=None):
 def stabilizer_dim(pair, include_v):
     """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}."""
     space = pair.space
-    basis = sp_lie_basis(space)
+    basis = space.adjoint_eigenbasis(-1)
     rows = _stabilizer_rows(space, basis, pair.x, pair.v if include_v else None)
     return _kernel_dim(space, rows, len(basis))
 
@@ -232,6 +168,6 @@ def parabolic_stabilizer_dim(nf, i, case):
         raise ValueError("case must be 'i_node' or 'ii_node'")
     pair = nf.pair
     space = pair.space
-    basis = sp_lie_basis(space)
+    basis = space.adjoint_eigenbasis(-1)
     rows = _stabilizer_rows(space, basis, pair.x, pair.v, line=w)
     return _kernel_dim(space, rows, len(basis))

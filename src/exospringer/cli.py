@@ -25,9 +25,8 @@ def _rank(text):
     return n
 
 
-def _add_common(sub, n=True, p=False, fmt=None):
-    if n:
-        sub.add_argument("--n", type=_rank, required=True)
+def _add_common(sub, p=False, fmt=None):
+    sub.add_argument("--n", type=_rank, required=True)
     if p:
         sub.add_argument("--p", type=int, default=3)
     if fmt:

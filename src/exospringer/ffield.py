@@ -77,18 +77,31 @@ def inv_mod(a, p):
     return pow(a, -1, p)
 
 
-def json_fields(obj, names, what):
-    """The values of `names` in the JSON object `obj`, in order.
+_JSON_TYPES = {int: "an integer", str: "a string", dict: "an object",
+               list: "a list of integers"}
 
-    Raises ValueError naming the first missing field, so that bad input
-    gets a message a user can act on rather than a bare KeyError.
+
+def json_fields(obj, fields, what):
+    """The values of the JSON object `obj` at the names in `fields`, in order.
+
+    `fields` maps each name to the type its value must have: int, str,
+    dict, or list (of ints); booleans are not integers.  Raises ValueError
+    naming the first missing or mistyped field, so that bad input gets a
+    message a user can act on rather than a bare KeyError or TypeError.
     """
     if not isinstance(obj, dict):
         raise ValueError("%s JSON must be an object" % what)
-    for name in names:
+    values = []
+    for name, kind in fields.items():
         if name not in obj:
             raise ValueError("%s JSON is missing field %r" % (what, name))
-    return tuple(obj[name] for name in names)
+        value = obj[name]
+        if type(value) is not kind or (
+                kind is list and any(type(c) is not int for c in value)):
+            raise ValueError("%s JSON field %r must be %s"
+                             % (what, name, _JSON_TYPES[kind]))
+        values.append(value)
+    return tuple(values)
 
 
 def _rref_rows(rows, ncols, p):
@@ -165,7 +178,8 @@ class FpMatrix:
     @classmethod
     def from_json(cls, obj):
         p, rows, cols, entries = json_fields(
-            obj, ("p", "rows", "cols", "entries"), "matrix")
+            obj, {"p": int, "rows": int, "cols": int, "entries": list},
+            "matrix")
         return cls(_unflatten(entries, rows, cols), p)
 
     def to_json(self):

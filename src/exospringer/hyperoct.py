@@ -341,11 +341,6 @@ class GradedWnModule:
             if any(m < 0 for m in mults.values()):
                 raise AssertionError("negative multiplicity in %r" % (mults,))
 
-    def to_json(self):
-        return {"n": self.n,
-                "degrees": {str(d): {str(k): v for k, v in mults.items() if v}
-                            for d, mults in sorted(self.degrees.items())}}
-
 
 def _subset_weight_poly(alpha, beta):
     """Coefficients of prod (1 + t^a_i) prod (1 - t^b_j).

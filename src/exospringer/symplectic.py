@@ -2,9 +2,11 @@
 
 The form is <u, v> = u^T J v with J = [[0, 1_n], [-1_n, 0]] in the fixed
 basis order e_1..e_n, f_1..f_n.  The involution g -> J^-1 g^-T J has the
-symplectic group as fixed points; its "anti-fixed" locus is the set of
-self-adjoint matrices, whose unipotent/nilpotent pairs (x, v) this
-module builds representatives for.
+symplectic group as fixed points.  On matrices it splits gl_2n into two
+eigenspaces of the adjoint x -> x* = J^-1 x^T J: the symplectic Lie
+algebra sp_2n (x* = -x), where stabilizers live, and the self-adjoint
+matrices g^-theta (x* = x), whose nilpotent/unipotent pairs (x, v) this
+module builds representatives for.  `adjoint_eigenbasis` gives both.
 """
 
 from . import bicomb
@@ -91,6 +93,44 @@ class SymplecticSpace:
         """x* = J^-1 x^T J, so <x u, v> = <u, x* v>."""
         self._check_size(x)
         return self.J_inv * x.transpose() * self.J
+
+    def adjoint_eigenbasis(self, sign):
+        """Basis of {x : x* = sign x}, in canonical reduced-echelon order.
+
+        sign = 1 gives the self-adjoint matrices (dim 2n^2 - n), sign = -1
+        the symplectic Lie algebra (dim 2n^2 + n).  J and J^-1 are signed
+        permutations, so E_ij* = J^-1 E_ji J = c E_kl with c = +-1; each
+        unit, in row-major order, is paired with its image: E_ij + sign c
+        E_kl for the first unit of a pair, E_ij alone when it is its own
+        image with c = sign.
+        """
+        if sign not in (1, -1):
+            raise ValueError("sign must be 1 or -1, got %r" % (sign,))
+        dim, p = self.dim, self.p
+        row_of_j = [next((l, c) for l, c in enumerate(row) if c)
+                    for row in self.J.entries]
+        col_of_j_inv = [next((k, col[k]) for k in range(dim) if col[k])
+                        for col in zip(*self.J_inv.entries)]
+        basis = []
+        for i in range(dim):
+            l, c_row = row_of_j[i]
+            for j in range(dim):
+                k, c_col = col_of_j_inv[j]
+                if (k, l) < (i, j):
+                    continue
+                coeff = sign * c_row * c_col % p
+                if (k, l) == (i, j) and coeff != 1:
+                    continue
+                m = [[0] * dim for _ in range(dim)]
+                m[i][j] = 1
+                m[k][l] = coeff
+                basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
+        expected = 2 * self.n * self.n - sign * self.n
+        if len(basis) != expected:
+            raise AssertionError("the %+d-eigenspace of the adjoint has %d "
+                                 "basis elements, expected %d"
+                                 % (sign, len(basis), expected))
+        return basis
 
     def membership(self, x, which):
         """Membership predicates for the theta-loci.
@@ -228,7 +268,8 @@ class ExoticPair:
     @classmethod
     def from_json(cls, obj):
         n, p, flavor, x, v = json_fields(
-            obj, ("n", "p", "flavor", "x", "v"), "exotic pair")
+            obj, {"n": int, "p": int, "flavor": str, "x": dict, "v": list},
+            "exotic pair")
         space = SymplecticSpace(n, p)
         return cls(space, FpMatrix.from_json(x), tuple(v), flavor)
 
@@ -331,13 +372,9 @@ def normal_form_pair(label, space):
     if x != space.pair_block(y_small, y_small.transpose()):
         raise AssertionError("y theta(y)^-1 is not diag(y, y^T)")
 
-    jordan_basis = {}
-    for (i, j), col in index.items():
-        vec = [0] * (2 * n)
-        vec[col] = 1
-        jordan_basis[(i, j)] = tuple(vec)
-
-    dual_basis = _solve_dual_basis(space, index, jordan_basis)
+    jordan_basis = {key: space.e(col + 1) for key, col in index.items()}
+    # <e_a, f_b> = delta_ab for this J, so the dual of e_col is f_col
+    dual_basis = {key: space.f(col + 1) for key, col in index.items()}
 
     v = [0] * (2 * n)
     for blk in range(len(sizes)):
@@ -353,28 +390,6 @@ def normal_form_pair(label, space):
                         tuple(p_rows), tuple(q_rows))
     _check_normal_form(space, nf, y)
     return nf
-
-
-def _solve_dual_basis(space, index, jordan_basis):
-    """Solve <v_{i,j}, w> = delta for each (i,j), w in the f-span."""
-    n, p = space.n, space.p
-    # pairing of jordan basis vectors against the f-basis
-    pair_rows = []
-    keys = sorted(index, key=lambda k: index[k])
-    for key in keys:
-        u = jordan_basis[key]
-        pair_rows.append([space.pairing(u, space.f(c + 1)) for c in range(n)])
-    pmat = FpMatrix(pair_rows, p)
-    pinv = pmat.inverse()
-    dual = {}
-    for target in keys:
-        rhs = [1 if k == target else 0 for k in keys]
-        coeffs = pinv.apply(tuple(rhs))
-        vec = [0] * (2 * n)
-        for c in range(n):
-            vec[n + c] = coeffs[c]
-        dual[target] = tuple(vec)
-    return dual
 
 
 def _check_normal_form(space, nf, y):

@@ -10,23 +10,20 @@ from exospringer import classify
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
 from exospringer.classify import (
-    EnhancedPair, NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler,
-    exotic_type, parabolic_stabilizer_dim, sp_lie_basis, stabilizer_dim)
+    NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler, exotic_type,
+    parabolic_stabilizer_dim, stabilizer_dim)
 from exospringer.ffield import FpMatrix, nilpotent_jordan_type
 from exospringer.symplectic import ExoticPair, SymplecticSpace, normal_form_pair
 
 
 def test_enhanced_examples():
     p = 3
-    j2 = FpMatrix([[1, 1], [0, 1]], p)
-    assert enhanced_type(EnhancedPair(j2, (0, 1), unipotent=True)) == \
-        Bipartition((2,), ())
-    assert enhanced_type(EnhancedPair(j2, (1, 0), unipotent=True)) == \
-        Bipartition((1,), (1,))
-    assert enhanced_type(EnhancedPair(j2, (0, 0), unipotent=True)) == \
-        Bipartition((), (2,))
+    j2 = FpMatrix([[0, 1], [0, 0]], p)
+    assert enhanced_type(j2, (0, 1)) == Bipartition((2,), ())
+    assert enhanced_type(j2, (1, 0)) == Bipartition((1,), (1,))
+    assert enhanced_type(j2, (0, 0)) == Bipartition((), (2,))
     n = FpMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]], p)
-    assert enhanced_type(EnhancedPair(n, (0, 0, 0))) == Bipartition((), (2, 1))
+    assert enhanced_type(n, (0, 0, 0)) == Bipartition((), (2, 1))
 
 
 def test_enhanced_types_sum_to_jordan_type(rng):
@@ -47,7 +44,7 @@ def test_enhanced_types_sum_to_jordan_type(rng):
             at += b
         n_mat = FpMatrix(entries, p)
         v = tuple(rng.randrange(p) for _ in range(m))
-        label = enhanced_type(EnhancedPair(n_mat, v))
+        label = enhanced_type(n_mat, v)
         assert partition_sum(label.first, label.second) == \
             nilpotent_jordan_type(n_mat)
 
@@ -102,10 +99,10 @@ def test_conjugation_invariance(rng):
                 assert exotic_type(moved) == label
 
 
-def test_sp_lie_basis_size_and_closure():
+def test_sp_eigenbasis_size_and_closure():
     for n, p in ((1, 3), (2, 5), (3, 3)):
         sp = SymplecticSpace(n, p)
-        basis = sp_lie_basis(sp)
+        basis = sp.adjoint_eigenbasis(-1)
         assert len(basis) == 2 * n * n + n
         # spot-check the bracket stays inside the algebra
         h1, h2 = basis[0], basis[-1]
@@ -232,8 +229,8 @@ def test_parabolic_case_i_needs_removable_node():
         parabolic_stabilizer_dim(nf, 1, "i_node")
     # same geometry computed without the line shortcut: kernel with the
     # line condition has dim 8, not z - 2q + 2 = 9
-    from exospringer.classify import _kernel_dim, _stabilizer_rows, sp_lie_basis
-    basis = sp_lie_basis(sp)
+    from exospringer.classify import _kernel_dim, _stabilizer_rows
+    basis = sp.adjoint_eigenbasis(-1)
     w = nf.jordan_basis[(1, 1)]
     rows = _stabilizer_rows(sp, basis, nf.pair.x, nf.pair.v, line=w)
     assert _kernel_dim(sp, rows, len(basis)) == 8
@@ -257,15 +254,15 @@ def test_span_type_check_survives_python_O(monkeypatch):
     # under -O, where a bare assert would be stripped
     monkeypatch.setattr(classify, "nilpotent_jordan_type", lambda m: (1,))
     with pytest.raises(AssertionError, match="does not add up to dim W = 2"):
-        enhanced_type(EnhancedPair(zeros(2, 2, 3), (1, 0)))
+        enhanced_type(zeros(2, 2, 3), (1, 0))
     src = pathlib.Path(classify.__file__).resolve().parents[1]
     code = ("import sys\n"
             "from exospringer import classify\n"
             "from exospringer.ffield import FpMatrix\n"
             "classify.nilpotent_jordan_type = lambda m: (1,)\n"
-            "pair = classify.EnhancedPair(FpMatrix(((0, 0), (0, 0)), 3), (1, 0))\n"
+            "zero = FpMatrix(((0, 0), (0, 0)), 3)\n"
             "try:\n"
-            "    classify.enhanced_type(pair)\n"
+            "    classify.enhanced_type(zero, (1, 0))\n"
             "except AssertionError as exc:\n"
             "    print(sys.flags.optimize, exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,

@@ -220,6 +220,26 @@ def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):
     assert pair["n"] == 1
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("x", "entries", 5), (None, "v", 5), (None, "n", "a")])
+def test_mistyped_pair_json_field_is_a_usage_error(capsys, where, field,
+                                                   value):
+    # a wrong JSON type is bad input (exit 2), not a crash with a traceback
+    _, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
+    pair = json.loads(out)
+    (pair[where] if where else pair)[field] = value
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-m", "exospringer.cli", "classify",
+                          "--input", "-"], input=json.dumps(pair),
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert "field %r" % field in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_import_starts_no_process_pool():
     # the census is serial, so the CLI's import graph holds no multiprocessing
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

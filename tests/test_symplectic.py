@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_matrix, random_invertible, random_sp_element, zeros
 from exospringer.bicomb import Bipartition, parse_bipartition
-from exospringer.ffield import FpMatrix, nilpotent_jordan_type
+from exospringer.ffield import FpMatrix, Subspace, nilpotent_jordan_type
 from exospringer.symplectic import (
     ExoticPair, NotInAError, NotInGIotaThetaError, SingularError,
     SizeMismatchError, SymplecticSpace, normal_form_pair, nu_blocks)
@@ -68,11 +68,25 @@ def test_adjoint_examples(rng):
 
 
 def test_sp_lie_members_are_skew_adjoint(rng):
-    from exospringer.classify import sp_lie_basis
     sp = SymplecticSpace(2, 5)
-    for h in sp_lie_basis(sp):
+    for h in sp.adjoint_eigenbasis(-1):
         assert sp.membership(h, "sp_lie")
         assert sp.adjoint(h) == -h
+
+
+def test_adjoint_eigenbasis_is_canonical_echelon():
+    # the self-adjoint basis fixes the census's code order, so it must be
+    # the canonical reduced-echelon basis of its span, and so must sp's
+    for n in range(1, 5):
+        for p in (3, 5, 2**31 - 1):
+            sp = SymplecticSpace(n, p)
+            for sign in (1, -1):
+                basis = sp.adjoint_eigenbasis(sign)
+                assert len(basis) == 2 * n * n - sign * n
+                for x in basis:
+                    assert sp.adjoint(x) == sign * x
+                flat = [sum(x.entries, ()) for x in basis]
+                assert flat == list(Subspace(4 * n * n, flat, p).basis)
 
 
 def test_membership_dimension_counts():
