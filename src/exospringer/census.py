@@ -68,17 +68,12 @@ def gl_class_count(n, p):
     raise SizeGateError("class count implemented for n <= 2 only")
 
 
-def transvection(space, u, c=1):
-    """x -> x + c <x, u> u; symplectic for every u and c."""
-    dim, p = space.dim, space.p
-    cols = []
-    for k in range(dim):
-        e = [0] * dim
-        e[k] = 1
-        coeff = (c * space.pairing(tuple(e), u)) % p
-        col = [(e[i] + coeff * u[i]) % p for i in range(dim)]
-        cols.append(col)
-    mat = FpMatrix._trusted(tuple(zip(*cols)), p)
+def transvection(space, u):
+    """x -> x + <x, u> u, that is 1 + u (J u)^T; symplectic for every u."""
+    p, ju = space.p, space.J.apply(u)
+    mat = FpMatrix._trusted(tuple(
+        tuple(((i == j) + a * b) % p for j, b in enumerate(ju))
+        for i, a in enumerate(u)), p)
     if not space.membership(mat, "H_group"):
         raise AssertionError("transvection along %r is not symplectic" % (u,))
     return mat
@@ -87,16 +82,13 @@ def transvection(space, u, c=1):
 def sp_generators(space):
     """Transvections along e_i, f_i and e_i + f_j; generate Sp_2n(F_p)."""
     n = space.n
-    gens = []
     frame = [space.e(i) for i in range(1, n + 1)]
     frame += [space.f(i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             ei, fj = space.e(i), space.f(j)
             frame.append(tuple((a + b) % space.p for a, b in zip(ei, fj)))
-    for u in frame:
-        gens.append(transvection(space, u))
-    return gens
+    return [transvection(space, u) for u in frame]
 
 
 def sp_group_elements(n, p):

@@ -63,10 +63,11 @@ def is_odd_prime(p):
 
 
 def check_modulus(p):
-    if not is_odd_prime(p):
-        raise ValueError("modulus must be an odd prime, got %r" % (p,))
+    # size first: past 2^31 is_odd_prime may fall back to trial division
     if p > 2**31:
         raise ValueError("modulus too large: %d" % p)
+    if not is_odd_prime(p):
+        raise ValueError("modulus must be an odd prime, got %r" % (p,))
     return p
 
 
@@ -418,9 +419,10 @@ def commutant_basis(y):
 def nilpotent_jordan_type(n_mat):
     """Jordan type (a partition of m) of a nilpotent m x m matrix.
 
-    The multiplicity of parts >= j is rank(N^(j-1)) - rank(N^j).  The
-    ranks of the powers never rise, and once two in a row are equal they
-    stay equal, so a repeat above 0 means N is not nilpotent.
+    The number of parts >= j is rank(N^(j-1)) - rank(N^j), so these rank
+    drops are the conjugate partition.  The ranks of the powers never
+    rise, and once two in a row are equal they stay equal, so a repeat
+    above 0 means N is not nilpotent.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan type of non-square matrix")
@@ -433,19 +435,11 @@ def nilpotent_jordan_type(n_mat):
         if rank == ranks[-1]:
             raise NotNilpotentError("matrix is not nilpotent")
         ranks.append(rank)
-    # number of parts >= j is ranks[j-1] - ranks[j]
-    parts = []
-    for j in range(1, len(ranks)):
-        count_ge_j = ranks[j - 1] - ranks[j]
-        parts.append(count_ge_j)
-    # parts[j-1] = #parts >= j; convert to the partition itself
-    out = []
-    for j in range(len(parts), 0, -1):
-        out.extend([j] * (parts[j - 1] - (parts[j] if j < len(parts) else 0)))
-    out.sort(reverse=True)
+    drops = [a - b for a, b in zip(ranks, ranks[1:])]
+    out = tuple(sum(d >= i for d in drops) for i in range(1, drops[0] + 1))
     if sum(out) != m:
         raise AssertionError("Jordan type %r does not add up to %d" % (out, m))
-    return tuple(out)
+    return out
 
 
 def induced_action(m_mat, w, mode):

@@ -106,14 +106,14 @@ def _removal_children(n):
     return out
 
 
-def _count_matchings(candidates, limit=2):
-    """Number of perfect matchings (stop counting at limit), plus one
-    witness matching."""
+def _count_matchings(candidates):
+    """Number of perfect matchings, counted up to 2 (enough to tell a
+    unique one), plus one witness matching."""
     orbits = sorted(candidates, key=Bipartition.sort_key)
     found = []
 
     def backtrack(assigned, used):
-        if len(found) >= limit:
+        if len(found) >= 2:
             return
         if len(assigned) == len(orbits):
             found.append(dict(assigned))

@@ -1,12 +1,13 @@
 """Symplectic structure on F_p^(2n) and the self-adjoint geometry built on it.
 
 The form is <u, v> = u^T J v with J = [[0, 1_n], [-1_n, 0]] in the fixed
-basis order e_1..e_n, f_1..f_n.  The involution g -> J^-1 g^-T J has the
-symplectic group as fixed points.  On matrices it splits gl_2n into two
-eigenspaces of the adjoint x -> x* = J^-1 x^T J: the symplectic Lie
-algebra sp_2n (x* = -x), where stabilizers live, and the self-adjoint
-matrices g^-theta (x* = x), whose nilpotent/unipotent pairs (x, v) this
-module builds representatives for.  `adjoint_eigenbasis` gives both.
+basis order e_1..e_n, f_1..f_n.  J is read once as a signed permutation,
+and every theta-structure goes through the adjoint x* = J^-1 x^T J, which
+only permutes and signs entries: theta(g) = (g^-1)* has the symplectic
+group as fixed points, and x* = -x and x* = x split gl_2n into the
+symplectic Lie algebra sp_2n, where stabilizers live, and the self-adjoint
+matrices g^-theta, whose nilpotent/unipotent pairs (x, v) this module
+builds representatives for.  `adjoint_eigenbasis` gives both.
 """
 
 from . import bicomb
@@ -32,7 +33,7 @@ class SizeMismatchError(ValueError):
 class SymplecticSpace:
     """Dimension-2n symplectic space over F_p with the block form J."""
 
-    __slots__ = ("n", "p", "J", "J_inv")
+    __slots__ = ("n", "p", "J", "_signed_perm", "_one")
 
     def __init__(self, n, p):
         if n < 1:
@@ -45,7 +46,11 @@ class SymplecticSpace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "J", FpMatrix(entries, p))
-        object.__setattr__(self, "J_inv", FpMatrix(entries, p).inverse())
+        # column b of J is s_b e_pi(b): _signed_perm[b] = (pi(b), s_b)
+        object.__setattr__(self, "_signed_perm", tuple(
+            next((r, 1 if c == 1 else -1) for r, c in enumerate(col) if c)
+            for col in zip(*self.J.entries)))
+        object.__setattr__(self, "_one", FpMatrix.identity(2 * n, p))
 
     def __setattr__(self, *a):
         raise AttributeError("SymplecticSpace is immutable")
@@ -65,9 +70,9 @@ class SymplecticSpace:
         return 2 * self.n
 
     def pairing(self, u, v):
-        """<u, v> = u^T J v."""
-        ju = self.J.apply(v)
-        return sum(a * b for a, b in zip(u, ju)) % self.p
+        """<u, v> = u^T J v = sum over b of s_b u_pi(b) v_b."""
+        return sum(s * u[pb] * c
+                   for (pb, s), c in zip(self._signed_perm, v)) % self.p
 
     def e(self, i):
         """Basis vector e_i, 1-based."""
@@ -83,42 +88,44 @@ class SymplecticSpace:
     # -- the involution and adjoint ------------------------------------
 
     def theta_group(self, g):
-        """theta(g) = J^-1 g^-T J; involutive automorphism with Sp fixed."""
+        """theta(g) = J^-1 g^-T J = (g^-1)*; involutive, with Sp fixed."""
         self._check_size(g)
         if not g.is_invertible():
             raise SingularError("theta of a singular matrix")
-        return self.J_inv * g.inverse().transpose() * self.J
+        return self.adjoint(g.inverse())
 
     def adjoint(self, x):
-        """x* = J^-1 x^T J, so <x u, v> = <u, x* v>."""
+        """x* = J^-1 x^T J, so <x u, v> = <u, x* v>; as J is the signed
+        permutation (pi, s), x*[k][l] = s_k s_l x[pi(l)][pi(k)]."""
         self._check_size(x)
-        return self.J_inv * x.transpose() * self.J
+        p, perm, rows = self.p, self._signed_perm, x.entries
+        return FpMatrix._trusted(tuple(
+            tuple(rows[pl][pk] if sk == sl else -rows[pl][pk] % p
+                  for pl, sl in perm)
+            for pk, sk in perm), p)
 
     def adjoint_eigenbasis(self, sign):
         """Basis of {x : x* = sign x}, in canonical reduced-echelon order.
 
         sign = 1 gives the self-adjoint matrices (dim 2n^2 - n), sign = -1
-        the symplectic Lie algebra (dim 2n^2 + n).  J and J^-1 are signed
-        permutations, so E_ij* = J^-1 E_ji J = c E_kl with c = +-1; each
-        unit, in row-major order, is paired with its image: E_ij + sign c
-        E_kl for the first unit of a pair, E_ij alone when it is its own
-        image with c = sign.
+        the symplectic Lie algebra (dim 2n^2 + n).  By the adjoint's
+        signed permutation, E_ij* = s_k s_l E_kl with k = pi^-1(j) and
+        l = pi^-1(i); each unit, in row-major order, is paired with its
+        image: E_ij + sign s_k s_l E_kl for the first unit of a pair,
+        E_ij alone when it is its own image with s_k s_l = sign.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be 1 or -1, got %r" % (sign,))
         dim, p = self.dim, self.p
-        row_of_j = [next((l, c) for l, c in enumerate(row) if c)
-                    for row in self.J.entries]
-        col_of_j_inv = [next((k, col[k]) for k in range(dim) if col[k])
-                        for col in zip(*self.J_inv.entries)]
+        preimage = {pb: (b, sb) for b, (pb, sb) in enumerate(self._signed_perm)}
         basis = []
         for i in range(dim):
-            l, c_row = row_of_j[i]
+            l, s_l = preimage[i]
             for j in range(dim):
-                k, c_col = col_of_j_inv[j]
+                k, s_k = preimage[j]
                 if (k, l) < (i, j):
                     continue
-                coeff = sign * c_row * c_col % p
+                coeff = sign * s_k * s_l % p
                 if (k, l) == (i, j) and coeff != 1:
                     continue
                 m = [[0] * dim for _ in range(dim)]
@@ -138,7 +145,7 @@ class SymplecticSpace:
         g_minus_theta: self-adjoint matrices (x* = x)
         G_iota_theta:  invertible self-adjoint matrices
         sp_lie:        the symplectic Lie algebra (x* = -x)
-        H_group:       the symplectic group (x^T J x = J)
+        H_group:       the symplectic group (x* x = 1, i.e. x^T J x = J)
         """
         self._check_size(x)
         if which == "g_minus_theta":
@@ -148,7 +155,7 @@ class SymplecticSpace:
         if which == "sp_lie":
             return self.adjoint(x) == -x
         if which == "H_group":
-            return x.transpose() * self.J * x == self.J
+            return self.adjoint(x) * x == self._one
         raise ValueError("unknown membership predicate %r" % (which,))
 
     def log_map(self, x):
@@ -160,7 +167,7 @@ class SymplecticSpace:
         """
         if not self.membership(x, "G_iota_theta"):
             raise NotInGIotaThetaError("log is defined on invertible self-adjoint matrices")
-        z = x - FpMatrix.identity(self.dim, self.p)
+        z = x - self._one
         half = pow(2, -1, self.p)
         out = half * (z + self.adjoint(z))
         if self.adjoint(out) != out:
@@ -233,15 +240,11 @@ class ExoticPair:
         sp = self.space
         if not sp.membership(self.x, "g_minus_theta"):
             raise ValueError("x is not self-adjoint")
-        one = FpMatrix.identity(sp.dim, sp.p)
         if self.flavor == "lie":
             if not self.x.is_nilpotent():
                 raise ValueError("lie flavor requires nilpotent x")
-        else:
-            if not (self.x - one).is_nilpotent():
-                raise ValueError("group flavor requires unipotent x")
-            if not self.x.is_invertible():
-                raise ValueError("group flavor requires invertible x")
+        elif not (self.x - sp._one).is_nilpotent():
+            raise ValueError("group flavor requires unipotent x")
 
     def nilpotent_part(self):
         """The nilpotent matrix driving classification (x itself or log x)."""
@@ -270,8 +273,12 @@ class ExoticPair:
         n, p, flavor, x, v = json_fields(
             obj, {"n": int, "p": int, "flavor": str, "x": dict, "v": list},
             "exotic pair")
-        space = SymplecticSpace(n, p)
-        return cls(space, FpMatrix.from_json(x), tuple(v), flavor)
+        # check the shapes against n before building the 2n x 2n space
+        x = FpMatrix.from_json(x)
+        if not x.rows == x.cols == len(v) == 2 * n:
+            raise ValueError("exotic pair JSON n = %d does not fit a %dx%d x "
+                             "and a length-%d v" % (n, x.rows, x.cols, len(v)))
+        return cls(SymplecticSpace(n, p), x, tuple(v), flavor)
 
 
 class NormalFormData:
@@ -329,8 +336,8 @@ def normal_form_pair(label, space):
     """Representative (x, v) of the orbit labelled by a bipartition.
 
     y is the unipotent with Jordan type nu = mu1 + mu2 on the standard
-    e-basis reindexed as v_{i,j}; x = y theta(y)^-1; v is the sum of the
-    v_{p_i, mu1_[i]} over blocks (terms with mu1_[i] = 0 are omitted:
+    e-basis reindexed as v_{i,j}; x = y theta(y)^-1 = y y*; v is the sum of
+    the v_{p_i, mu1_[i]} over blocks (terms with mu1_[i] = 0 are omitted:
     the column index 0 does not exist).
     """
     if label.n != space.n:
@@ -368,7 +375,7 @@ def normal_form_pair(label, space):
             y_top[index[(i, j - 1)]][col] = 1
     y_small = FpMatrix(y_top, p)
     y = space.embed_gl(y_small)
-    x = y * space.theta_group(y).inverse()
+    x = y * space.adjoint(y)
     if x != space.pair_block(y_small, y_small.transpose()):
         raise AssertionError("y theta(y)^-1 is not diag(y, y^T)")
 
@@ -393,11 +400,8 @@ def normal_form_pair(label, space):
 
 
 def _check_normal_form(space, nf, y):
-    p = space.p
-    one = FpMatrix.identity(space.dim, p)
-    shift = y - one
-    yprime = space.theta_group(y).inverse()
-    shift_dual = yprime - one
+    shift = y - space._one
+    shift_dual = space.adjoint(y) - space._one      # theta(y)^-1 = y*
     for (i, j), vec in nf.jordan_basis.items():
         expect = nf.jordan_basis.get((i, j - 1), (0,) * space.dim)
         if shift.apply(vec) != tuple(expect):

@@ -240,6 +240,23 @@ def test_mistyped_pair_json_field_is_a_usage_error(capsys, where, field,
     assert "Traceback" not in out.stderr
 
 
+def test_huge_prime_modulus_is_a_quick_usage_error(capsys):
+    # 2^61 - 1 is prime; it must be refused for its size, not trial-divided
+    _, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
+    pair = json.loads(out)
+    pair["p"] = pair["x"]["p"] = 2**61 - 1
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for argv, stdin in (
+            (["repr", "--n", "1", "--label", "1|-", "--p", str(2**61 - 1)], None),
+            (["classify", "--input", "-"], json.dumps(pair))):
+        out = subprocess.run([sys.executable, "-m", "exospringer.cli"] + argv,
+                             input=stdin, capture_output=True, text=True,
+                             timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: modulus too large: %d\n" % (2**61 - 1)
+
+
 def test_cli_import_starts_no_process_pool():
     # the census is serial, so the CLI's import graph holds no multiprocessing
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

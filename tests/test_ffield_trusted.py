@@ -136,6 +136,17 @@ def test_modulus_check_rejects_bad_moduli_after_a_good_one():
         FpMatrix([[1]], 3.0)
 
 
+def test_modulus_size_is_checked_before_primality():
+    # past 2^31 the primality test may fall back to trial division, which
+    # on these primes would not end
+    for huge in (2**61 - 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="modulus too large"):
+            check_modulus(huge)
+    for not_an_int in ("7", None):
+        with pytest.raises(TypeError):
+            check_modulus(not_an_int)
+
+
 def _by_trial_division(n):
     return n >= 3 and n % 2 == 1 and all(
         n % d for d in range(3, isqrt(n) + 1, 2))

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from conftest import random_matrix, random_invertible, random_sp_element, zeros
+from exospringer import symplectic
 from exospringer.bicomb import Bipartition, parse_bipartition
+from exospringer.census import transvection
 from exospringer.ffield import FpMatrix, Subspace, nilpotent_jordan_type
 from exospringer.symplectic import (
     ExoticPair, NotInAError, NotInGIotaThetaError, SingularError,
@@ -65,6 +67,36 @@ def test_adjoint_examples(rng):
         u = tuple(rng.randrange(5) for _ in range(4))
         v = tuple(rng.randrange(5) for _ in range(4))
         assert sp2.pairing(x.apply(u), v) == sp2.pairing(u, sp2.adjoint(x).apply(v))
+    # the signed-permutation adjoint and everything read through it, against
+    # products with the matrices J and J^-1
+    non_members = 0
+    for n in range(1, 5):
+        for p in (3, 5, 2**31 - 1):
+            sp = SymplecticSpace(n, p)
+            dim, J = 2 * n, sp.J
+            inv_J = J.inverse()
+            for _ in range(3):
+                x = random_matrix(rng, dim, dim, p)
+                assert sp.adjoint(x) == inv_J * x.transpose() * J
+                g = random_invertible(rng, dim, p)
+                assert sp.theta_group(g) == inv_J * g.inverse().transpose() * J
+                for m in (x, g):
+                    member = m.transpose() * J * m == J
+                    assert sp.membership(m, "H_group") == member
+                    non_members += not member
+                h = random_sp_element(rng, sp, word_len=4)
+                assert h.transpose() * J * h == J
+                assert sp.membership(h, "H_group")
+                u = tuple(rng.randrange(p) for _ in range(dim))
+                w = tuple(rng.randrange(p) for _ in range(dim))
+                assert sp.pairing(u, w) == sum(
+                    a * b for a, b in zip(u, J.apply(w))) % p
+                units = [tuple(int(i == k) for i in range(dim))
+                         for k in range(dim)]
+                columns = [tuple((a + sp.pairing(e, u) * b) % p
+                                 for a, b in zip(e, u)) for e in units]
+                assert transvection(sp, u) == FpMatrix(list(zip(*columns)), p)
+    assert non_members > 0
 
 
 def test_sp_lie_members_are_skew_adjoint(rng):
@@ -295,6 +327,21 @@ def test_exotic_pair_json_roundtrip():
     back = ExoticPair.from_json(nf.pair.to_json())
     assert back == nf.pair
     assert back.to_json() == nf.pair.to_json()
+
+
+def test_exotic_pair_json_checks_shapes_before_building_the_space(monkeypatch):
+    pair = ExoticPair(SymplecticSpace(1, 3), zeros(2, 2, 3), (0, 0), "lie")
+    good = pair.to_json()
+    big_x = zeros(4, 4, 3).to_json()
+
+    def no_space(*args):
+        raise AssertionError("the space was built before the shape check")
+
+    monkeypatch.setattr(symplectic, "SymplecticSpace", no_space)
+    for n, x, v in ((1000, good["x"], [0, 0]), (0, good["x"], []),
+                    (1, good["x"], [0, 0, 0, 0]), (1, big_x, [0, 0])):
+        with pytest.raises(ValueError, match="n = %d does not fit" % n):
+            ExoticPair.from_json(dict(good, n=n, x=x, v=v))
 
 
 def test_exotic_pair_validation():
