@@ -2,14 +2,19 @@
 
 The enhanced algorithm: given a nilpotent N and a vector v, the span
 W of (commutant of N) applied to v is N-stable; the pair of Jordan
-types of N on W and on ambient/W is the orbit label.  An exotic pair
+types of N on W and on ambient/W is the orbit label.  `enhanced_type`
+computes it so, and is the definition and test oracle.  An exotic pair
 is classified through the ambient GL version, whose label is always
 the doubled bipartition, and halved.  Every exotic label, one pair at
-a time or a whole census, is read by `exotic_labeler`: it computes the
-commutant of N once and labels each span once.
+a time or a whole census, is read by `exotic_labeler`, which forms no
+span: it builds the Jordan chains of N once, and in that basis
+W = sum_j t^(b_j) M_j, with the b_j read off the valuations of v's
+coordinates on each chain (Achar-Henderson, Orbit closures in the
+enhanced nilpotent cone, Adv. Math. 2008).
 
 Stabilizer dimensions are computed as kernels of explicit linear
-systems on the symplectic Lie algebra; the geometric (algebraic-group)
+systems on the symplectic Lie algebra, built from the at most two
+nonzero entries of each basis element; the geometric (algebraic-group)
 dimensions are recovered on the nose for odd p (checked across
 several primes in the tests).
 """
@@ -18,7 +23,7 @@ from operator import mul
 
 from .bicomb import Bipartition
 from .ffield import (FpMatrix, Subspace, commutant_basis, induced_action,
-                     nilpotent_jordan_type)
+                     jordan_chains, nilpotent_jordan_type)
 
 
 class NotDoubledError(ValueError):
@@ -56,31 +61,58 @@ def exotic_type(pair):
 
 
 def exotic_labeler(n_mat):
-    """v -> exotic label, with the commutant of n_mat computed once.
+    """v -> exotic label, with the Jordan chains of n_mat built once.
 
     The one path to an exotic label: the census classifies one
     nilpotent matrix against every vector, `exotic_type` against one.
-    The label depends on v only through the canonical echelon span W,
-    so results are cached per span and halved once per span.
+    In the chain basis the span W of (commutant of N) . v is the sum of
+    t^(b_j) M_j over the Jordan blocks M_j = F_p[t]/t^(l_j), and b_j
+    depends on v only through the valuations a_j of its block
+    coordinates (the index of the first nonzero one, l_j if none), so
+    results are cached per valuation tuple and halved once per tuple.
     """
-    basis = [z.entries for z in commutant_basis(n_mat)]
+    lengths, p_inv = jordan_chains(n_mat)
     m, p = n_mat.rows, n_mat.p
-    by_span = {}
+    blocks = []                     # the rows of P^-1 for each chain
+    start = 0
+    for length in lengths:
+        blocks.append(p_inv.entries[start:start + length])
+        start += length
+    by_valuations = {}
 
     def label_of(v):
         if len(v) != m:
             raise ValueError("vector length mismatch")
-        w = Subspace._trusted(
-            m, [[sum(map(mul, row, v)) % p for row in z] for z in basis], p)
-        label = by_span.get(w.basis)
+        valuations = []
+        for rows in blocks:
+            for k, row in enumerate(rows):
+                if sum(map(mul, row, v)) % p:
+                    break
+            else:
+                k = len(rows)
+            valuations.append(k)
+        key = tuple(valuations)
+        label = by_valuations.get(key)
         if label is None:
-            gl_label = _label_from_span(n_mat, w)
-            label = Bipartition(halve_doubled(gl_label.first),
-                                halve_doubled(gl_label.second))
-            by_span[w.basis] = label
+            first, second = _valuation_label(lengths, valuations)
+            label = Bipartition(halve_doubled(first), halve_doubled(second))
+            by_valuations[key] = label
         return label
 
     return label_of
+
+
+def _valuation_label(lengths, valuations):
+    """(type on W, type on ambient/W) for W = sum_j t^(b_j) M_j, where
+    Hom(M_i, M_j) carries t^(a_i) M_i onto t^(a_i + max(0, l_j - l_i)) M_j:
+    b_j = min(l_j, min over a_i < l_i of a_i + max(0, l_j - l_i))."""
+    live = [(a, li) for a, li in zip(valuations, lengths) if a < li]
+    cuts = [min([lj] + [a + max(0, lj - li) for a, li in live])
+            for lj in lengths]
+    first = sorted((lj - b for lj, b in zip(lengths, cuts) if lj > b),
+                   reverse=True)
+    second = sorted((b for b in cuts if b), reverse=True)
+    return tuple(first), tuple(second)
 
 
 def halve_doubled(parts):
@@ -100,26 +132,40 @@ def _kernel_dim(space, conditions, num_unknowns):
 
 
 def _stabilizer_rows(space, basis, x, v, line=None):
-    """Linear conditions on sp-coefficients: h x = x h, h v = 0, h<w> in <w>."""
-    rows = []
-    images = [h * x - x * h for h in basis]
-    dim = space.dim
-    for i in range(dim):
-        for j in range(dim):
-            rows.append([img.entries[i][j] for img in images])
-    if v is not None:
-        hv = [h.apply(v) for h in basis]
-        for i in range(dim):
-            rows.append([w[i] for w in hv])
+    """Linear conditions on sp-coefficients: h x = x h, h v = 0, h<w> in <w>.
+
+    Every basis element has at most two nonzero entries, so each column
+    is built from those: c E_ij adds c x[j] to row i of h x, c x[:, i]
+    to column j of x h, and c v_j to entry i of h v.
+    """
+    dim, p = space.dim, space.p
+    xe = x.entries
+    xt = tuple(zip(*xe))
     if line is not None:
-        p = space.p
         k = next(i for i, c in enumerate(line) if c)
-        hw = [h.apply(line) for h in basis]
-        for j in range(dim):
-            if j == k:
-                continue
-            rows.append([(w[j] * line[k] - w[k] * line[j]) % p for w in hw])
-    return rows
+    cols = []
+    for h in basis:
+        img = [[0] * dim for _ in range(dim)]
+        hv = [0] * dim
+        hw = [0] * dim
+        for i, row in enumerate(h.entries):
+            for j, c in enumerate(row):
+                if c:
+                    img[i] = [a + c * b for a, b in zip(img[i], xe[j])]
+                    for r, b in enumerate(xt[i]):
+                        img[r][j] -= c * b
+                    if v is not None:
+                        hv[i] += c * v[j]
+                    if line is not None:
+                        hw[i] += c * line[j]
+        col = [a % p for row in img for a in row]
+        if v is not None:
+            col += [a % p for a in hv]
+        if line is not None:
+            col += [(hw[j] * line[k] - hw[k] * line[j]) % p
+                    for j in range(dim) if j != k]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def stabilizer_dim(pair, include_v):

@@ -15,7 +15,6 @@ with the private `_trusted` constructors, which skip all three checks.  Library 
 an already-reduced matrix or span in a hot loop uses them too.
 """
 
-from math import isqrt
 from operator import index, mul
 
 
@@ -31,10 +30,11 @@ class NotStableError(ValueError):
     pass
 
 
-# Miller-Rabin with these bases is exact below 3,215,031,751, which
-# covers every modulus check_modulus accepts (p <= 2^31).
-_MR_BASES = (2, 3, 5, 7)
-_MR_EXACT_BELOW = 3215031751
+# Miller-Rabin with the twelve primes up to 37 as bases is exact below
+# 318,665,857,834,031,151,167,461, the least strong pseudoprime to all
+# of them (Jiang and Deng, Math. Comp. 2014).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_odd_prime(p):
@@ -42,7 +42,7 @@ def is_odd_prime(p):
         return False
     n = index(p)                    # refuses non-integers such as 3.0
     if n >= _MR_EXACT_BELOW:
-        return all(n % d for d in range(3, isqrt(n) + 1, 2))
+        raise ValueError("primality of %d is not decided exactly" % n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -63,7 +63,7 @@ def is_odd_prime(p):
 
 
 def check_modulus(p):
-    # size first: past 2^31 is_odd_prime may fall back to trial division
+    # size first: no modulus above 2^31 is accepted, prime or not
     if p > 2**31:
         raise ValueError("modulus too large: %d" % p)
     if not is_odd_prime(p):
@@ -416,30 +416,76 @@ def commutant_basis(y):
             for v in big.kernel_basis().basis]
 
 
+def _power_kernels(n_mat):
+    """[ker N, ker N^2, ..., ker N^k = F_p^m] for a nilpotent N of index k.
+
+    The kernels of the powers never shrink, and once two in a row are
+    equal they stay equal, so a kernel that stops growing short of F_p^m
+    means N is not nilpotent.
+    """
+    m = n_mat.rows
+    kernels = []
+    power = n_mat
+    while True:
+        kernel = power.kernel_basis()
+        if kernel.dim == (kernels[-1].dim if kernels else 0):
+            raise NotNilpotentError("matrix is not nilpotent")
+        kernels.append(kernel)
+        if kernel.dim == m:
+            return kernels
+        power = power * n_mat
+
+
 def nilpotent_jordan_type(n_mat):
     """Jordan type (a partition of m) of a nilpotent m x m matrix.
 
-    The number of parts >= j is rank(N^(j-1)) - rank(N^j), so these rank
-    drops are the conjugate partition.  The ranks of the powers never
-    rise, and once two in a row are equal they stay equal, so a repeat
-    above 0 means N is not nilpotent.
+    The number of parts >= s is dim ker N^s - dim ker N^(s-1), so these
+    kernel steps are the conjugate partition.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan type of non-square matrix")
-    m = n_mat.rows
-    ranks = [m]
-    cur = FpMatrix.identity(m, n_mat.p)
-    while ranks[-1] > 0:
-        cur = cur * n_mat
-        rank = cur.rank()
-        if rank == ranks[-1]:
-            raise NotNilpotentError("matrix is not nilpotent")
-        ranks.append(rank)
-    drops = [a - b for a, b in zip(ranks, ranks[1:])]
+    dims = [0] + [k.dim for k in _power_kernels(n_mat)]
+    drops = [b - a for a, b in zip(dims, dims[1:])]
     out = tuple(sum(d >= i for d in drops) for i in range(1, drops[0] + 1))
-    if sum(out) != m:
-        raise AssertionError("Jordan type %r does not add up to %d" % (out, m))
+    if sum(out) != n_mat.rows:
+        raise AssertionError("Jordan type %r does not add up to %d"
+                             % (out, n_mat.rows))
     return out
+
+
+def jordan_chains(n_mat):
+    """(chain lengths, P^-1) for a Jordan chain basis P of a nilpotent N.
+
+    P's columns are u, Nu, ..., N^(l-1) u for each chain top u, longest
+    chains first, so the lengths are the Jordan type and P^-1 v splits
+    into one block of coordinates per chain, index k on N^k u.  The tops
+    are found top-down: those of length s are the vectors of ker N^s
+    independent of ker N^(s-1) and of the longer chains' vectors there.
+    """
+    if not n_mat.is_square():
+        raise NonSquareError("jordan chains of non-square matrix")
+    m, p = n_mat.rows, n_mat.p
+    kernels = _power_kernels(n_mat)
+    chains = []
+    for s in range(len(kernels), 0, -1):
+        below = kernels[s - 2].basis if s > 1 else ()
+        # N^(t-s) u of each longer chain lies in ker N^s
+        span = Subspace._trusted(
+            m, below + tuple(c[len(c) - s] for c in chains), p)
+        for w in kernels[s - 1].basis:
+            grown = Subspace._trusted(m, span.basis + (w,), p)
+            if grown.dim > span.dim:
+                span = grown
+                chain = [w]
+                for _ in range(s - 1):
+                    chain.append(n_mat.apply(chain[-1]))
+                chains.append(chain)
+    cols = [u for chain in chains for u in chain]
+    if len(cols) != m:
+        raise AssertionError("Jordan chains span %d of %d dimensions"
+                             % (len(cols), m))
+    p_mat = FpMatrix._trusted(tuple(zip(*cols)), p)
+    return tuple(map(len, chains)), p_mat.inverse()
 
 
 def induced_action(m_mat, w, mode):

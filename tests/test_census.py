@@ -130,7 +130,10 @@ def test_census_counts_invariant_under_basis_change(rng):
     counts = {}
     for pair in enumerate_exotic_nilcone(1, 3):
         moved = ExoticPair(space, g * pair.x * gi, g.apply(pair.v), "lie")
-        label = format_bipartition(classify.exotic_type(moved))
+        gl_label = classify.enhanced_type(moved.x, moved.v)
+        label = format_bipartition(Bipartition(
+            classify.halve_doubled(gl_label.first),
+            classify.halve_doubled(gl_label.second)))
         counts[label] = counts.get(label, 0) + 1
     assert counts == orbit_census(1, 3).label_counts
     # same property through the seeded-basis-change entry point
@@ -235,9 +238,11 @@ def test_census_scans_the_cone_once(monkeypatch, n, check_orbits):
                                         for n, p in ((1, 3), (1, 5), (2, 3))
                                         for seed in (0, 7)])
 def test_census_matches_labelling_every_point(n, p, seed):
-    # the census labels 0 and one vector per line; labelling every point
-    # of the cone, through the same seeded basis change, must give the
-    # same counts and the same first point per label
+    # the census labels 0 and one vector per line from Jordan-chain
+    # valuations; labelling every point of the cone by the definition (the
+    # halved enhanced type on the commutant span), through the same seeded
+    # basis change, must give the same counts and the same first point per
+    # label
     space = SymplecticSpace(n, p)
     g = census_mod.seeded_basis_change(space, seed) if seed else \
         FpMatrix.identity(space.dim, p)
@@ -245,7 +250,10 @@ def test_census_matches_labelling_every_point(n, p, seed):
     counts, reps = {}, {}
     for pair in enumerate_exotic_nilcone(n, p):
         moved = ExoticPair(space, g * pair.x * gi, g.apply(pair.v), "lie")
-        label = format_bipartition(classify.exotic_type(moved))
+        gl_label = classify.enhanced_type(moved.x, moved.v)
+        label = format_bipartition(Bipartition(
+            classify.halve_doubled(gl_label.first),
+            classify.halve_doubled(gl_label.second)))
         counts[label] = counts.get(label, 0) + 1
         reps.setdefault(label, (moved.x.to_json(), list(moved.v)))
     result = orbit_census(n, p, basis_seed=seed)

@@ -6,13 +6,15 @@ import sys
 import pytest
 
 from conftest import random_sp_element, zeros
-from exospringer import classify
+from exospringer import classify, ffield
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
 from exospringer.classify import (
     NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler, exotic_type,
     parabolic_stabilizer_dim, stabilizer_dim)
-from exospringer.ffield import FpMatrix, nilpotent_jordan_type
+from exospringer.census import seeded_basis_change
+from exospringer.ffield import (FpMatrix, NotNilpotentError, jordan_chains,
+                                nilpotent_jordan_type)
 from exospringer.symplectic import ExoticPair, SymplecticSpace, normal_form_pair
 
 
@@ -68,6 +70,35 @@ def test_not_doubled_on_non_self_adjoint_input():
     labeler = exotic_labeler(j2)
     with pytest.raises(NotDoubledError):
         labeler((0, 1))
+
+
+def span_label(n_mat, v):
+    # the definition: the halved enhanced type on the commutant span
+    gl_label = enhanced_type(n_mat, v)
+    return Bipartition(classify.halve_doubled(gl_label.first),
+                       classify.halve_doubled(gl_label.second))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+def test_labeler_matches_commutant_span_on_moved_normal_forms(p):
+    for n in (2, 3, 4):
+        space = SymplecticSpace(n, p)
+        for seed, label in enumerate(bipartitions_of(n), start=1):
+            pair = normal_form_pair(label, space).pair
+            g = seeded_basis_change(space, seed)
+            x = g * pair.nilpotent_part() * g.inverse()
+            v = g.apply(pair.v)
+            assert exotic_labeler(x)(v) == span_label(x, v) == label
+            # a second vector for the same x: its label still agrees
+            w = g.apply(tuple(reversed(pair.v)))
+            assert exotic_labeler(x)(w) == span_label(x, w)
+
+
+def test_labeler_refuses_a_non_nilpotent_matrix():
+    with pytest.raises(NotNilpotentError):
+        exotic_labeler(FpMatrix.identity(4, 3))
+    with pytest.raises(NotNilpotentError):
+        exotic_labeler(FpMatrix([[1, 0], [0, 0]], 5))
 
 
 def test_roundtrip_all_labels():
@@ -270,3 +301,61 @@ def test_span_type_check_survives_python_O(monkeypatch):
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("1 Jordan type (1,) on W does not add up to dim W = 2")
+
+
+def test_chain_cover_check_survives_python_O(monkeypatch):
+    # chains that do not span F_p^m must raise, also under -O, where a
+    # bare assert would be stripped
+    monkeypatch.setattr(ffield, "_power_kernels",
+                        lambda m: [ffield.Subspace(2, [(1, 0)], 3)])
+    with pytest.raises(AssertionError, match="span 1 of 2 dimensions"):
+        jordan_chains(zeros(2, 2, 3))
+    src = pathlib.Path(classify.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from exospringer import ffield\n"
+            "ffield._power_kernels = lambda m: [ffield.Subspace(2, [(1, 0)], 3)]\n"
+            "zero = ffield.FpMatrix(((0, 0), (0, 0)), 3)\n"
+            "try:\n"
+            "    ffield.jordan_chains(zero)\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 Jordan chains span 1 of 2 dimensions")
+
+
+def dense_stabilizer_rows(space, basis, x, v, line):
+    # the same conditions from full matrix products, one entry at a time
+    p, dim = space.p, space.dim
+    images = [h * x - x * h for h in basis]
+    rows = [[img.entries[i][j] for img in images]
+            for i in range(dim) for j in range(dim)]
+    if v is not None:
+        hv = [h.apply(v) for h in basis]
+        rows += [[w[i] for w in hv] for i in range(dim)]
+    if line is not None:
+        k = next(i for i, c in enumerate(line) if c)
+        hw = [h.apply(line) for h in basis]
+        rows += [[(w[j] * line[k] - w[k] * line[j]) % p for w in hw]
+                 for j in range(dim) if j != k]
+    return rows
+
+
+@pytest.mark.parametrize("p", (3, 2**31 - 1))
+def test_sparse_stabilizer_rows_match_dense_products(rng, p):
+    from exospringer.classify import _stabilizer_rows
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, p)
+        basis = space.adjoint_eigenbasis(-1)
+        assert all(sum(map(bool, sum(h.entries, ()))) <= 2 for h in basis)
+        for label in bipartitions_of(n)[:3]:
+            pair = normal_form_pair(label, space).pair
+            x = random_sp_element(rng, space) * pair.x
+            line = tuple(rng.randrange(p) for _ in range(space.dim))
+            line = line if any(line) else space.e(1)
+            for v, w in ((None, None), (pair.v, None), (pair.v, line),
+                         (None, line)):
+                assert _stabilizer_rows(space, basis, x, v, line=w) == \
+                    dense_stabilizer_rows(space, basis, x, v, w)

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_matrix, random_invertible, zeros
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
-    commutant_basis, induced_action, inv_mod,
+    commutant_basis, induced_action, inv_mod, jordan_chains,
     nilpotent_jordan_type, is_odd_prime)
 
 
@@ -219,6 +219,61 @@ def test_jordan_conjugation_invariant(rng):
         conj = g * n * g.inverse()
         assert nilpotent_jordan_type(conj) == nilpotent_jordan_type(n)
         assert jordan_from_ranks(conj) == nilpotent_jordan_type(n)
+
+
+def random_nilpotent(rng, m, p):
+    """A random nilpotent m x m matrix: Jordan blocks of random sizes,
+    conjugated by a random invertible matrix."""
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(rng.randrange(1, m - sum(sizes) + 1))
+    entries = [[0] * m for _ in range(m)]
+    at = 0
+    for size in sizes:
+        for i in range(size - 1):
+            entries[at + i][at + i + 1] = 1
+        at += size
+    g = random_invertible(rng, m, p)
+    return g * FpMatrix(entries, p) * g.inverse()
+
+
+def chain_form(lengths, p):
+    # N in the chain basis: each N^k u goes to N^(k+1) u, the last to 0
+    m = sum(lengths)
+    entries = [[0] * m for _ in range(m)]
+    at = 0
+    for length in lengths:
+        for k in range(length - 1):
+            entries[at + k + 1][at + k] = 1
+        at += length
+    return FpMatrix(entries, p)
+
+
+def test_jordan_chains_match_jordan_type(rng):
+    for p in (3, 5, 2**31 - 1):
+        for m in range(1, 9):
+            for _ in range(3):
+                n_mat = random_nilpotent(rng, m, p)
+                lengths, p_inv = jordan_chains(n_mat)
+                assert lengths == nilpotent_jordan_type(n_mat) == \
+                    jordan_from_ranks(n_mat)
+                # P^-1 N P is the chain form, so P^-1 is a chain basis change
+                p_mat = p_inv.inverse()
+                assert p_inv * n_mat * p_mat == chain_form(lengths, p)
+
+
+def test_jordan_chains_errors():
+    with pytest.raises(NotNilpotentError):
+        jordan_chains(FpMatrix.identity(2, 3))
+    idempotent = FpMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3)
+    with pytest.raises(NotNilpotentError):
+        jordan_chains(idempotent)
+    # nilpotent plus a unit on one coordinate: ker N^s stalls at dim 2
+    stalled = FpMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 2]], 5)
+    with pytest.raises(NotNilpotentError):
+        jordan_chains(stalled)
+    with pytest.raises(NonSquareError):
+        jordan_chains(zeros(2, 3, 3))
 
 
 def test_induced_action_examples():

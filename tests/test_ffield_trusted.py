@@ -137,8 +137,8 @@ def test_modulus_check_rejects_bad_moduli_after_a_good_one():
 
 
 def test_modulus_size_is_checked_before_primality():
-    # past 2^31 the primality test may fall back to trial division, which
-    # on these primes would not end
+    # both are refused for their size alone: 2^61 - 1 is prime, and
+    # 2^89 - 1 is past the range where the primality test is exact
     for huge in (2**61 - 1, 2**89 - 1):
         with pytest.raises(ValueError, match="modulus too large"):
             check_modulus(huge)
@@ -156,10 +156,28 @@ def test_primality_test_agrees_with_trial_division():
     assert all(is_odd_prime(n) == _by_trial_division(n)
                for n in range(-5, 20000))
     # strong pseudoprimes to base 2, Carmichael numbers, and the least
-    # strong pseudoprime to bases 2, 3, 5 and 7, where the exact test ends
+    # strong pseudoprime to bases 2, 3, 5 and 7
     for n in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001,
               3215031751, 2**31 - 3, 2**31 + 1, 2147483659):
         assert is_odd_prime(n) == _by_trial_division(n), n
+
+
+def test_primality_test_is_exact_far_past_the_modulus_bound():
+    # 2^61 - 1 used to hang in trial division; the 12-base test decides
+    # it at once
+    assert is_odd_prime(2**61 - 1) and is_odd_prime(2**31 - 1)
+    assert not is_odd_prime(2**61 + 1)
+    # the least strong pseudoprime to the prime bases 2..31, which base 37
+    # exposes
+    assert not is_odd_prime(3825123056546413051)
+    # the least strong pseudoprime to all twelve bases 2..37: composite, so
+    # from there on the test refuses instead of guessing
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    for n in (psi12, psi12 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="not decided exactly"):
+            is_odd_prime(n)
+    assert not is_odd_prime(psi12 + 1)             # even: no test needed
 
 
 @given(st.integers(2**31 - 2**16, 2**31 + 2**16))
