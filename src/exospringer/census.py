@@ -1,21 +1,22 @@
 """Brute-force verification over small prime fields.
 
 Everything here enumerates honestly: the symplectic group by closure
-from transvection generators, the exotic cone point by point, orbits
-by union-find under the generator action.  Hard size gates (n <= 2,
-p in {3, 5}, and no group listed with more than |Sp_4(F_3)| = 51,840
-elements) keep the combinatorial explosion out; anything bigger
-raises SizeGateError, before any enumeration, instead of silently
-grinding.
+from transvection generators, the exotic cone point by point.  Hard size
+gates (n <= 2, p in {3, 5}, and no group listed with more than
+|Sp_4(F_3)| = 51,840 elements) keep the combinatorial explosion out;
+anything bigger raises SizeGateError, before any enumeration, instead of
+silently grinding.
+
+Points are integer codes, the base-p digits of a vector or of a
+self-adjoint x in the echelon basis `adjoint_eigenbasis(1)`.  Each
+generator of Sp acts on codes as two permutation tables, built per call
+by linearity, and orbits come from union-find over codes under them.
 
 The census is one serial labelling pass over every cone x in code
 order, with v = 0 and one vector per line through 0: a label depends on
 v only through the span of (commutant of x) . v, which c.v shares for
 every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  The orbit check reuses these labels.
-Code order is the base-p digits of x in the self-adjoint echelon basis,
-which `SymplecticSpace.adjoint_eigenbasis(1)` reads off J with no kernel
-solve.
 """
 
 import random
@@ -121,37 +122,75 @@ def _digits(code, p, k):
     return [code // p ** i % p for i in range(k)]
 
 
-def _decode_matrix(code, basis, space):
-    dim, p = space.dim, space.p
-    m = [[0] * dim for _ in range(dim)]
-    for digit, b in zip(_digits(code, p, len(basis)), basis):
-        if digit:
-            for i in range(dim):
-                row = b.entries[i]
-                mi = m[i]
-                for j in range(dim):
-                    if row[j]:
-                        mi[j] = (mi[j] + digit * row[j]) % p
-    return FpMatrix._trusted(tuple(map(tuple, m)), p)
+def _encode(x, basis):
+    """x's code, read off its entries at the basis's leading 1s (the basis
+    is reduced echelon); AssertionError unless it decodes back to x."""
+    flat = sum(x.entries, ())
+    digits = [flat[sum(b.entries, ()).index(1)] for b in basis]
+    if sum((d * b for d, b in zip(digits, basis)), 0 * x) != x:
+        raise AssertionError("%r is not self-adjoint" % (x,))
+    return _vector_code(digits, x.p)
 
 
-def self_adjoint_count(space):
-    return space.p ** (2 * space.n * space.n - space.n)
+def _vector_code(v, p):
+    return sum(a * p ** i for i, a in enumerate(v))
+
+
+def _linear_rows(columns, p):
+    """rows[j][c] = coordinate j of the image of code c under the linear
+    map taking the unit p^i to columns[i]: coordinate j of the image of
+    c + d p^i (c < p^i) is that of c plus d columns[i][j], so the rows grow
+    one input digit at a time, with no product per code."""
+    rows = [[0] for _ in columns[0]]
+    for column in columns:
+        rows = [[(y + d * a) % p for d in range(p) for y in row]
+                for row, a in zip(rows, column)]
+    return rows
+
+
+def _linear_table(images, p):
+    """The image code of each code under the linear map of F_p^k taking
+    the unit p^i to the code images[i]."""
+    rows = _linear_rows([_digits(code, p, len(images)) for code in images], p)
+    table = rows[-1]
+    for row in reversed(rows[:-1]):
+        table = [t * p + y for t, y in zip(table, row)]
+    return table
+
+
+def _action_tables(space, generators):
+    """(x-table, v-table) per generator g, built per call by linearity:
+    the code of g x g^-1 for each self-adjoint code x, and of g v for each
+    vector code v; AssertionError if g moves x off the self-adjoint space."""
+    p, basis = space.p, space.adjoint_eigenbasis(1)
+    tables = []
+    for g in generators:
+        gi = g.inverse()
+        x_images = [_encode(g * b * gi, basis) for b in basis]
+        v_images = [_vector_code(column, p) for column in zip(*g.entries)]
+        tables.append((_linear_table(x_images, p), _linear_table(v_images, p)))
+    return tables
 
 
 def iter_self_adjoint(space):
     """Every self-adjoint matrix, in code order."""
-    basis = space.adjoint_eigenbasis(1)
-    for code in range(self_adjoint_count(space)):
-        yield _decode_matrix(code, basis, space)
+    dim, p, basis = space.dim, space.p, space.adjoint_eigenbasis(1)
+    for flat in zip(*_linear_rows([sum(b.entries, ()) for b in basis], p)):
+        yield FpMatrix._trusted(_unflatten(flat, dim, dim), p)
 
 
 def _is_nilpotent(x):
-    return x.is_nilpotent()
+    """x^n = 0 for 2n x 2n x, in n - 1 products; exact for self-adjoint x
+    only, whose Jordan type lambda u lambda (|lambda| = n) has parts <= n."""
+    power = x
+    for _ in range(x.rows // 2 - 1):
+        power = power * x
+    return power.is_zero()
 
 
 def _is_unipotent(x):
-    return (x - FpMatrix.identity(x.rows, x.p)).is_nilpotent()
+    """(x - 1)^n = 0; decides unipotence for self-adjoint x only."""
+    return _is_nilpotent(x - FpMatrix.identity(x.rows, x.p))
 
 
 def iter_vectors(space):
@@ -213,8 +252,7 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
         gi = g.inverse()
         # g is linear, so it carries each line, and its weight, to a line
         lines = [(g.apply(v), weight) for v, weight in lines]
-    counts = {}
-    reps = {}
+    counts, reps, names = {}, {}, {}  # names: Bipartition -> its label
     labelled = {} if check_orbits else None
     for x in _cone_xs(space, flavor):
         if g is not None:
@@ -222,7 +260,8 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
         labeler = classify.exotic_labeler(
             x if flavor == "lie" else space.log_map(x))
         for v, weight in lines:
-            label = format_bipartition(labeler(v))
+            bp = labeler(v)
+            label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
             counts[label] = counts.get(label, 0) + weight
             if label not in reps:
                 reps[label] = (x.to_json(), list(v))
@@ -296,17 +335,17 @@ class UnionFind:
         return len({self.find(x) for x in self.parent})
 
 
-def _generator_classes(space, points, move, what):
-    """Union-find of `points` (a set or dict) under the generators of Sp,
-    where move(point, g, g^-1) is the image of a point under g; an image
-    outside `points` raises AssertionError naming `what`."""
-    moves = [(g, g.inverse()) for g in sp_generators(space)]
+def _generator_classes(space, points, what):
+    """Union-find of `points`, a set or dict of (x-code, v-code) pairs,
+    under the generator tables of `_action_tables`; an image outside
+    `points` raises AssertionError naming `what`."""
+    tables = _action_tables(space, sp_generators(space))
     uf = UnionFind()
     for point in points:
         uf.add(point)
     for point in points:
-        for g, gi in moves:
-            moved = move(point, g, gi)
+        for x_table, v_table in tables:
+            moved = x_table[point[0]], v_table[point[1]]
             if moved not in points:
                 raise AssertionError("a generator moved a point off the %s" % what)
             uf.union(point, moved)
@@ -318,18 +357,12 @@ def _orbit_checks(space, result, labelled):
     `labelled` maps the census's (x entries, v) to their labels, one v per
     line; each line's p - 1 multiples c.v share its label."""
     n, p = space.n, space.p
-    points = {(xe, tuple(c * a % p for a in v)): label
+    basis = space.adjoint_eigenbasis(1)
+    x_code = {xe: _encode(FpMatrix._trusted(xe, p), basis)
+              for xe in {xe for xe, _ in labelled}}
+    points = {(x_code[xe], _vector_code([c * a % p for a in v], p)): label
               for (xe, v), label in labelled.items() for c in range(1, p)}
-    conjugates = {}  # (x entries, id(g)) -> g x g^-1: one per x, not per (x, v)
-
-    def move(pt, g, gi):
-        xe, v = pt
-        key = (xe, id(g))
-        if key not in conjugates:
-            conjugates[key] = (g * FpMatrix._trusted(xe, p) * gi).entries
-        return conjugates[key], g.apply(v)
-
-    uf = _generator_classes(space, points, move, "cone")
+    uf = _generator_classes(space, points, "cone")
     roots_per_label = {}
     for key, label in points.items():
         roots_per_label.setdefault(label, set()).add(uf.find(key))
@@ -339,31 +372,20 @@ def _orbit_checks(space, result, labelled):
     checks = []
     for label, count in sorted(result.label_counts.items()):
         xj, vj = result.reps[label]
-        x = FpMatrix.from_json(xj)
-        v = tuple(vj)
-        stab = _stabilizer_order(group, x, v)
-        checks.append({
-            "label": label,
-            "count": count,
-            "stabilizer_order": stab,
-            "orbit_stabilizer_ok": stab * count == order,
-            "transitive": len(roots_per_label[label]) == 1,
-        })
+        stab = _stabilizer_order(group, FpMatrix.from_json(xj), tuple(vj))
+        checks.append({"label": label, "count": count, "stabilizer_order": stab,
+                       "orbit_stabilizer_ok": stab * count == order,
+                       "transitive": len(roots_per_label[label]) == 1})
     return checks
 
 
 def _stabilizer_order(group, x, v):
-    count = 0
-    for g in group:
-        if g.apply(v) == v and g * x == x * g:
-            count += 1
-    return count
+    return sum(1 for g in group if g.apply(v) == v and g * x == x * g)
 
 
 def stabilizer_census(pair):
     """|{g in Sp : g x g^-1 = x, g v = v}| by enumeration (n <= 2)."""
-    space = pair.space
-    group = sp_group_elements(space.n, space.p)
+    group = sp_group_elements(pair.space.n, pair.space.p)
     return _stabilizer_order(group, pair.x, pair.v)
 
 
@@ -375,18 +397,16 @@ def klyachko_census(n, p):
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    points = {x.entries: x for x in iter_self_adjoint(space) if x.is_invertible()}
-    uf = _generator_classes(space, points,
-                            lambda xe, g, gi: (g * points[xe] * gi).entries,
-                            "invertible self-adjoint locus")
+    points = {(code, 0) for code, x in enumerate(iter_self_adjoint(space))
+              if x.is_invertible()}
+    uf = _generator_classes(space, points, "invertible self-adjoint locus")
     orbit_count = uf.class_count()
     expected = gl_class_count(n, p)
 
-    covered = set()
-    for g in _iter_gl(n, p):
-        embedded = space.klyachko_embed(space.embed_gl(g))
-        covered.add(uf.find(embedded.entries))
-    all_roots = {uf.find(xe) for xe in points}
+    basis = space.adjoint_eigenbasis(1)
+    covered = {uf.find((_encode(space.klyachko_embed(space.embed_gl(g)), basis), 0))
+               for g in _iter_gl(n, p)}
+    all_roots = {uf.find(point) for point in points}
 
     return {
         "n": n, "p": p,

@@ -293,15 +293,6 @@ def fuse_class_up(signature):
     return Bipartition(_merge_sorted(signature.first, (1,)), signature.second)
 
 
-def restrict_row(irrep):
-    """Values of Res chi^irrep on the classes of W_{n-1}."""
-    n = irrep.n
-    row = _character_table_rows(n)[irrep]
-    column = _columns(n)
-    return {c.signature: row[column[fuse_class_up(c.signature)]]
-            for c in wn_classes(n - 1)}
-
-
 def restrict_branching(n):
     """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1).
 

@@ -14,10 +14,6 @@ from . import bicomb
 from .ffield import FpMatrix, check_modulus, json_fields
 
 
-class SingularError(ZeroDivisionError):
-    pass
-
-
 class NotInGIotaThetaError(ValueError):
     pass
 
@@ -86,13 +82,6 @@ class SymplecticSpace:
         return tuple(v)
 
     # -- the involution and adjoint ------------------------------------
-
-    def theta_group(self, g):
-        """theta(g) = J^-1 g^-T J = (g^-1)*; involutive, with Sp fixed."""
-        self._check_size(g)
-        if not g.is_invertible():
-            raise SingularError("theta of a singular matrix")
-        return self.adjoint(g.inverse())
 
     def adjoint(self, x):
         """x* = J^-1 x^T J, so <x u, v> = <u, x* v>; as J is the signed

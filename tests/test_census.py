@@ -325,3 +325,66 @@ def test_group_order_check_survives_python_O(monkeypatch):
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("1 closure found 24 elements")
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_cone_tests_match_is_nilpotent_on_self_adjoint_x(n, p):
+    # x^n = 0 and (x - 1)^n = 0 decide the cone because a self-adjoint
+    # nilpotent has doubled Jordan type; the full test squares up to x^2n
+    space = SymplecticSpace(n, p)
+    one = FpMatrix.identity(2 * n, p)
+    kept = {"lie": 0, "group": 0}
+    for x in iter_self_adjoint(space):
+        nilpotent, unipotent = x.is_nilpotent(), (x - one).is_nilpotent()
+        assert census_mod._is_nilpotent(x) == nilpotent
+        assert census_mod._is_unipotent(x) == unipotent
+        kept["lie"] += nilpotent
+        kept["group"] += unipotent
+    assert kept == {"lie": p ** (2 * n * n - 2 * n), "group": p ** (2 * n * n - 2 * n)}
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3)])
+def test_action_tables_match_conjugation(n, p):
+    # every entry of every table against the matrix action it encodes,
+    # decoding codes by their position in the code-order enumerations
+    space = SymplecticSpace(n, p)
+    xs = list(iter_self_adjoint(space))
+    vs = list(census_mod.iter_vectors(space))
+    basis = space.adjoint_eigenbasis(1)
+    assert [census_mod._encode(x, basis) for x in xs] == list(range(len(xs)))
+    gens = sp_generators(space)
+    tables = census_mod._action_tables(space, gens)
+    assert len(tables) == len(gens)
+    for g, (x_table, v_table) in zip(gens, tables):
+        gi = g.inverse()
+        assert sorted(x_table) == list(range(len(xs)))
+        assert sorted(v_table) == list(range(len(vs)))
+        for code, x in enumerate(xs):
+            assert xs[x_table[code]] == g * x * gi
+        for code, v in enumerate(vs):
+            assert vs[v_table[code]] == g.apply(v)
+
+
+def test_action_tables_refuse_a_generator_off_the_self_adjoint_space():
+    space = SymplecticSpace(2, 3)
+    shear = FpMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+    assert shear.is_invertible() and not space.membership(shear, "H_group")
+    with pytest.raises(AssertionError, match="is not self-adjoint"):
+        census_mod._action_tables(space, sp_generators(space) + [shear])
+
+
+def test_each_orbit_pass_builds_the_tables_once(monkeypatch):
+    builds = []
+    build = census_mod._action_tables
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(census_mod, "_action_tables", counted)
+    for run in (lambda: klyachko_census(2, 3),
+                lambda: orbit_census(1, 3, check_orbits=True)):
+        for calls in (1, 2):
+            run()
+            assert len(builds) == calls    # built per call, never reused
+        builds.clear()

@@ -13,8 +13,15 @@ from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, 
     partitions_of, removable_nodes
 from exospringer.hyperoct import (
     CharacterTable, SizeMismatchError, centralizer_order, graded_fiber_module,
-    induce_product, inner_product, irrep_dim, restrict_branching, restrict_row,
+    induce_product, inner_product, irrep_dim, restrict_branching,
     sn_character, wn_character, wn_character_row, wn_classes, wn_order)
+
+
+def restrict_row(irrep):
+    """Values of Res chi^irrep on the classes of W_{n-1}, through the class
+    fusion W_{n-1} -> W_n."""
+    return {c.signature: wn_character(irrep, hyperoct.fuse_class_up(c.signature))
+            for c in wn_classes(irrep.n - 1)}
 
 
 def bp(s):

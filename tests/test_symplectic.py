@@ -8,13 +8,18 @@ from exospringer.bicomb import Bipartition, parse_bipartition
 from exospringer.census import transvection
 from exospringer.ffield import FpMatrix, Subspace, nilpotent_jordan_type
 from exospringer.symplectic import (
-    ExoticPair, NotInAError, NotInGIotaThetaError, SingularError,
-    SizeMismatchError, SymplecticSpace, normal_form_pair, nu_blocks)
+    ExoticPair, NotInAError, NotInGIotaThetaError, SizeMismatchError,
+    SymplecticSpace, normal_form_pair, nu_blocks)
 
 
 def all_matrices(rows, cols, p):
     for flat in itertools.product(range(p), repeat=rows * cols):
         yield FpMatrix([flat[i * cols:(i + 1) * cols] for i in range(rows)], p)
+
+
+def theta_group(sp, g):
+    """theta(g) = J^-1 g^-T J = (g^-1)*; involutive, with Sp fixed."""
+    return sp.adjoint(g.inverse())
 
 
 def test_form_conventions():
@@ -31,17 +36,17 @@ def test_form_conventions():
 def test_theta_examples(rng):
     sp = SymplecticSpace(2, 3)
     one = FpMatrix.identity(4, 3)
-    assert sp.theta_group(one) == one
+    assert theta_group(sp, one) == one
     g = random_sp_element(rng, sp)
     assert sp.membership(g, "H_group")
-    assert sp.theta_group(g) == g                       # fixed points are Sp
+    assert theta_group(sp, g) == g                      # fixed points are Sp
     for _ in range(10):
         a = random_invertible(rng, 4, 3)
         b = random_invertible(rng, 4, 3)
-        assert sp.theta_group(sp.theta_group(a)) == a   # involutive
-        assert sp.theta_group(a * b) == sp.theta_group(a) * sp.theta_group(b)
-    with pytest.raises(SingularError):
-        sp.theta_group(zeros(4, 4, 3))
+        assert theta_group(sp, theta_group(sp, a)) == a  # involutive
+        assert theta_group(sp, a * b) == theta_group(sp, a) * theta_group(sp, b)
+    with pytest.raises(ZeroDivisionError):
+        theta_group(sp, zeros(4, 4, 3))
 
 
 def test_klyachko_block_identity(rng):
@@ -50,7 +55,7 @@ def test_klyachko_block_identity(rng):
     for _ in range(5):
         x = random_invertible(rng, 2, 5)
         a = sp.embed_gl(x)
-        product = a * sp.theta_group(a).inverse()
+        product = a * theta_group(sp, a).inverse()
         assert product == sp.pair_block(x, x.transpose())
         assert product == sp.klyachko_embed(a)
 
@@ -79,7 +84,7 @@ def test_adjoint_examples(rng):
                 x = random_matrix(rng, dim, dim, p)
                 assert sp.adjoint(x) == inv_J * x.transpose() * J
                 g = random_invertible(rng, dim, p)
-                assert sp.theta_group(g) == inv_J * g.inverse().transpose() * J
+                assert theta_group(sp, g) == inv_J * g.inverse().transpose() * J
                 for m in (x, g):
                     member = m.transpose() * J * m == J
                     assert sp.membership(m, "H_group") == member
@@ -160,7 +165,7 @@ def test_g_theta_g_inverse_lands_in_locus(rng):
     sp = SymplecticSpace(2, 3)
     for _ in range(15):
         g = random_invertible(rng, 4, 3)
-        x = g * sp.theta_group(g).inverse()
+        x = g * theta_group(sp, g).inverse()
         assert sp.membership(x, "G_iota_theta")
 
 
