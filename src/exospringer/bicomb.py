@@ -127,15 +127,19 @@ class Bipartition:
 
 
 def parse_bipartition(text):
+    grammar = "bipartition must look like '2,1|1', got %r" % (text,)
     parts = text.strip().split("|")
     if len(parts) != 2:
-        raise ValueError("bipartition must look like '2,1|1', got %r" % (text,))
+        raise ValueError(grammar)
 
     def one(s):
         s = s.strip()
         if s in ("-", ""):
             return ()
-        return tuple(int(x) for x in s.split(","))
+        try:
+            return tuple(int(x) for x in s.split(","))
+        except ValueError:
+            raise ValueError(grammar) from None
 
     return Bipartition(one(parts[0]), one(parts[1]))
 

@@ -180,12 +180,9 @@ def iter_self_adjoint(space):
 
 
 def _is_nilpotent(x):
-    """x^n = 0 for 2n x 2n x, in n - 1 products; exact for self-adjoint x
-    only, whose Jordan type lambda u lambda (|lambda| = n) has parts <= n."""
-    power = x
-    for _ in range(x.rows // 2 - 1):
-        power = power * x
-    return power.is_zero()
+    """x^n = 0 for 2n x 2n x; exact for self-adjoint x only, whose Jordan
+    type lambda u lambda (|lambda| = n) has parts <= n."""
+    return x.power(x.rows // 2).is_zero()
 
 
 def _is_unipotent(x):

@@ -3,8 +3,9 @@
 Subcommands: orbits, hasse, chartable, springer, branch, classify,
 repr, verify.  Exit status: 0 success, 1 check failure (with a JSON
 mismatch report), 2 usage error (argparse's default), including any
---n below 1 (branch needs n >= 2).  Output is byte-deterministic for
-fixed inputs; verify reports carry no timings.
+--n below 1 (branch needs n >= 2) or past the command's size gate.
+Output is byte-deterministic for fixed inputs; verify reports carry no
+timings.
 """
 
 import argparse
@@ -15,6 +16,27 @@ from . import bicomb, census, classify, hyperoct, springer
 from .bicomb import bipartitions_of, format_bipartition, parse_bipartition
 from .ffield import check_modulus
 from .symplectic import ExoticPair, SymplecticSpace, normal_form_pair
+
+
+# The largest --n of each symbolic command: the largest n whose cold run
+# took under 5 s in every measurement (2-vCPU VM, Python 3.11.7); one
+# rank more takes 1.3-3.6x as long.  The census suites have census's gate.
+SYMBOLIC_MAX_N = {
+    "orbits": 24, "hasse": 12, "chartable": 13, "springer": 12, "branch": 10,
+    "verify --suite restriction": 10, "verify --suite determine": 10,
+    "verify --suite d-diff": 18, "verify --suite sum-squares": 21,
+}
+
+
+def _gate(args):
+    """Refuse an --n past the command's ceiling, before any table is built."""
+    name = args.command
+    if name == "verify":
+        name += " --suite " + args.suite
+    ceiling = SYMBOLIC_MAX_N.get(name)
+    if ceiling is not None and args.n > ceiling:
+        raise ValueError("%s is gated to n <= %d (got n=%d)"
+                         % (name, ceiling, args.n))
 
 
 def _rank(text):
@@ -163,10 +185,15 @@ def cmd_branch(args):
 
 def cmd_classify(args):
     if args.input == "-":
-        obj = json.load(sys.stdin)
+        text = sys.stdin.read()
     else:
         with open(args.input) as fh:
-            obj = json.load(fh)
+            text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("classify --input %s is not JSON: %s"
+                         % (args.input, exc)) from None
     pair = ExoticPair.from_json(obj)
     label = classify.exotic_type(pair)
     n = pair.space.n
@@ -264,6 +291,7 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _gate(args)
         return COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -251,28 +251,25 @@ class FpMatrix:
         p = self.p
         return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
-    def is_nilpotent(self):
-        """N^k = 0 for some k; squares up to a power >= m, as N^m = 0."""
-        if not self.is_square():
-            raise NonSquareError("nilpotence of non-square matrix")
-        power, k = self, 1
-        while k < self.rows:
-            power = power * power
-            k *= 2
-        return power.is_zero()
-
     def power(self, k):
+        """self^k by squaring, starting from k's lowest set bit so that no
+        product is by the identity: floor(log2 k) + popcount(k) - 1 products."""
         if k < 0:
             raise ValueError("negative matrix power")
         if not self.is_square():
             raise NonSquareError("power of non-square matrix")
-        result = FpMatrix.identity(self.rows, self.p)
+        if k == 0:
+            return FpMatrix.identity(self.rows, self.p)
         base = self
-        while k:
-            if k & 1:
-                result = result * base
+        while not k & 1:
             base = base * base
             k >>= 1
+        result = base
+        while k > 1:
+            base = base * base
+            k >>= 1
+            if k & 1:
+                result = result * base
         return result
 
     # -- elimination --------------------------------------------------
@@ -371,11 +368,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d of %d, p=%d)" % (self.dim, self.ambient_dim, self.p)
-
-    def coordinates(self, vec):
-        """Coefficients of vec in the echelon basis, or None."""
-        coeffs, rest = self._reduce([int(x) % self.p for x in vec])
-        return None if any(rest) else coeffs
 
     def _reduce(self, vec):
         """(coefficients, remainder) of vec, entries in [0, p), against the

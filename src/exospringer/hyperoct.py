@@ -322,17 +322,6 @@ def restrict_branching(n):
     return out
 
 
-class GradedWnModule:
-    """Even-graded W_n module recorded as multiplicity vectors."""
-
-    def __init__(self, n, degrees):
-        self.n = n
-        self.degrees = degrees  # degree -> {Bipartition: multiplicity}
-        for mults in degrees.values():
-            if any(m < 0 for m in mults.values()):
-                raise AssertionError("negative multiplicity in %r" % (mults,))
-
-
 def _subset_weight_poly(alpha, beta):
     """Coefficients of prod (1 + t^a_i) prod (1 - t^b_j).
 
@@ -363,7 +352,8 @@ def graded_fiber_module(n, m, rho1, rho2):
     partition of n - m twisted against the graded cohomology of
     (P^1)^(n-m), whose degree-2k piece is the k-subset permutation
     module with sign factors on the chosen coordinates.  Returns the
-    W_n-irrep decomposition degree by degree.
+    W_n-irrep decomposition degree by degree, as
+    {degree: {Bipartition: multiplicity}}.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
@@ -397,4 +387,4 @@ def graded_fiber_module(n, m, rho1, rho2):
             if mult:
                 mults[irrep] = mult
         degrees[2 * k] = mults
-    return GradedWnModule(n, degrees)
+    return degrees

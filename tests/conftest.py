@@ -11,6 +11,20 @@ def rng():
     return random.Random(20260809)
 
 
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """A list that grows by one entry per FpMatrix product in the test."""
+    calls = []
+    mul = FpMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FpMatrix, "__mul__", counted)
+    return calls
+
+
 def zeros(rows, cols, p):
     return FpMatrix(((0,) * cols,) * rows, p)
 

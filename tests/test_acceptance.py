@@ -190,8 +190,8 @@ def test_11_character_table_integrity():
                 assert total == (c1.centralizer_order
                                  if c1.signature == c2.signature else 0)
     g = graded_fiber_module(3, 3, (2, 1), ())
-    assert g.degrees == {0: {Bipartition((2, 1), ()): 1}}
+    assert g == {0: {Bipartition((2, 1), ()): 1}}
     g1 = graded_fiber_module(1, 0, (), (1,))
-    assert g1.degrees[0] == {Bipartition((1,), ()): 1}
-    assert g1.degrees[2] == {Bipartition((), (1,)): 1}
+    assert g1[0] == {Bipartition((1,), ()): 1}
+    assert g1[2] == {Bipartition((), (1,)): 1}
     report(11, "character-table-integrity", time.perf_counter() - t0, 120)

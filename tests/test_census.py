@@ -330,17 +330,29 @@ def test_group_order_check_survives_python_O(monkeypatch):
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
 def test_cone_tests_match_is_nilpotent_on_self_adjoint_x(n, p):
     # x^n = 0 and (x - 1)^n = 0 decide the cone because a self-adjoint
-    # nilpotent has doubled Jordan type; the full test squares up to x^2n
+    # nilpotent has doubled Jordan type; the oracle is x^2n = 0, which
+    # decides nilpotence for every 2n x 2n matrix
     space = SymplecticSpace(n, p)
     one = FpMatrix.identity(2 * n, p)
     kept = {"lie": 0, "group": 0}
     for x in iter_self_adjoint(space):
-        nilpotent, unipotent = x.is_nilpotent(), (x - one).is_nilpotent()
+        nilpotent = x.power(2 * n).is_zero()
+        unipotent = (x - one).power(2 * n).is_zero()
         assert census_mod._is_nilpotent(x) == nilpotent
         assert census_mod._is_unipotent(x) == unipotent
         kept["lie"] += nilpotent
         kept["group"] += unipotent
     assert kept == {"lie": p ** (2 * n * n - 2 * n), "group": p ** (2 * n * n - 2 * n)}
+
+
+def test_cone_test_takes_one_product_at_n2_and_none_at_n1(matmul_calls):
+    # x^n by FpMatrix.power: x^2 is one product and x^1 none
+    for n, products in ((1, 0), (2, 1)):
+        for x in list(iter_self_adjoint(SymplecticSpace(n, 3)))[:40]:
+            del matmul_calls[:]
+            census_mod._is_nilpotent(x)
+            census_mod._is_unipotent(x)
+            assert len(matmul_calls) == 2 * products
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3)])

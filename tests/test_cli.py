@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -240,6 +241,26 @@ def test_mistyped_pair_json_field_is_a_usage_error(capsys, where, field,
     assert "Traceback" not in out.stderr
 
 
+def test_classify_input_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "pair.txt"
+    path.write_text("not json\n")
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: classify --input %s is not JSON: "
+                                   % path)
+
+
+def test_repr_label_with_a_non_integer_part_gets_the_grammar(capsys):
+    code = main(["repr", "--n", "2", "--label", "2|x", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bipartition must look like '2,1|1', "
+                            "got '2|x'\n")
+
+
 def test_huge_prime_modulus_is_a_quick_usage_error(capsys):
     # 2^61 - 1 is prime; it must be refused for its size, not trial-divided
     _, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
@@ -283,6 +304,36 @@ def test_census_check_orbits_at_p5_is_gated(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert "Sp_4(F_5) has 9360000 elements" in captured.err
+
+
+def test_symbolic_commands_are_gated_before_any_table(monkeypatch, capsys):
+    from exospringer import bicomb, cli, hyperoct, springer
+
+    def no_table(*args):
+        raise RuntimeError("a table was built past the size gate")
+
+    for module, name in ((hyperoct, "CharacterTable"),
+                         (hyperoct, "restrict_branching"),
+                         (bicomb, "hasse_covers"), (cli, "bipartitions_of"),
+                         (springer, "springer_table"),
+                         (springer, "verify_restriction"),
+                         (springer, "determine_correspondence"),
+                         (springer, "d_difference_check"),
+                         (springer, "sum_squares_check")):
+        monkeypatch.setattr(module, name, no_table)
+    t0 = time.perf_counter()
+    assert main(["chartable", "--n", "40"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == \
+        "error: chartable is gated to n <= 13 (got n=40)\n"
+    for name, ceiling in cli.SYMBOLIC_MAX_N.items():
+        argv = name.split() + ["--n", str(ceiling + 1)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "n <= %d (got n=%d)" % (ceiling, ceiling + 1) in captured.err
+    # every size the benchmark runs stays under its ceiling
+    assert min(cli.SYMBOLIC_MAX_N.values()) >= 8
 
 
 def test_orbits_json(capsys):

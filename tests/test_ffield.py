@@ -23,7 +23,10 @@ def field_arith(a, b, op, p):
 
 
 def contains(subspace, vec):
-    return subspace.coordinates(vec) is not None
+    # vec lies in the span iff adding it leaves the dimension unchanged
+    grown = Subspace(subspace.ambient_dim, subspace.basis + (tuple(vec),),
+                     subspace.p)
+    return grown.dim == subspace.dim
 
 
 def egcd_inverse(a, p):
@@ -176,7 +179,9 @@ def test_commutant_closed_under_product(rng):
 def test_jordan_type_examples():
     assert nilpotent_jordan_type(zeros(3, 3, 3)) == (1, 1, 1)
     assert nilpotent_jordan_type(jordan_block_nilpotent(4, 5)) == (4,)
-    assert all(jordan_block_nilpotent(m, 3).is_nilpotent() for m in range(1, 6))
+    assert all(jordan_block_nilpotent(m, 3).power(m).is_zero()
+               and not jordan_block_nilpotent(m, 3).power(m - 1).is_zero()
+               for m in range(1, 6))
     n22 = FpMatrix([[0, 0, 1, 0], [0, 0, 0, 1],
                     [0, 0, 0, 0], [0, 0, 0, 0]], 3)
     assert (n22 * n22).is_zero() and n22.rank() == 2
@@ -189,13 +194,32 @@ def test_jordan_type_errors():
         nilpotent_jordan_type(FpMatrix.identity(2, 3))
     # singular but not nilpotent: the ranks 3, 2, 2 stall above 0
     idempotent = FpMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3)
-    assert not idempotent.is_nilpotent()
+    assert idempotent.power(3) == idempotent     # no power vanishes
     with pytest.raises(NotNilpotentError):
         nilpotent_jordan_type(idempotent)
     with pytest.raises(NonSquareError):
         nilpotent_jordan_type(zeros(2, 3, 3))
     with pytest.raises(NonSquareError):
-        zeros(2, 3, 3).is_nilpotent()
+        zeros(2, 3, 3).power(2)
+
+
+def test_power_matches_repeated_products_at_its_product_count(matmul_calls, rng):
+    # power squares from k's lowest set bit, never multiplying by the
+    # identity: floor(log2 k) + popcount(k) - 1 products for k >= 1
+    a = random_invertible(rng, 3, 5)
+    naive = [FpMatrix.identity(3, 5)]
+    for _ in range(20):
+        naive.append(naive[-1] * a)
+    for k, expected in enumerate(naive):
+        del matmul_calls[:]
+        assert a.power(k) == expected
+        assert len(matmul_calls) == (k.bit_length() + bin(k).count("1") - 2
+                                     if k else 0)
+    assert a.power(0) == FpMatrix.identity(3, 5)
+    with pytest.raises(ValueError):
+        a.power(-1)
+    with pytest.raises(NonSquareError):
+        zeros(2, 3, 3).power(1)
 
 
 def test_jordan_conjugation_invariant(rng):

@@ -35,7 +35,7 @@ def identity_class(n):
 def total_dim(module):
     # dimension of a graded W_n module: sum of multiplicity times irrep dim
     return sum(m * irrep_dim(label)
-               for mults in module.degrees.values()
+               for mults in module.values()
                for label, m in mults.items())
 
 
@@ -372,11 +372,11 @@ def test_corrupted_table_checks_survive_python_O():
 
 def test_graded_fiber_top_and_bottom():
     g = graded_fiber_module(1, 0, (), (1,))
-    assert g.degrees[0] == {bp("1|-"): 1}
-    assert g.degrees[2] == {bp("-|1"): 1}
+    assert g[0] == {bp("1|-"): 1}
+    assert g[2] == {bp("-|1"): 1}
     g2 = graded_fiber_module(3, 3, (2, 1), ())
-    assert list(g2.degrees) == [0]
-    assert g2.degrees[0] == {bp("2,1|-"): 1}
+    assert list(g2) == [0]
+    assert g2[0] == {bp("2,1|-"): 1}
     for n in range(1, 5):
         g3 = graded_fiber_module(n, 0, (), (n,))
         assert total_dim(g3) == 2 ** n
@@ -384,7 +384,7 @@ def test_graded_fiber_top_and_bottom():
     for (n, m, r1, r2) in ((3, 1, (1,), (2,)), (4, 2, (1, 1), (2,)),
                            (3, 2, (2,), (1,))):
         g4 = graded_fiber_module(n, m, r1, r2)
-        assert g4.degrees[2 * (n - m)] == {Bipartition(r1, r2): 1}
+        assert g4[2 * (n - m)] == {Bipartition(r1, r2): 1}
 
 
 def test_graded_fiber_errors():
