@@ -89,11 +89,13 @@ def standard_tableau_count(parts):
 class Bipartition:
     """Ordered pair of partitions; the universal label of this package."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ("first", "second", "_hash")
 
     def __init__(self, first, second):
         object.__setattr__(self, "first", check_partition(first))
         object.__setattr__(self, "second", check_partition(second))
+        # labels key the census's dicts, one lookup per labelled line
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
 
     def __setattr__(self, *a):
         raise AttributeError("Bipartition is immutable")
@@ -107,7 +109,7 @@ class Bipartition:
                 and self.first == other.first and self.second == other.second)
 
     def __hash__(self):
-        return hash((self.first, self.second))
+        return self._hash
 
     def __repr__(self):
         return "Bipartition(%r, %r)" % (self.first, self.second)

@@ -80,8 +80,8 @@ def transvection(space, u):
     return mat
 
 
-def sp_generators(space):
-    """Transvections along e_i, f_i and e_i + f_j; generate Sp_2n(F_p)."""
+def _sp_frame(space):
+    """e_i, f_i and e_i + f_j: the directions of the generating transvections."""
     n = space.n
     frame = [space.e(i) for i in range(1, n + 1)]
     frame += [space.f(i) for i in range(1, n + 1)]
@@ -89,7 +89,12 @@ def sp_generators(space):
         for j in range(1, n + 1):
             ei, fj = space.e(i), space.f(j)
             frame.append(tuple((a + b) % space.p for a, b in zip(ei, fj)))
-    return [transvection(space, u) for u in frame]
+    return frame
+
+
+def sp_generators(space):
+    """Transvections along e_i, f_i and e_i + f_j; generate Sp_2n(F_p)."""
+    return [transvection(space, u) for u in _sp_frame(space)]
 
 
 def sp_group_elements(n, p):
@@ -227,12 +232,13 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
 
 
 def seeded_basis_change(space, seed):
-    """A reproducible symplectic element: a seeded word in the generators."""
+    """A reproducible symplectic element: a seeded word in the generators,
+    of which only the 12 drawn are built."""
     rng = random.Random(seed)
-    gens = sp_generators(space)
+    frame = _sp_frame(space)
     g = FpMatrix.identity(space.dim, space.p)
     for _ in range(12):
-        g = g * rng.choice(gens)
+        g = g * transvection(space, rng.choice(frame))
     return g
 
 

@@ -12,9 +12,11 @@ W = sum_j t^(b_j) M_j, with the b_j read off the valuations of v's
 coordinates on each chain (Achar-Henderson, Orbit closures in the
 enhanced nilpotent cone, Adv. Math. 2008).
 
-Stabilizer dimensions are computed as kernels of explicit linear
-systems on the symplectic Lie algebra, built from the at most two
-nonzero entries of each basis element; the geometric (algebraic-group)
+Stabilizer dimensions are kernels of explicit linear systems on the
+symplectic Lie algebra.  For self-adjoint x the bracket [h, x] is
+self-adjoint too, so h x = x h is read on its 2n^2 - n self-adjoint
+coordinates only; each column is built from the at most two nonzero
+entries of a basis element.  The geometric (algebraic-group)
 dimensions are recovered on the nose for odd p (checked across
 several primes in the tests).
 """
@@ -132,15 +134,19 @@ def _kernel_dim(space, conditions, num_unknowns):
 
 
 def _stabilizer_rows(space, basis, x, v, line=None):
-    """Linear conditions on sp-coefficients: h x = x h, h v = 0, h<w> in <w>.
+    """Linear conditions on sp-coefficients: [h, x] = 0, h v = 0, h<w> in <w>.
 
-    Every basis element has at most two nonzero entries, so each column
-    is built from those: c E_ij adds c x[j] to row i of h x, c x[:, i]
-    to column j of x h, and c v_j to entry i of h v.
+    x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
+    zero iff its 2n^2 - n coordinates, its entries at the leading 1s of
+    the self-adjoint basis, are.  Every basis element has at most two
+    nonzero entries, so each column is built from those: c E_ij adds
+    c x[j] to row i of h x, c x[:, i] to column j of x h, and c v_j to
+    entry i of h v.
     """
     dim, p = space.dim, space.p
     xe = x.entries
     xt = tuple(zip(*xe))
+    coords = [(i, j) for i, j, _, _, _ in space.adjoint_units(1)]
     if line is not None:
         k = next(i for i, c in enumerate(line) if c)
     cols = []
@@ -158,7 +164,7 @@ def _stabilizer_rows(space, basis, x, v, line=None):
                         hv[i] += c * v[j]
                     if line is not None:
                         hw[i] += c * line[j]
-        col = [a % p for row in img for a in row]
+        col = [img[i][j] % p for i, j in coords]
         if v is not None:
             col += [a % p for a in hv]
         if line is not None:
@@ -169,7 +175,8 @@ def _stabilizer_rows(space, basis, x, v, line=None):
 
 
 def stabilizer_dim(pair, include_v):
-    """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}."""
+    """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}; pair.x is
+    self-adjoint, as every validated pair's is."""
     space = pair.space
     basis = space.adjoint_eigenbasis(-1)
     rows = _stabilizer_rows(space, basis, pair.x, pair.v if include_v else None)

@@ -288,8 +288,22 @@ COMMANDS = {
 }
 
 
+def _join_label(argv):
+    """argv with each '--label VALUE' joined as '--label=VALUE': a label
+    with an empty first component, such as '-|3', starts with '-', and
+    argparse reads a separate value that starts with '-' as an option."""
+    out, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--label" and rest:
+            arg += "=" + rest.pop(0)
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_label(argv))
     try:
         _gate(args)
         return COMMANDS[args.command](args)

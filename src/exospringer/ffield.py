@@ -281,7 +281,29 @@ class FpMatrix:
         return FpMatrix._trusted(tuple(map(tuple, red)), self.p), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Forward elimination only: each pivot row, unnormalised, clears
+        its column from the rows left, and rows that become zero are dropped."""
+        p = self.p
+        rows = [row for row in self.entries if any(row)]
+        rank = 0
+        for c in range(self.cols):
+            top = next((row for row in rows if row[c]), None)
+            if top is None:
+                continue
+            rank += 1
+            rows.remove(top)
+            inv = inv_mod(top[c], p)
+            rest = []
+            for row in rows:
+                f = row[c]
+                if f:
+                    f *= inv
+                    row = [(a - f * b) % p for a, b in zip(row, top)]
+                    if not any(row):
+                        continue
+                rest.append(row)
+            rows = rest
+        return rank
 
     def kernel_basis(self):
         """Canonical Subspace {v : Mv = 0} of the column space F_p^cols."""
@@ -452,7 +474,8 @@ def jordan_chains(n_mat):
     chains first, so the lengths are the Jordan type and P^-1 v splits
     into one block of coordinates per chain, index k on N^k u.  The tops
     are found top-down: those of length s are the vectors of ker N^s
-    independent of ker N^(s-1) and of the longer chains' vectors there.
+    independent of ker N^(s-1) and of the longer chains' vectors there,
+    each candidate reduced against the echelon span found so far.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan chains of non-square matrix")
@@ -465,9 +488,8 @@ def jordan_chains(n_mat):
         span = Subspace._trusted(
             m, below + tuple(c[len(c) - s] for c in chains), p)
         for w in kernels[s - 1].basis:
-            grown = Subspace._trusted(m, span.basis + (w,), p)
-            if grown.dim > span.dim:
-                span = grown
+            if any(span._reduce(w)[1]):
+                span = Subspace._trusted(m, span.basis + (w,), p)
                 chain = [w]
                 for _ in range(s - 1):
                     chain.append(n_mat.apply(chain[-1]))

@@ -94,20 +94,34 @@ class SymplecticSpace:
             for pk, sk in perm), p)
 
     def adjoint_eigenbasis(self, sign):
-        """Basis of {x : x* = sign x}, in canonical reduced-echelon order.
+        """Basis of {x : x* = sign x}, in canonical reduced-echelon order:
+        E_ij + c E_kl for each (i, j, k, l, c) of `adjoint_units(sign)`."""
+        dim, p = self.dim, self.p
+        basis = []
+        for i, j, k, l, coeff in self.adjoint_units(sign):
+            m = [[0] * dim for _ in range(dim)]
+            m[i][j] = 1
+            m[k][l] = coeff
+            basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
+        return basis
+
+    def adjoint_units(self, sign):
+        """(i, j, k, l, c) per element E_ij + c E_kl of `adjoint_eigenbasis`,
+        whose leading 1 is at (i, j): an x with x* = sign x has its
+        coordinates in that basis as its entries at these (i, j).
 
         sign = 1 gives the self-adjoint matrices (dim 2n^2 - n), sign = -1
         the symplectic Lie algebra (dim 2n^2 + n).  By the adjoint's
         signed permutation, E_ij* = s_k s_l E_kl with k = pi^-1(j) and
         l = pi^-1(i); each unit, in row-major order, is paired with its
         image: E_ij + sign s_k s_l E_kl for the first unit of a pair,
-        E_ij alone when it is its own image with s_k s_l = sign.
+        E_ij alone (k, l = i, j) when it is its own image with s_k s_l = sign.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be 1 or -1, got %r" % (sign,))
         dim, p = self.dim, self.p
         preimage = {pb: (b, sb) for b, (pb, sb) in enumerate(self._signed_perm)}
-        basis = []
+        units = []
         for i in range(dim):
             l, s_l = preimage[i]
             for j in range(dim):
@@ -117,16 +131,13 @@ class SymplecticSpace:
                 coeff = sign * s_k * s_l % p
                 if (k, l) == (i, j) and coeff != 1:
                     continue
-                m = [[0] * dim for _ in range(dim)]
-                m[i][j] = 1
-                m[k][l] = coeff
-                basis.append(FpMatrix._trusted(tuple(map(tuple, m)), p))
+                units.append((i, j, k, l, coeff))
         expected = 2 * self.n * self.n - sign * self.n
-        if len(basis) != expected:
+        if len(units) != expected:
             raise AssertionError("the %+d-eigenspace of the adjoint has %d "
                                  "basis elements, expected %d"
-                                 % (sign, len(basis), expected))
-        return basis
+                                 % (sign, len(units), expected))
+        return units
 
     def membership(self, x, which):
         """Membership predicates for the theta-loci.

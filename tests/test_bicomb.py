@@ -218,3 +218,14 @@ def test_dot_output():
     dot = hasse_dot(2)
     assert dot.startswith("digraph")
     assert '"2|-" -> "1|1";' in dot
+
+
+def test_equal_bipartitions_hash_equal():
+    a = Bipartition((2, 1), (1,))
+    equal = (parse_bipartition("2,1|1"), Bipartition([2, 1, 0], (1, 0)),
+             Bipartition((2, 1), (1,)))
+    for b in equal:
+        assert a == b and hash(a) == hash(b) and b is not a
+    assert hash(a) == hash(((2, 1), (1,)))
+    assert a != Bipartition((1,), (2, 1))
+    assert {a: "2,1|1"}[equal[1]] == "2,1|1"

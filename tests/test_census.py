@@ -1,10 +1,12 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_sp_element, zeros
 from exospringer import census as census_mod, classify
@@ -400,3 +402,29 @@ def test_each_orbit_pass_builds_the_tables_once(monkeypatch):
             run()
             assert len(builds) == calls    # built per call, never reused
         builds.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from((3, 5, 7, 2**31 - 1)),
+       st.integers(0, 2**31 - 1))
+def test_seeded_basis_change_is_the_word_in_all_generators(n, p, seed):
+    # the old construction: every generator built, then a word of 12
+    space = SymplecticSpace(n, p)
+    assert census_mod.seeded_basis_change(space, seed) == \
+        random_sp_element(random.Random(seed), space, word_len=12)
+
+
+def test_seeded_basis_change_builds_only_the_drawn_transvections(monkeypatch):
+    built = []
+    transvection = census_mod.transvection
+
+    def counted(space, u):
+        built.append(u)
+        return transvection(space, u)
+
+    monkeypatch.setattr(census_mod, "transvection", counted)
+    for n in (1, 4):
+        built.clear()
+        g = census_mod.seeded_basis_change(SymplecticSpace(n, 5), 11)
+        assert len(built) == 12
+        assert SymplecticSpace(n, 5).membership(g, "H_group")

@@ -345,17 +345,59 @@ def dense_stabilizer_rows(space, basis, x, v, line):
 
 @pytest.mark.parametrize("p", (3, 2**31 - 1))
 def test_sparse_stabilizer_rows_match_dense_products(rng, p):
+    # for self-adjoint x the bracket [h, x] is self-adjoint, so its rows
+    # are the dense rows at the leading 1s of the self-adjoint basis, and
+    # they cut out the same kernel as the full dense system
     from exospringer.classify import _stabilizer_rows
     for n in (1, 2, 3, 4):
         space = SymplecticSpace(n, p)
+        dim = space.dim
         basis = space.adjoint_eigenbasis(-1)
         assert all(sum(map(bool, sum(h.entries, ()))) <= 2 for h in basis)
+        coords = [sum(b.entries, ()).index(1)
+                  for b in space.adjoint_eigenbasis(1)]
         for label in bipartitions_of(n)[:3]:
             pair = normal_form_pair(label, space).pair
-            x = random_sp_element(rng, space) * pair.x
-            line = tuple(rng.randrange(p) for _ in range(space.dim))
+            g = random_sp_element(rng, space)
+            x = g * pair.x * g.inverse()
+            assert space.membership(x, "g_minus_theta")
+            v = g.apply(pair.v)
+            line = tuple(rng.randrange(p) for _ in range(dim))
             line = line if any(line) else space.e(1)
-            for v, w in ((None, None), (pair.v, None), (pair.v, line),
-                         (None, line)):
-                assert _stabilizer_rows(space, basis, x, v, line=w) == \
-                    dense_stabilizer_rows(space, basis, x, v, w)
+            for v, w in ((None, None), (v, None), (v, line), (None, line)):
+                rows = _stabilizer_rows(space, basis, x, v, line=w)
+                dense = dense_stabilizer_rows(space, basis, x, v, w)
+                assert rows[:len(coords)] == [dense[c] for c in coords]
+                assert rows[len(coords):] == dense[dim * dim:]
+                assert FpMatrix(rows, p).rank() == \
+                    len(FpMatrix(dense, p).rref()[1])
+
+
+def test_stabilizer_dim_cost(monkeypatch):
+    # n = 4: one system of 2n^2 - n commutator rows and 2n v rows, ranked
+    # by forward elimination with no reduced echelon form
+    n, p = 4, 5
+    space = SymplecticSpace(n, p)
+    label = Bipartition((2, 1), (1,))
+    nf = normal_form_pair(label, space)
+    g = seeded_basis_change(space, 3)
+    pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
+                      nf.pair.flavor)
+    systems, rref_calls = [], []
+    stabilizer_rows, rref_rows = classify._stabilizer_rows, ffield._rref_rows
+
+    def recorded(*args, **kwargs):
+        rows = stabilizer_rows(*args, **kwargs)
+        systems.append((len(rows), len(rows[0])))
+        return rows
+
+    def counted(*args):
+        rref_calls.append(1)
+        return rref_rows(*args)
+
+    monkeypatch.setattr(classify, "_stabilizer_rows", recorded)
+    monkeypatch.setattr(ffield, "_rref_rows", counted)
+    assert stabilizer_dim(pair, include_v=True) == \
+        2 * n * n + n - orbit_dim(label, n)
+    assert systems == [(2 * n * n - n + 2 * n, 2 * n * n + n)]
+    assert rref_calls == []

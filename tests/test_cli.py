@@ -252,6 +252,17 @@ def test_classify_input_that_is_not_json_is_named(tmp_path, capsys):
                                    % path)
 
 
+@pytest.mark.parametrize("label_args", (["--label", "-|3"], ["--label=-|3"]))
+def test_repr_label_with_an_empty_first_component(capsys, label_args):
+    from exospringer import classify
+    from exospringer.bicomb import Bipartition
+    from exospringer.symplectic import ExoticPair
+    code, out = run(capsys, "repr", "--n", "3", "--p", "3", *label_args)
+    assert code == 0
+    pair = ExoticPair.from_json(json.loads(out))
+    assert classify.exotic_type(pair) == Bipartition((), (3,))
+
+
 def test_repr_label_with_a_non_integer_part_gets_the_grammar(capsys):
     code = main(["repr", "--n", "2", "--label", "2|x", "--p", "3"])
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix, random_invertible, zeros
 from exospringer.ffield import (
@@ -284,6 +285,48 @@ def test_jordan_chains_match_jordan_type(rng):
                 # P^-1 N P is the chain form, so P^-1 is a chain basis change
                 p_mat = p_inv.inverse()
                 assert p_inv * n_mat * p_mat == chain_form(lengths, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_jordan_chains_conjugate_random_nilpotents_to_chain_form(data):
+    p = data.draw(st.sampled_from((3, 7, 2**31 - 1)))
+    m = data.draw(st.integers(1, 8))
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(data.draw(st.integers(1, m - sum(sizes))))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    # g = L U with unit-diagonal triangular factors is invertible
+    lower = FpMatrix([[data.draw(entry) if j < i else int(i == j)
+                       for j in range(m)] for i in range(m)], p)
+    upper = FpMatrix([[data.draw(entry) if j > i else int(i == j)
+                       for j in range(m)] for i in range(m)], p)
+    g = lower * upper
+    n_mat = g * chain_form(sorted(sizes, reverse=True), p) * g.inverse()
+    lengths, p_inv = jordan_chains(n_mat)
+    assert lengths == tuple(sorted(sizes, reverse=True))
+    assert p_inv * n_mat * p_inv.inverse() == chain_form(lengths, p)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """A rows x cols product of rows x k and k x cols factors: tall, wide,
+    zero (k = 0) and rank-deficient shapes."""
+    p = draw(st.sampled_from((3, 7, 2**31 - 1)))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    a = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+    return FpMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                     if k else [0] * cols for row in a], p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_matrices())
+def test_rank_by_forward_elimination_matches_rref(m):
+    assert m.rank() == len(m.rref()[1])
+    assert m.is_invertible() == (m.is_square() and len(m.rref()[1]) == m.rows)
 
 
 def test_jordan_chains_errors():
