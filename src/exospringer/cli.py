@@ -55,52 +55,73 @@ def _add_common(sub, p=False, fmt=None):
         sub.add_argument("--format", choices=fmt, default=fmt[0])
 
 
-def build_parser():
+def _add_springer(sub):
+    _add_common(sub, fmt=("json", "tsv"))
+    sub.add_argument("--census-p", type=int, default=None,
+                     help="join exact point counts over F_p (census gates apply)")
+
+
+def _add_classify(sub):
+    sub.add_argument("--input", required=True,
+                     help="path to ExoticPair JSON, or - for stdin")
+
+
+def _add_repr(sub):
+    _add_common(sub, p=True)
+    sub.add_argument("--label", required=True, help="bipartition, e.g. '2,1|1'")
+
+
+def _add_verify(sub):
+    sub.add_argument("--suite", required=True,
+                     choices=("restriction", "d-diff", "sum-squares",
+                              "determine", "census", "klyachko"))
+    sub.add_argument("--n", type=_rank, required=True)
+    sub.add_argument("--p", type=int, default=3)
+    sub.add_argument("--flavor", choices=("lie", "group"), default="lie")
+    # Serial only: perfbench/workloads.py passes --jobs 1 to every census
+    # item, so the flag stays, hidden, until the benchmark stops passing it.
+    sub.add_argument("--jobs", type=int, choices=(1,), default=1,
+                     help=argparse.SUPPRESS)
+    sub.add_argument("--check-orbits", action="store_true")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="census only: classify through a seeded symplectic "
+                          "basis change; counts must match the unseeded run")
+
+
+# Each subcommand once: its name, its help line and what adds its arguments.
+SUBCOMMANDS = (
+    ("orbits", "orbit labels with dimensions",
+     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
+    ("hasse", "closure-order Hasse diagram",
+     lambda sub: _add_common(sub, fmt=("dot", "tsv", "json"))),
+    ("chartable", "W_n character table",
+     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
+    ("springer", "the full Springer table", _add_springer),
+    ("branch", "branching matrix W_n down to W_{n-1}",
+     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
+    ("classify", "classify an exotic pair from JSON", _add_classify),
+    ("repr", "normal-form representative of a label", _add_repr),
+    ("verify", "run a verification suite", _add_verify),
+)
+
+
+def build_parser(command=None):
+    """The CLI parser with every subcommand, or with only `command`'s.
+
+    A narrowed parser's usage line still lists every subcommand, so it
+    prints the same help and errors as the full one.
+    """
+    listed = None
+    if command is not None:
+        listed = "{%s}" % ",".join(name for name, _, _ in SUBCOMMANDS)
     ap = argparse.ArgumentParser(
         prog="exospringer",
         description="Orbit tables, hyperoctahedral characters and "
                     "finite-field censuses for the exotic nilpotent cone.")
-    subs = ap.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("orbits", help="orbit labels with dimensions")
-    _add_common(s, fmt=("tsv", "json"))
-
-    s = subs.add_parser("hasse", help="closure-order Hasse diagram")
-    _add_common(s, fmt=("dot", "tsv", "json"))
-
-    s = subs.add_parser("chartable", help="W_n character table")
-    _add_common(s, fmt=("tsv", "json"))
-
-    s = subs.add_parser("springer", help="the full Springer table")
-    _add_common(s, fmt=("json", "tsv"))
-    s.add_argument("--census-p", type=int, default=None,
-                   help="join exact point counts over F_p (census gates apply)")
-
-    s = subs.add_parser("branch", help="branching matrix W_n down to W_{n-1}")
-    _add_common(s, fmt=("tsv", "json"))
-
-    s = subs.add_parser("classify", help="classify an exotic pair from JSON")
-    s.add_argument("--input", required=True, help="path to ExoticPair JSON, or - for stdin")
-
-    s = subs.add_parser("repr", help="normal-form representative of a label")
-    _add_common(s, p=True)
-    s.add_argument("--label", required=True, help="bipartition, e.g. '2,1|1'")
-
-    s = subs.add_parser("verify", help="run a verification suite")
-    s.add_argument("--suite", required=True,
-                   choices=("restriction", "d-diff", "sum-squares",
-                            "determine", "census", "klyachko"))
-    s.add_argument("--n", type=_rank, required=True)
-    s.add_argument("--p", type=int, default=3)
-    s.add_argument("--flavor", choices=("lie", "group"), default="lie")
-    # Serial only: perfbench/workloads.py passes --jobs 1 to every census
-    # item, so the flag stays, hidden, until the benchmark stops passing it.
-    s.add_argument("--jobs", type=int, choices=(1,), default=1,
-                   help=argparse.SUPPRESS)
-    s.add_argument("--check-orbits", action="store_true")
-    s.add_argument("--seed", type=int, default=0,
-                   help="census only: classify through a seeded symplectic "
-                        "basis change; counts must match the unseeded run")
+    subs = ap.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, text, add_arguments in SUBCOMMANDS:
+        if command in (None, name):
+            add_arguments(subs.add_parser(name, help=text))
     return ap
 
 
@@ -303,7 +324,8 @@ def _join_label(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_label(argv))
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(_join_label(argv))
     try:
         _gate(args)
         return COMMANDS[args.command](args)

@@ -293,12 +293,41 @@ def fuse_class_up(signature):
     return Bipartition(_merge_sorted(signature.first, (1,)), signature.second)
 
 
+def _dot_rows(rows, table):
+    """[[sum(map(mul, a, t)) for t in table] for a in rows], exactly, with
+    one big-integer dot product per row (Kronecker substitution).
+
+    Column j of the table is packed once as C_j = sum_k table[k][j] 2^(wk).
+    Then sum_j a_j C_j holds <a, table[k]> as its base-2^w digit k.  The
+    width w is whole bytes, taken from the data: every |<a, t>| is at most
+    (sum_j |a_j|) * max |t_j| < 2^(w-2), so adding 2^(w-1) to each digit
+    makes every digit lie in [0, 2^w), none borrows from the next, and the
+    bytes of the sum are the digits.
+    """
+    table = list(table)
+    top = max((abs(x) for t in table for x in t), default=0)
+    reach = max((sum(map(abs, a)) for a in rows), default=0) * top
+    size = (reach.bit_length() + 2 + 7) // 8
+    width = 8 * size
+    half = 1 << (width - 1)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * len(table), "little")
+    columns = [sum(x << (width * k) for k, x in enumerate(column))
+               for column in zip(*table)]
+    out = []
+    for a in rows:
+        packed = (sum(map(mul, a, columns)) + offset).to_bytes(size * len(table),
+                                                              "little")
+        out.append([int.from_bytes(packed[i:i + size], "little") - half
+                    for i in range(0, len(packed), size)])
+    return out
+
+
 def restrict_branching(n):
     """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1).
 
-    Each entry is sum_c |c| Res chi(c) chi'(c) / |W_{n-1}|, an integer
-    dot product over class-ordered rows; a non-zero remainder raises
-    AssertionError.
+    Each entry is sum_c |c| Res chi(c) chi'(c) / |W_{n-1}|, an exact
+    integer dot product over class-ordered rows, all of them formed by
+    _dot_rows; a non-zero remainder raises AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -307,13 +336,15 @@ def restrict_branching(n):
     fusion = [column[fuse_class_up(c.signature)] for c in down_classes]
     sizes = [c.size for c in down_classes]
     order = wn_order(n - 1)
-    down = _character_table_rows(n - 1).items()
+    down = _character_table_rows(n - 1)
+    up = _character_table_rows(n)
+    weighted = [[size * values[j] for size, j in zip(sizes, fusion)]
+                for values in up.values()]
     out = {}
-    for irrep, values in _character_table_rows(n).items():
-        weighted = [size * values[j] for size, j in zip(sizes, fusion)]
+    for irrep, dots in zip(up, _dot_rows(weighted, down.values())):
         row = {}
-        for other, chi in down:
-            mult, rem = divmod(sum(map(mul, weighted, chi)), order)
+        for other, dot in zip(down, dots):
+            mult, rem = divmod(dot, order)
             if rem:
                 raise AssertionError("<Res chi^%s, chi^%s> is not an integer"
                                      % (irrep, other))
@@ -368,7 +399,7 @@ def graded_fiber_module(n, m, rho1, rho2):
     def left(a1, b1):
         return sn_character(rho1, _merge_sorted(a1, b1))
 
-    degrees = {}
+    weighted = []
     for k in range(n - m + 1):
         def right(a2, b2, k=k):
             coeffs = _subset_weight_poly(a2, b2)
@@ -376,10 +407,12 @@ def graded_fiber_module(n, m, rho1, rho2):
             return weight * sn_character(rho2, _merge_sorted(a2, b2))
 
         values = induce_product(n, m, left, right)
-        weighted = [c.size * values[c.signature] for c in classes]
+        weighted.append([c.size * values[c.signature] for c in classes])
+    degrees = {}
+    for k, dots in enumerate(_dot_rows(weighted, table.values())):
         mults = {}
-        for irrep, chi in table.items():
-            val = Fraction(sum(map(mul, weighted, chi)), order)
+        for irrep, dot in zip(table, dots):
+            val = Fraction(dot, order)
             if val.denominator != 1 or val < 0:
                 raise AssertionError("multiplicity of %s in degree %d is %s"
                                      % (irrep, 2 * k, val))

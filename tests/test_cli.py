@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from exospringer import cli
 from exospringer.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -203,6 +204,58 @@ def test_usage_errors(capsys):
               "--jobs", "2"])
     assert exc.value.code == 2
     assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
+
+
+# one usage error per subcommand, each raised by a different argparse rule
+USAGE_ERRORS = {
+    "orbits": ["orbits", "--n", "0"],
+    "hasse": ["hasse", "--n", "2", "--format", "svg"],
+    "chartable": ["chartable"],
+    "springer": ["springer", "--n", "x"],
+    "branch": ["branch", "--n", "3", "--format"],
+    "classify": ["classify", "--input", "-", "--bogus"],
+    "repr": ["repr", "--n", "2"],
+    "verify": ["verify", "--suite", "census", "--n", "0"],
+}
+
+
+def parser_output(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_narrowed_parser_prints_what_the_full_parser_does(capsys, command):
+    for argv in ([command, "--help"], USAGE_ERRORS[command]):
+        narrowed = parser_output(capsys, cli.build_parser(command), argv)
+        assert narrowed == parser_output(capsys, cli.build_parser(), argv)
+        assert narrowed[0] == (0 if argv[-1] == "--help" else 2)
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+    full = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["orbits", "--n", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_lines = capsys.readouterr().out.splitlines()
+    for argv in ([], ["nonsense"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["orbits", None, None, None]
+    # the top-level help still lists all eight subcommands
+    assert len(cli.COMMANDS) == 8
+    for name in cli.COMMANDS:
+        assert any(line.split()[:1] == [name] for line in help_lines), name
 
 
 def test_malformed_pair_json_names_the_missing_field(tmp_path, capsys):

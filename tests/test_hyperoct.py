@@ -5,8 +5,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exospringer import hyperoct
 from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, \
@@ -313,13 +315,87 @@ def test_branching_is_removable_node_incidence():
 
 
 def test_branching_matches_fraction_inner_products():
-    # the integer dot-product kernel against the Fraction definition
-    for n in range(1, 6):
+    # the packed integer kernel against the Fraction definition
+    for n in range(1, 8):
         table = CharacterTable(n - 1)
-        expected = {b: {other: inner_product(restrict_row(b), table.row(other), n - 1)
-                        for other in table.rows}
-                    for b in bipartitions_of(n)}
+        down = {other: table.row(other) for other in table.rows}
+        expected = {}
+        for b in bipartitions_of(n):
+            res = restrict_row(b)
+            expected[b] = {other: inner_product(res, chi, n - 1)
+                           for other, chi in down.items()}
         assert restrict_branching(n) == expected
+
+
+def dot_loop_branching(n):
+    """restrict_branching as one sum(map(mul, ...)) per pair of irreps,
+    the loop the packed kernel replaced."""
+    column = hyperoct._columns(n)
+    down_classes = wn_classes(n - 1)
+    fusion = [column[hyperoct.fuse_class_up(c.signature)] for c in down_classes]
+    sizes = [c.size for c in down_classes]
+    out = {}
+    for irrep, values in hyperoct._character_table_rows(n).items():
+        weighted = [size * values[j] for size, j in zip(sizes, fusion)]
+        out[irrep] = {}
+        for other, chi in hyperoct._character_table_rows(n - 1).items():
+            mult, rem = divmod(sum(map(mul, weighted, chi)), wn_order(n - 1))
+            assert rem == 0
+            out[irrep][other] = mult
+    return out
+
+
+def test_branching_at_8_matches_the_dot_loop():
+    assert restrict_branching(8) == dot_loop_branching(8)
+
+
+def dot_loop(rows, table):
+    return [[sum(map(mul, a, t)) for t in table] for a in rows]
+
+
+# small entries, zeros and entries within 2^16 of +-2^200
+entries = st.one_of(st.integers(-3, 3), st.just(0),
+                    st.integers(2 ** 200 - 2 ** 16, 2 ** 200),
+                    st.integers(-2 ** 200, -2 ** 200 + 2 ** 16))
+
+
+@st.composite
+def row_sets(draw):
+    """(rows, table): rows of one length (1 included), all-zero rows among
+    them, and a table of any height, 0 included."""
+    length = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=length, max_size=length)
+    zero = [0] * length
+    rows = draw(st.lists(st.one_of(row, st.just(zero)), max_size=5))
+    table = draw(st.lists(st.one_of(row, st.just(zero)), max_size=5))
+    return rows, table
+
+
+@st.composite
+def tight_row_sets(draw):
+    """(rows, table) with reach = (sum_j |a_j|) * max|t| at 2^(8s-3) or
+    above and below 2^(8s-2), so that reach's bit length plus 2 fills s
+    bytes exactly, and a dot product of +reach and one of -reach."""
+    size = draw(st.integers(1, 30))
+    top = draw(st.integers(1, 2 ** (8 * size - 4)))
+    total = draw(st.integers(-(-2 ** (8 * size - 3) // top),
+                             (2 ** (8 * size - 2) - 1) // top))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=4)))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(parts),
+                          max_size=len(parts)))
+    a = [s * x for s, x in zip(signs, parts)]
+    aligned = [s * top for s in signs]
+    other = draw(st.lists(st.integers(-top, top), min_size=len(a),
+                          max_size=len(a)))
+    return [a], [aligned, [-x for x in aligned], other]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(row_sets(), tight_row_sets()))
+def test_dot_rows_equals_the_dot_loop(case):
+    rows, table = case
+    assert hyperoct._dot_rows(rows, table) == dot_loop(rows, table)
 
 
 def _corrupted_table_errors(n=3):
