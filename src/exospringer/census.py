@@ -20,6 +20,7 @@ vector, and counted p - 1 times.  The orbit check reuses these labels.
 """
 
 import random
+from operator import mul
 
 from . import classify
 from .bicomb import format_bipartition
@@ -166,11 +167,14 @@ def _linear_table(images, p):
 def _action_tables(space, generators):
     """(x-table, v-table) per generator g, built per call by linearity:
     the code of g x g^-1 for each self-adjoint code x, and of g v for each
-    vector code v; AssertionError if g moves x off the self-adjoint space."""
+    vector code v.  Each g is checked to be symplectic, g* g = 1, so that
+    g^-1 = g*; AssertionError otherwise."""
     p, basis = space.p, space.adjoint_eigenbasis(1)
     tables = []
     for g in generators:
-        gi = g.inverse()
+        if not space.membership(g, "H_group"):
+            raise AssertionError("generator %r is not symplectic" % (g,))
+        gi = space.adjoint(g)
         x_images = [_encode(g * b * gi, basis) for b in basis]
         v_images = [_vector_code(column, p) for column in zip(*g.entries)]
         tables.append((_linear_table(x_images, p), _linear_table(v_images, p)))
@@ -231,14 +235,30 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
             yield ExoticPair._trusted(space, x, v, flavor)
 
 
+def _times_transvection(space, g, u):
+    """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
+    update g + (g u)(J u)^T, with T never built.  T* = 1 - u (J u)^T, so
+    T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
+    checked, with the AssertionError of `transvection`."""
+    p, ju = space.p, space.J.apply(u)
+    if sum(map(mul, ju, u)) % p:
+        raise AssertionError("transvection along %r is not symplectic" % (u,))
+    return FpMatrix._trusted(tuple(
+        tuple((a + c * b) % p for a, b in zip(row, ju))
+        for row, c in zip(g.entries, g.apply(u))), p)
+
+
 def seeded_basis_change(space, seed):
-    """A reproducible symplectic element: a seeded word in the generators,
-    of which only the 12 drawn are built."""
+    """A reproducible symplectic element: a seeded word of 12 generating
+    transvections, multiplied in as rank-one updates; the word is
+    checked to be symplectic once, at the end."""
     rng = random.Random(seed)
     frame = _sp_frame(space)
     g = FpMatrix.identity(space.dim, space.p)
     for _ in range(12):
-        g = g * transvection(space, rng.choice(frame))
+        g = _times_transvection(space, g, rng.choice(frame))
+    if not space.membership(g, "H_group"):
+        raise AssertionError("seeded basis change %d is not symplectic" % seed)
     return g
 
 
@@ -252,7 +272,7 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
     g = None
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
-        gi = g.inverse()
+        gi = space.adjoint(g)       # g^-1 = g* for symplectic g
         # g is linear, so it carries each line, and its weight, to a line
         lines = [(g.apply(v), weight) for v, weight in lines]
     counts, reps, names = {}, {}, {}  # names: Bipartition -> its label

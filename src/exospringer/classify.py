@@ -15,8 +15,10 @@ enhanced nilpotent cone, Adv. Math. 2008).
 Stabilizer dimensions are kernels of explicit linear systems on the
 symplectic Lie algebra.  For self-adjoint x the bracket [h, x] is
 self-adjoint too, so h x = x h is read on its 2n^2 - n self-adjoint
-coordinates only; each column is built from the at most two nonzero
-entries of a basis element.  The geometric (algebraic-group)
+coordinates only.  The unknowns are h's coordinates on the units
+E_ij + c E_kl of `adjoint_units(-1)`, and each column is read off the
+rows and columns of x that its at most two terms touch, with no sp
+basis matrix built.  The geometric (algebraic-group)
 dimensions are recovered on the nose for odd p (checked across
 several primes in the tests).
 """
@@ -127,49 +129,54 @@ def halve_doubled(parts):
     return parts[::2]
 
 
-def _kernel_dim(space, conditions, num_unknowns):
-    """dim of the solution space of homogeneous conditions (rows)."""
+def _kernel_dim(space, conditions):
+    """dim of the solution space of homogeneous conditions (rows), one
+    unknown per column."""
     mat = FpMatrix._trusted(tuple(map(tuple, conditions)), space.p)
-    return num_unknowns - mat.rank()
+    return mat.cols - mat.rank()
 
 
-def _stabilizer_rows(space, basis, x, v, line=None):
-    """Linear conditions on sp-coefficients: [h, x] = 0, h v = 0, h<w> in <w>.
+def _stabilizer_rows(space, x, v, line=None):
+    """Linear conditions on h in sp_2n, one unknown per unit E_ij + c E_kl
+    of `space.adjoint_units(-1)`: [h, x] = 0, h v = 0, h<w> in <w>.
 
     x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
-    zero iff its 2n^2 - n coordinates, its entries at the leading 1s of
-    the self-adjoint basis, are.  Every basis element has at most two
-    nonzero entries, so each column is built from those: c E_ij adds
-    c x[j] to row i of h x, c x[:, i] to column j of x h, and c v_j to
-    entry i of h v.
+    zero iff its 2n^2 - n coordinates, its entries at the (a, b) of
+    `adjoint_units(1)`, are.  With the coordinates indexed by row a and
+    by column b, a term c E_ij adds c x[j][b] to coordinate (i, b) of
+    h x - x h, -c x[a][i] to coordinate (a, j), and c v_j to entry i of
+    h v (and of h w).
     """
-    dim, p = space.dim, space.p
-    xe = x.entries
-    xt = tuple(zip(*xe))
-    coords = [(i, j) for i, j, _, _, _ in space.adjoint_units(1)]
+    dim, p, xe = space.dim, space.p, x.entries
+    by_row, by_col = [[] for _ in range(dim)], [[] for _ in range(dim)]
+    coords = space.adjoint_units(1)
+    for r, (a, b, _, _, _) in enumerate(coords):
+        by_row[a].append((r, b))
+        by_col[b].append((r, a))
     if line is not None:
-        k = next(i for i, c in enumerate(line) if c)
+        lead = next(i for i, c in enumerate(line) if c)
     cols = []
-    for h in basis:
-        img = [[0] * dim for _ in range(dim)]
+    for i, j, k, l, c in space.adjoint_units(-1):
+        # the unit is E_ij alone when it is its own image
+        terms = ((i, j, 1),) if (k, l) == (i, j) else ((i, j, 1), (k, l, c))
+        col = [0] * len(coords)
         hv = [0] * dim
         hw = [0] * dim
-        for i, row in enumerate(h.entries):
-            for j, c in enumerate(row):
-                if c:
-                    img[i] = [a + c * b for a, b in zip(img[i], xe[j])]
-                    for r, b in enumerate(xt[i]):
-                        img[r][j] -= c * b
-                    if v is not None:
-                        hv[i] += c * v[j]
-                    if line is not None:
-                        hw[i] += c * line[j]
-        col = [img[i][j] % p for i, j in coords]
+        for i, j, c in terms:
+            for r, b in by_row[i]:
+                col[r] += c * xe[j][b]
+            for r, a in by_col[j]:
+                col[r] -= c * xe[a][i]
+            if v is not None:
+                hv[i] += c * v[j]
+            if line is not None:
+                hw[i] += c * line[j]
+        col = [a % p for a in col]
         if v is not None:
             col += [a % p for a in hv]
         if line is not None:
-            col += [(hw[j] * line[k] - hw[k] * line[j]) % p
-                    for j in range(dim) if j != k]
+            col += [(hw[j] * line[lead] - hw[lead] * line[j]) % p
+                    for j in range(dim) if j != lead]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
@@ -177,10 +184,8 @@ def _stabilizer_rows(space, basis, x, v, line=None):
 def stabilizer_dim(pair, include_v):
     """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}; pair.x is
     self-adjoint, as every validated pair's is."""
-    space = pair.space
-    basis = space.adjoint_eigenbasis(-1)
-    rows = _stabilizer_rows(space, basis, pair.x, pair.v if include_v else None)
-    return _kernel_dim(space, rows, len(basis))
+    rows = _stabilizer_rows(pair.space, pair.x, pair.v if include_v else None)
+    return _kernel_dim(pair.space, rows)
 
 
 def cyclic_dim(pair):
@@ -220,7 +225,5 @@ def parabolic_stabilizer_dim(nf, i, case):
     else:
         raise ValueError("case must be 'i_node' or 'ii_node'")
     pair = nf.pair
-    space = pair.space
-    basis = space.adjoint_eigenbasis(-1)
-    rows = _stabilizer_rows(space, basis, pair.x, pair.v, line=w)
-    return _kernel_dim(space, rows, len(basis))
+    rows = _stabilizer_rows(pair.space, pair.x, pair.v, line=w)
+    return _kernel_dim(pair.space, rows)

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sp_element, zeros
+from conftest import random_matrix, random_sp_element, zeros
 from exospringer import census as census_mod, classify
 from exospringer.bicomb import Bipartition, bipartitions_of, closure_leq, \
     format_bipartition
@@ -380,10 +380,14 @@ def test_action_tables_match_conjugation(n, p):
 
 
 def test_action_tables_refuse_a_generator_off_the_self_adjoint_space():
+    # conjugation by the shear moves a self-adjoint x off the space; the
+    # tables conjugate by g* = g^-1, so they refuse it as not symplectic
     space = SymplecticSpace(2, 3)
     shear = FpMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
     assert shear.is_invertible() and not space.membership(shear, "H_group")
-    with pytest.raises(AssertionError, match="is not self-adjoint"):
+    assert not all(space.membership(shear * b * shear.inverse(), "g_minus_theta")
+                   for b in space.adjoint_eigenbasis(1))
+    with pytest.raises(AssertionError, match="is not symplectic"):
         census_mod._action_tables(space, sp_generators(space) + [shear])
 
 
@@ -414,17 +418,80 @@ def test_seeded_basis_change_is_the_word_in_all_generators(n, p, seed):
         random_sp_element(random.Random(seed), space, word_len=12)
 
 
-def test_seeded_basis_change_builds_only_the_drawn_transvections(monkeypatch):
-    built = []
-    transvection = census_mod.transvection
+def test_seeded_basis_change_builds_no_transvection_and_checks_once(monkeypatch):
+    # the word is 12 rank-one updates, each factor checked in closed
+    # form; only the product is checked by membership
+    built, checked = [], []
+    membership = SymplecticSpace.membership
 
-    def counted(space, u):
-        built.append(u)
-        return transvection(space, u)
+    def counted(self, x, which):
+        checked.append(which)
+        return membership(self, x, which)
 
-    monkeypatch.setattr(census_mod, "transvection", counted)
+    monkeypatch.setattr(census_mod, "transvection",
+                        lambda space, u: built.append(u))
+    monkeypatch.setattr(SymplecticSpace, "membership", counted)
     for n in (1, 4):
-        built.clear()
-        g = census_mod.seeded_basis_change(SymplecticSpace(n, 5), 11)
-        assert len(built) == 12
-        assert SymplecticSpace(n, 5).membership(g, "H_group")
+        checked.clear()
+        space = SymplecticSpace(n, 5)
+        g = census_mod.seeded_basis_change(space, 11)
+        assert built == [] and checked == ["H_group"]
+        assert membership(space, g, "H_group")
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 3, 4)
+                                  for p in (3, 2**31 - 1)])
+def test_seeded_basis_change_is_inverted_by_its_adjoint(n, p):
+    space = SymplecticSpace(n, p)
+    for seed in (1, 2, 3):
+        g = census_mod.seeded_basis_change(space, seed)
+        assert space.adjoint(g) == g.inverse()
+
+
+def test_rank_one_update_is_the_product_with_the_transvection(rng):
+    # on any g, symplectic or not: g + (g u)(J u)^T = g (1 + u (J u)^T)
+    for n, p in ((1, 3), (2, 5), (3, 7), (4, 2**31 - 1)):
+        space = SymplecticSpace(n, p)
+        for _ in range(5):
+            g = random_matrix(rng, space.dim, space.dim, p)
+            u = tuple(rng.randrange(p) for _ in range(space.dim))
+            ju = space.J.apply(u)
+            t = FpMatrix([[(i == j) + a * b for j, b in enumerate(ju)]
+                          for i, a in enumerate(u)], p)
+            assert not space.membership(g, "H_group")
+            assert census_mod._times_transvection(space, g, u) == g * t
+
+
+def test_closed_form_factor_check_agrees_with_membership(rng):
+    # (J u).u = 0, the closed-form check on each factor of the seeded word,
+    # against membership of the built transvection: on every u at (1, 3)
+    # and (2, 3), and on random u at n = 3 and 4
+    def accepts(space, u):
+        try:
+            census_mod._times_transvection(space, space._one, u)
+        except AssertionError:
+            return False
+        return True
+
+    for n, p in ((1, 3), (2, 3), (3, 5), (4, 2**31 - 1)):
+        space = SymplecticSpace(n, p)
+        if n <= 2:
+            vectors = itertools.product(range(p), repeat=2 * n)
+        else:
+            vectors = [tuple(rng.randrange(p) for _ in range(2 * n))
+                       for _ in range(50)]
+        for u in vectors:
+            assert accepts(space, u) == space.membership(
+                census_mod.transvection(space, u), "H_group")
+
+
+def test_closed_form_factor_check_raises_like_transvection():
+    # with J swapped for the symmetric e_i <-> f_i, (J u).u = 2 != 0 for
+    # u = e_1 + f_1, and both checks refuse with the same message
+    space = SymplecticSpace(1, 3)
+    object.__setattr__(space, "J", FpMatrix([[0, 1], [1, 0]], 3))
+    for build in (census_mod.transvection,
+                  lambda s, u: census_mod._times_transvection(s, s._one, u)):
+        with pytest.raises(AssertionError,
+                           match=r"transvection along \(1, 1\) is not symplectic"):
+            build(space, (1, 1))

@@ -261,10 +261,10 @@ def test_parabolic_case_i_needs_removable_node():
     # same geometry computed without the line shortcut: kernel with the
     # line condition has dim 8, not z - 2q + 2 = 9
     from exospringer.classify import _kernel_dim, _stabilizer_rows
-    basis = sp.adjoint_eigenbasis(-1)
     w = nf.jordan_basis[(1, 1)]
-    rows = _stabilizer_rows(sp, basis, nf.pair.x, nf.pair.v, line=w)
-    assert _kernel_dim(sp, rows, len(basis)) == 8
+    rows = _stabilizer_rows(sp, nf.pair.x, nf.pair.v, line=w)
+    assert len(rows[0]) == len(sp.adjoint_eigenbasis(-1))
+    assert _kernel_dim(sp, rows) == 8
     assert stabilizer_dim(nf.pair, include_v=True) - 2 * 1 + 2 == 9
 
 
@@ -347,7 +347,8 @@ def dense_stabilizer_rows(space, basis, x, v, line):
 def test_sparse_stabilizer_rows_match_dense_products(rng, p):
     # for self-adjoint x the bracket [h, x] is self-adjoint, so its rows
     # are the dense rows at the leading 1s of the self-adjoint basis, and
-    # they cut out the same kernel as the full dense system
+    # they cut out the same kernel as the full dense system; the rows are
+    # built from the adjoint units, the dense ones from the basis matrices
     from exospringer.classify import _stabilizer_rows
     for n in (1, 2, 3, 4):
         space = SymplecticSpace(n, p)
@@ -365,7 +366,7 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
             line = tuple(rng.randrange(p) for _ in range(dim))
             line = line if any(line) else space.e(1)
             for v, w in ((None, None), (v, None), (v, line), (None, line)):
-                rows = _stabilizer_rows(space, basis, x, v, line=w)
+                rows = _stabilizer_rows(space, x, v, line=w)
                 dense = dense_stabilizer_rows(space, basis, x, v, w)
                 assert rows[:len(coords)] == [dense[c] for c in coords]
                 assert rows[len(coords):] == dense[dim * dim:]
@@ -374,8 +375,9 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
 
 
 def test_stabilizer_dim_cost(monkeypatch):
-    # n = 4: one system of 2n^2 - n commutator rows and 2n v rows, ranked
-    # by forward elimination with no reduced echelon form
+    # n = 4: one system of 2n^2 - n commutator rows and 2n v rows, built
+    # from the adjoint units with no sp basis matrix, and ranked by
+    # forward elimination with no reduced echelon form
     n, p = 4, 5
     space = SymplecticSpace(n, p)
     label = Bipartition((2, 1), (1,))
@@ -383,8 +385,9 @@ def test_stabilizer_dim_cost(monkeypatch):
     g = seeded_basis_change(space, 3)
     pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
                       nf.pair.flavor)
-    systems, rref_calls = [], []
+    systems, rref_calls, bases = [], [], []
     stabilizer_rows, rref_rows = classify._stabilizer_rows, ffield._rref_rows
+    eigenbasis = SymplecticSpace.adjoint_eigenbasis
 
     def recorded(*args, **kwargs):
         rows = stabilizer_rows(*args, **kwargs)
@@ -395,9 +398,15 @@ def test_stabilizer_dim_cost(monkeypatch):
         rref_calls.append(1)
         return rref_rows(*args)
 
+    def listed(self, sign):
+        bases.append(sign)
+        return eigenbasis(self, sign)
+
     monkeypatch.setattr(classify, "_stabilizer_rows", recorded)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
+    monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", listed)
     assert stabilizer_dim(pair, include_v=True) == \
         2 * n * n + n - orbit_dim(label, n)
-    assert systems == [(2 * n * n - n + 2 * n, 2 * n * n + n)]
+    assert systems == [(2 * n * n - n + 2 * n, 2 * n * n + n)] == [(36, 36)]
     assert rref_calls == []
+    assert bases == []
