@@ -7,8 +7,8 @@ gates (n <= 2, p in {3, 5}, and no group listed with more than
 anything bigger raises SizeGateError, before any enumeration, instead of
 silently grinding.
 
-Points are integer codes, the base-p digits of a vector or of a
-self-adjoint x in the echelon basis `adjoint_eigenbasis(1)`.  Each
+Points are integer codes: base-p digits, a vector's coordinates or a
+self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.  Each
 generator of Sp acts on codes as two permutation tables, built per call
 by linearity, and orbits come from union-find over codes under them.
 
@@ -128,14 +128,14 @@ def _digits(code, p, k):
     return [code // p ** i % p for i in range(k)]
 
 
-def _encode(x, basis):
-    """x's code, read off its entries at the basis's leading 1s (the basis
-    is reduced echelon); AssertionError unless it decodes back to x."""
-    flat = sum(x.entries, ())
-    digits = [flat[sum(b.entries, ()).index(1)] for b in basis]
-    if sum((d * b for d, b in zip(digits, basis)), 0 * x) != x:
+def _encode(space, x):
+    """x's code, its digits x's entries at the leading (i, j) of
+    `space.adjoint_units(1)`, the leading 1s of the echelon basis
+    `adjoint_eigenbasis(1)`; AssertionError unless x is self-adjoint."""
+    if not space.membership(x, "g_minus_theta"):
         raise AssertionError("%r is not self-adjoint" % (x,))
-    return _vector_code(digits, x.p)
+    return _vector_code([x.entries[i][j] for i, j, _, _, _
+                         in space.adjoint_units(1)], x.p)
 
 
 def _vector_code(v, p):
@@ -175,7 +175,7 @@ def _action_tables(space, generators):
         if not space.membership(g, "H_group"):
             raise AssertionError("generator %r is not symplectic" % (g,))
         gi = space.adjoint(g)
-        x_images = [_encode(g * b * gi, basis) for b in basis]
+        x_images = [_encode(space, g * b * gi) for b in basis]
         v_images = [_vector_code(column, p) for column in zip(*g.entries)]
         tables.append((_linear_table(x_images, p), _linear_table(v_images, p)))
     return tables
@@ -380,8 +380,7 @@ def _orbit_checks(space, result, labelled):
     `labelled` maps the census's (x entries, v) to their labels, one v per
     line; each line's p - 1 multiples c.v share its label."""
     n, p = space.n, space.p
-    basis = space.adjoint_eigenbasis(1)
-    x_code = {xe: _encode(FpMatrix._trusted(xe, p), basis)
+    x_code = {xe: _encode(space, FpMatrix._trusted(xe, p))
               for xe in {xe for xe, _ in labelled}}
     points = {(x_code[xe], _vector_code([c * a % p for a in v], p)): label
               for (xe, v), label in labelled.items() for c in range(1, p)}
@@ -426,8 +425,7 @@ def klyachko_census(n, p):
     orbit_count = uf.class_count()
     expected = gl_class_count(n, p)
 
-    basis = space.adjoint_eigenbasis(1)
-    covered = {uf.find((_encode(space.klyachko_embed(space.embed_gl(g)), basis), 0))
+    covered = {uf.find((_encode(space, space.klyachko_embed(space.embed_gl(g))), 0))
                for g in _iter_gl(n, p)}
     all_roots = {uf.find(point) for point in points}
 

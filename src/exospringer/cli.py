@@ -2,8 +2,8 @@
 
 Subcommands: orbits, hasse, chartable, springer, branch, classify,
 repr, verify.  Exit status: 0 success, 1 check failure (with a JSON
-mismatch report), 2 usage error (argparse's default), including any
---n below 1 (branch needs n >= 2) or past the command's size gate.
+mismatch report), 2 usage error: argparse's message for a bad command
+line, and after parsing one `error: ...` line on stderr for every other.
 Output is byte-deterministic for fixed inputs; verify reports carry no
 timings.
 """
@@ -47,10 +47,8 @@ def _rank(text):
     return n
 
 
-def _add_common(sub, p=False, fmt=None):
+def _add_common(sub, fmt=None):
     sub.add_argument("--n", type=_rank, required=True)
-    if p:
-        sub.add_argument("--p", type=int, default=3)
     if fmt:
         sub.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -67,7 +65,8 @@ def _add_classify(sub):
 
 
 def _add_repr(sub):
-    _add_common(sub, p=True)
+    _add_common(sub)
+    sub.add_argument("--p", type=int, default=3)
     sub.add_argument("--label", required=True, help="bipartition, e.g. '2,1|1'")
 
 
@@ -88,23 +87,6 @@ def _add_verify(sub):
                           "basis change; counts must match the unseeded run")
 
 
-# Each subcommand once: its name, its help line and what adds its arguments.
-SUBCOMMANDS = (
-    ("orbits", "orbit labels with dimensions",
-     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
-    ("hasse", "closure-order Hasse diagram",
-     lambda sub: _add_common(sub, fmt=("dot", "tsv", "json"))),
-    ("chartable", "W_n character table",
-     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
-    ("springer", "the full Springer table", _add_springer),
-    ("branch", "branching matrix W_n down to W_{n-1}",
-     lambda sub: _add_common(sub, fmt=("tsv", "json"))),
-    ("classify", "classify an exotic pair from JSON", _add_classify),
-    ("repr", "normal-form representative of a label", _add_repr),
-    ("verify", "run a verification suite", _add_verify),
-)
-
-
 def build_parser(command=None):
     """The CLI parser with every subcommand, or with only `command`'s.
 
@@ -113,13 +95,13 @@ def build_parser(command=None):
     """
     listed = None
     if command is not None:
-        listed = "{%s}" % ",".join(name for name, _, _ in SUBCOMMANDS)
+        listed = "{%s}" % ",".join(COMMANDS)
     ap = argparse.ArgumentParser(
         prog="exospringer",
         description="Orbit tables, hyperoctahedral characters and "
                     "finite-field censuses for the exotic nilpotent cone.")
     subs = ap.add_subparsers(dest="command", required=True, metavar=listed)
-    for name, text, add_arguments in SUBCOMMANDS:
+    for name, (text, add_arguments, _) in COMMANDS.items():
         if command in (None, name):
             add_arguments(subs.add_parser(name, help=text))
     return ap
@@ -186,8 +168,7 @@ def cmd_springer(args):
 
 def cmd_branch(args):
     if args.n < 2:
-        print("branch needs --n >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("branch needs --n >= 2")
     matrix = hyperoct.restrict_branching(args.n)
     ups = bipartitions_of(args.n)
     downs = bipartitions_of(args.n - 1)
@@ -230,9 +211,8 @@ def cmd_repr(args):
     check_modulus(args.p)
     label = parse_bipartition(args.label)
     if label.n != args.n:
-        print("label %s has size %d, not n=%d" % (args.label, label.n, args.n),
-              file=sys.stderr)
-        return 2
+        raise ValueError("label %s has size %d, not n=%d"
+                         % (args.label, label.n, args.n))
     space = SymplecticSpace(args.n, args.p)
     nf = normal_form_pair(label, space)
     sys.stdout.write(json.dumps(nf.pair.to_json(), indent=2, sort_keys=True) + "\n")
@@ -246,8 +226,7 @@ def cmd_verify(args):
             report["mismatches"] += springer.verify_restriction(n)
     elif args.suite == "d-diff":
         if args.n < 2:
-            print("verify --suite d-diff needs --n >= 2", file=sys.stderr)
-            return 2
+            raise ValueError("verify --suite d-diff needs --n >= 2")
         for n in range(2, args.n + 1):
             report["mismatches"] += springer.d_difference_check(n)
     elif args.suite == "sum-squares":
@@ -297,15 +276,20 @@ def cmd_verify(args):
     return 0 if report["pass"] else 1
 
 
+# Each subcommand once, in help order: name -> (help, add arguments, handler).
 COMMANDS = {
-    "orbits": cmd_orbits,
-    "hasse": cmd_hasse,
-    "chartable": cmd_chartable,
-    "springer": cmd_springer,
-    "branch": cmd_branch,
-    "classify": cmd_classify,
-    "repr": cmd_repr,
-    "verify": cmd_verify,
+    "orbits": ("orbit labels with dimensions",
+               lambda sub: _add_common(sub, fmt=("tsv", "json")), cmd_orbits),
+    "hasse": ("closure-order Hasse diagram",
+              lambda sub: _add_common(sub, fmt=("dot", "tsv", "json")), cmd_hasse),
+    "chartable": ("W_n character table",
+                  lambda sub: _add_common(sub, fmt=("tsv", "json")), cmd_chartable),
+    "springer": ("the full Springer table", _add_springer, cmd_springer),
+    "branch": ("branching matrix W_n down to W_{n-1}",
+               lambda sub: _add_common(sub, fmt=("tsv", "json")), cmd_branch),
+    "classify": ("classify an exotic pair from JSON", _add_classify, cmd_classify),
+    "repr": ("normal-form representative of a label", _add_repr, cmd_repr),
+    "verify": ("run a verification suite", _add_verify, cmd_verify),
 }
 
 
@@ -328,7 +312,7 @@ def main(argv=None):
     args = build_parser(command).parse_args(_join_label(argv))
     try:
         _gate(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -75,15 +75,11 @@ def springer_table(n):
             covers=tuple(sorted(covers_down.get(label, []),
                                 key=Bipartition.sort_key)),
         ))
-    table = SpringerTable(n, tuple(records))
-    dims_sq = sum(r.irrep_dim ** 2 for r in records)
-    if dims_sq != hyperoct.wn_order(n):
-        raise AssertionError("squared irrep dims sum to %d, but |W_%d| = %d"
-                             % (dims_sq, n, hyperoct.wn_order(n)))
-    for r in records:
-        if r.orbit_dim + 2 * r.d != 2 * n * n:
-            raise AssertionError("dim + 2d != 2n^2 for %s" % (r.label,))
-    return table
+    # fiber_dim_d has checked dim + 2d = 2n^2 for every row
+    if not sum_squares_check(n):
+        raise AssertionError("squared irrep dims do not sum to |W_%d| = %d"
+                             % (n, hyperoct.wn_order(n)))
+    return SpringerTable(n, tuple(records))
 
 
 def _branch_children(n):

@@ -167,7 +167,7 @@ class SymplecticSpace:
         return x - self._one
 
     def klyachko_embed(self, a):
-        """diag(x, 1) -> a theta(a)^-1 = diag(x, x^T)."""
+        """a theta(a)^-1 = a a* for a = diag(x, 1), x invertible."""
         self._check_size(a)
         n, p = self.n, self.p
         x = FpMatrix._trusted(tuple(row[:n] for row in a.entries[:n]), p)
@@ -175,7 +175,7 @@ class SymplecticSpace:
             raise NotInAError("expected a block matrix diag(x, 1_n)")
         if not x.is_invertible():
             raise NotInAError("upper-left block must be invertible")
-        return self.pair_block(x, x.transpose())
+        return a * self.adjoint(a)
 
     def embed_gl(self, x):
         """diag(x, 1_n) for x in GL_n."""
@@ -183,12 +183,12 @@ class SymplecticSpace:
 
     def pair_block(self, top, bottom):
         n, p = self.n, self.p
-        entries = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                entries[i][j] = top.entries[i][j]
-                entries[n + i][n + j] = bottom.entries[i][j]
-        return FpMatrix(entries, p)
+        if any((b.rows, b.cols, b.p) != (n, n, p) for b in (top, bottom)):
+            raise ValueError("expected %dx%d blocks over F_%d" % (n, n, p))
+        pad = (0,) * n
+        return FpMatrix._trusted(
+            tuple(row + pad for row in top.entries)
+            + tuple(pad + row for row in bottom.entries), p)
 
     def _check_size(self, x):
         if x.rows != self.dim or x.cols != self.dim or x.p != self.p:

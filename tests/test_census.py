@@ -364,8 +364,7 @@ def test_action_tables_match_conjugation(n, p):
     space = SymplecticSpace(n, p)
     xs = list(iter_self_adjoint(space))
     vs = list(census_mod.iter_vectors(space))
-    basis = space.adjoint_eigenbasis(1)
-    assert [census_mod._encode(x, basis) for x in xs] == list(range(len(xs)))
+    assert [census_mod._encode(space, x) for x in xs] == list(range(len(xs)))
     gens = sp_generators(space)
     tables = census_mod._action_tables(space, gens)
     assert len(tables) == len(gens)
@@ -377,6 +376,19 @@ def test_action_tables_match_conjugation(n, p):
             assert xs[x_table[code]] == g * x * gi
         for code, v in enumerate(vs):
             assert vs[v_table[code]] == g.apply(v)
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 5)])
+def test_encode_refuses_a_matrix_that_is_not_self_adjoint(n, p):
+    # E_12 is not self-adjoint, yet its entries at the leading positions
+    # would read as a valid code
+    space = SymplecticSpace(n, p)
+    entries = [[0] * space.dim for _ in range(space.dim)]
+    entries[0][1] = 1
+    x = FpMatrix(entries, p)
+    assert not space.membership(x, "g_minus_theta")
+    with pytest.raises(AssertionError, match="not self-adjoint"):
+        census_mod._encode(space, x)
 
 
 def test_action_tables_refuse_a_generator_off_the_self_adjoint_space():

@@ -206,6 +206,21 @@ def test_usage_errors(capsys):
     assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["branch", "--n", "1"],
+    ["verify", "--suite", "d-diff", "--n", "1"],
+    ["repr", "--n", "2", "--label", "3|-", "--p", "3"],
+    ["chartable", "--n", "40"],
+    ["classify", "--input", "/nonexistent.json"]])
+def test_usage_errors_after_parsing_print_one_error_line(capsys, argv):
+    # past argparse, every usage error takes main's one exit-2 path
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 # one usage error per subcommand, each raised by a different argparse rule
 USAGE_ERRORS = {
     "orbits": ["orbits", "--n", "0"],

@@ -1,3 +1,5 @@
+import pytest
+
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 parse_bipartition, partitions_of)
 from exospringer.hyperoct import wn_order
@@ -76,6 +78,13 @@ def test_sum_squares():
         assert sum_squares_check(n)
     assert sum(r.irrep_dim ** 2 for r in springer_table(2).records) == 8
     assert wn_order(8) == 10321920
+
+
+def test_table_refuses_a_failed_sum_of_squares(monkeypatch):
+    from exospringer import springer
+    monkeypatch.setattr(springer, "sum_squares_check", lambda n: False)
+    with pytest.raises(AssertionError, match=r"\|W_2\| = 8"):
+        springer_table(2)
 
 
 def test_matching_counter_detects_ambiguity():

@@ -210,6 +210,10 @@ def test_klyachko_examples():
         sp1.klyachko_embed(FpMatrix([[1, 1], [0, 1]], 3))
     with pytest.raises(NotInAError):
         sp1.klyachko_embed(FpMatrix([[0, 0], [0, 1]], 3))
+    # blocks are wrapped without re-reduction, so their shape and prime are checked
+    for block in (FpMatrix([[4]], 5), FpMatrix.identity(2, 3)):
+        with pytest.raises(ValueError, match="expected 1x1 blocks over F_3"):
+            sp1.embed_gl(block)
 
 
 def test_nu_blocks():
