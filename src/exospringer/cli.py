@@ -172,16 +172,17 @@ def cmd_branch(args):
     matrix = hyperoct.restrict_branching(args.n)
     ups = bipartitions_of(args.n)
     downs = bipartitions_of(args.n - 1)
+    # each row of the matrix is keyed in bipartitions_of(n - 1) order
     if args.format == "json":
-        payload = {str(up): {str(dn): matrix[up][dn] for dn in downs
-                             if matrix[up][dn]} for up in ups}
+        payload = {str(up): {str(dn): mult for dn, mult in matrix[up].items()
+                             if mult} for up in ups}
         sys.stdout.write(json.dumps({"n": args.n, "branching": payload},
                                     indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write("\t".join(["up\\down"] + [str(d) for d in downs]) + "\n")
         for up in ups:
-            sys.stdout.write("\t".join([str(up)] + [str(matrix[up][dn])
-                                                    for dn in downs]) + "\n")
+            sys.stdout.write("\t".join([str(up)] + [str(mult) for mult
+                                                    in matrix[up].values()]) + "\n")
     return 0
 
 

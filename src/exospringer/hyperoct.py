@@ -15,12 +15,18 @@ action" is locked by the identity/sign acceptance checks.
 
 wn_character_row and induce_product state that formula irrep by irrep
 (the definition the tests check against); the cached table,
-_character_table_rows, evaluates the same sum with each class's size-m
-splittings reduced once to integer terms shared by every irrep
-(mu, nu) with |mu| = m.  Its rows are tuples in wn_classes(n) order.
+_character_table_rows, evaluates the same sum by Kronecker
+substitution: each class's splittings become digits of a few big
+integers shared by every irrep (mu, nu) with |mu| = m, and each row is
+one integer whose signed digits are its values.  Its rows are tuples in
+wn_classes(n) order.  The branching and graded-module inner products
+(_dot_rows) are packed the same way.  _pack_digits and _read_digits
+convert between a packed integer and its digits in C (struct) at 1, 2,
+4 and 8 bytes per digit, and digit by digit beyond.
 """
 
 import functools
+import struct
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -192,8 +198,10 @@ def wn_character_row(irrep):
     return induce_product(n, m, left, right)
 
 
+@functools.lru_cache(maxsize=None)
 def _columns(n):
-    """signature -> its column, the position of its class in wn_classes(n)."""
+    """signature -> its column, the position of its class in wn_classes(n);
+    built once per n and shared, so callers must not change it."""
     return {c.signature: j for j, c in enumerate(wn_classes(n))}
 
 
@@ -218,31 +226,59 @@ def _character_table_rows(n):
     """irrep -> tuple of its values on wn_classes(n) in order (identity
     class first), irreps in bipartitions_of(n) order.
 
-    The fusion formula of wn_character_row, with the work shared: for
-    each m and each class the splittings of size m become one list of
-    integer terms (weight * (-1)^len(b2), left cycle type, right cycle
-    type), the cycle types as positions in partitions_of(m) and
-    partitions_of(n - m).  Every irrep (mu, nu) with |mu| = m sums that
-    list against the S_m row of mu and the S_{n-m} row of nu.
+    The fusion formula of wn_character_row, packed by Kronecker
+    substitution.  The splittings of each class are listed once, for all
+    m together: a splitting (a1, b1, a2, b2) of size m = |a1| + |b1| adds
+    its weight * (-1)^len(b2) to the digit of its class column in one
+    integer T_ij, where i and j are the positions of the cycle types
+    a1 + b1 and a2 + b2 in partitions_of(m) and partitions_of(n - m).
+    The row of (mu, nu) with |mu| = m is then sum_j chi^nu_j sum_i
+    chi^mu_i T_ij, one integer whose digits are the row, read by
+    _read_digits.  The digit width of each m is taken from the data:
+    every |value| is at most the largest per-class sum of |weight| times
+    the largest |chi^mu| and |chi^nu|.
     """
     classes = wn_classes(n)
     ranks = [partitions_of(k) for k in range(n + 1)]
     position = [{rho: i for i, rho in enumerate(parts)} for parts in ranks]
     sn_rows = [{lam: tuple(sn_character(lam, rho) for rho in parts)
                 for lam in parts} for parts in ranks]
-    terms = []
-    for m in range(n + 1):
-        left, right = position[m], position[n - m]
-        terms.append([[(-w if len(b2) % 2 else w,
-                        left[_merge_sorted(a1, b1)], right[_merge_sorted(a2, b2)])
-                       for a1, b1, a2, b2, w in _splittings(cls.signature, m)]
-                      for cls in classes])
+    terms = [[] for _ in range(n + 1)]  # m -> (column, i, j, signed weight)
+    for c, cls in enumerate(classes):
+        alpha = _sub_multisets(cls.signature.first)
+        for t, beta in enumerate(_sub_multisets(cls.signature.second)):
+            for s, group in enumerate(alpha):
+                left, right = position[s + t], position[n - s - t]
+                out = terms[s + t]
+                for a1, a2, wa in group:
+                    for b1, b2, wb in beta:
+                        out.append((c, left[_merge_sorted(a1, b1)],
+                                    right[_merge_sorted(a2, b2)],
+                                    -wa * wb if len(b2) % 2 else wa * wb))
+    cells, sizes = [], []  # per m: T_ij as [[T_ij for i] for j], digit bytes
+    for m, split in enumerate(terms):
+        weights = [0] * len(classes)
+        for c, _, _, w in split:
+            weights[c] += abs(w)
+        top = (max(abs(x) for row in sn_rows[m].values() for x in row)
+               * max(abs(x) for row in sn_rows[n - m].values() for x in row))
+        size = _digit_size(max(weights) * top)
+        width = 8 * size
+        cell = [[0] * len(ranks[m]) for _ in ranks[n - m]]
+        for c, i, j, w in split:
+            cell[j][i] += w << (width * c)
+        cells.append(cell)
+        sizes.append(size)
+    inner = {}  # mu -> [sum_i chi^mu_i T_ij for j]
     rows = {}
     for irrep in bipartitions_of(n):
-        m = sum(irrep.first)
-        chi_left, chi_right = sn_rows[m][irrep.first], sn_rows[n - m][irrep.second]
-        rows[irrep] = tuple(sum(w * chi_left[i] * chi_right[j] for w, i, j in column)
-                            for column in terms[m])
+        mu, nu = irrep.first, irrep.second
+        m = sum(mu)
+        if mu not in inner:
+            inner[mu] = [sum(map(mul, sn_rows[m][mu], column))
+                         for column in cells[m]]
+        rows[irrep] = _read_digits(sum(map(mul, sn_rows[n - m][nu], inner[mu])),
+                                   sizes[m], len(classes))
     return rows
 
 
@@ -293,33 +329,69 @@ def fuse_class_up(signature):
     return Bipartition(_merge_sorted(signature.first, (1,)), signature.second)
 
 
+# struct codes of the signed integers of 1, 2, 4 and 8 bytes
+_DIGIT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _digit_size(reach):
+    """Bytes per digit for digits of absolute value at most reach: at least
+    2 bits past reach, rounded up to 1, 2, 4 or 8 bytes where that is
+    enough, so that _read_digits and _pack_digits run in C."""
+    size = (reach.bit_length() + 2 + 7) // 8
+    return next((s for s in _DIGIT_CODES if s >= size), size)
+
+
+def _top_bits(size, count):
+    """sum_k 2^(8 size - 1) 2^(8 size k) for k < count: the top bit of
+    every digit."""
+    return int.from_bytes(b"\x80".rjust(size, b"\0") * count, "little")
+
+
+def _read_digits(total, size, count):
+    """The count signed base-2^(8 size) digits d_k of total = sum_k d_k
+    2^(8 size k), as a tuple, each -2^(8 size - 1) <= d_k < 2^(8 size - 1).
+
+    Adding 2^(8 size - 1) to every digit makes each one lie in
+    [0, 2^(8 size)), so none borrows from the next; flipping that bit
+    back leaves each digit in two's complement, which struct reads at
+    1, 2, 4 and 8 bytes, and int.from_bytes digit by digit beyond.
+    """
+    offset = _top_bits(size, count)
+    packed = ((total + offset) ^ offset).to_bytes(size * count, "little")
+    if size in _DIGIT_CODES:
+        return struct.unpack("<%d%s" % (count, _DIGIT_CODES[size]), packed)
+    return tuple(int.from_bytes(packed[k:k + size], "little", signed=True)
+                 for k in range(0, len(packed), size))
+
+
+def _pack_digits(digits, size):
+    """sum_k digits[k] 2^(8 size k), the inverse of _read_digits: the
+    digits are written in two's complement and the top bits flipped."""
+    if size in _DIGIT_CODES:
+        packed = struct.pack("<%d%s" % (len(digits), _DIGIT_CODES[size]), *digits)
+    else:
+        packed = b"".join(d.to_bytes(size, "little", signed=True) for d in digits)
+    offset = _top_bits(size, len(digits))
+    return (int.from_bytes(packed, "little") ^ offset) - offset
+
+
 def _dot_rows(rows, table):
     """[[sum(map(mul, a, t)) for t in table] for a in rows], exactly, with
     one big-integer dot product per row (Kronecker substitution).
 
     Column j of the table is packed once as C_j = sum_k table[k][j] 2^(wk).
-    Then sum_j a_j C_j holds <a, table[k]> as its base-2^w digit k.  The
-    width w is whole bytes, taken from the data: every |<a, t>| is at most
-    (sum_j |a_j|) * max |t_j| < 2^(w-2), so adding 2^(w-1) to each digit
-    makes every digit lie in [0, 2^w), none borrows from the next, and the
-    bytes of the sum are the digits.
+    Then sum_j a_j C_j holds <a, table[k]> as its base-2^w digit k, read
+    by _read_digits.  The width w is taken from the data: every
+    |<a, t>| is at most (sum_j |a_j|) * max |t_j|, and every packed entry
+    at most max |t_j|.
     """
     table = list(table)
     top = max((abs(x) for t in table for x in t), default=0)
-    reach = max((sum(map(abs, a)) for a in rows), default=0) * top
-    size = (reach.bit_length() + 2 + 7) // 8
-    width = 8 * size
-    half = 1 << (width - 1)
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * len(table), "little")
-    columns = [sum(x << (width * k) for k, x in enumerate(column))
-               for column in zip(*table)]
-    out = []
-    for a in rows:
-        packed = (sum(map(mul, a, columns)) + offset).to_bytes(size * len(table),
-                                                              "little")
-        out.append([int.from_bytes(packed[i:i + size], "little") - half
-                    for i in range(0, len(packed), size)])
-    return out
+    weight = max((sum(map(abs, a)) for a in rows), default=0)
+    size = _digit_size(max(weight, 1) * top)
+    columns = [_pack_digits(column, size) for column in zip(*table)]
+    return [list(_read_digits(sum(map(mul, a, columns)), size, len(table)))
+            for a in rows]
 
 
 def restrict_branching(n):

@@ -8,7 +8,7 @@ from math import comb, factorial
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exospringer import hyperoct
 from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, \
@@ -166,8 +166,9 @@ def test_irrep_dims():
 
 
 def test_table_kernel_matches_fusion_formula():
-    # the shared-term table against the definition, irrep order included
-    for n in range(1, 8):
+    # the packed table against the definition, irrep order included; n = 8
+    # and 9 need 2- and 4-byte digits
+    for n in range(1, 10):
         expected = {}
         for irrep in bipartitions_of(n):
             row = wn_character_row(irrep)
@@ -349,20 +350,29 @@ def test_branching_at_8_matches_the_dot_loop():
     assert restrict_branching(8) == dot_loop_branching(8)
 
 
+def test_branching_rows_are_in_bipartition_order():
+    # cmd_branch writes each TSV row from the row's values in this order
+    for n in range(1, 9):
+        mat = restrict_branching(n)
+        assert list(mat) == list(bipartitions_of(n))
+        for row in mat.values():
+            assert list(row) == list(bipartitions_of(n - 1))
+
+
 def dot_loop(rows, table):
     return [[sum(map(mul, a, t)) for t in table] for a in rows]
-
-
-# small entries, zeros and entries within 2^16 of +-2^200
-entries = st.one_of(st.integers(-3, 3), st.just(0),
-                    st.integers(2 ** 200 - 2 ** 16, 2 ** 200),
-                    st.integers(-2 ** 200, -2 ** 200 + 2 ** 16))
 
 
 @st.composite
 def row_sets(draw):
     """(rows, table): rows of one length (1 included), all-zero rows among
-    them, and a table of any height, 0 included."""
+    them, and a table of any height, 0 included.  Entries are small or up
+    to 2^bits in size, bits drawn so that the digits land on every width:
+    1 byte from the small ones, then 2, 4 and 8 bytes, and wider."""
+    bits = draw(st.sampled_from((1, 5, 12, 28, 60, 200)))
+    entries = st.one_of(st.integers(-3, 3), st.just(0),
+                        st.integers(-2 ** bits, 2 ** bits),
+                        st.sampled_from((2 ** bits, -2 ** bits)))
     length = draw(st.integers(1, 6))
     row = st.lists(entries, min_size=length, max_size=length)
     zero = [0] * length
@@ -375,8 +385,9 @@ def row_sets(draw):
 def tight_row_sets(draw):
     """(rows, table) with reach = (sum_j |a_j|) * max|t| at 2^(8s-3) or
     above and below 2^(8s-2), so that reach's bit length plus 2 fills s
-    bytes exactly, and a dot product of +reach and one of -reach."""
-    size = draw(st.integers(1, 30))
+    bytes exactly, s one of the widths read in C or a wider one, and a dot
+    product of +reach and one of -reach."""
+    size = draw(st.one_of(st.sampled_from((1, 2, 4, 8)), st.integers(9, 30)))
     top = draw(st.integers(1, 2 ** (8 * size - 4)))
     total = draw(st.integers(-(-2 ** (8 * size - 3) // top),
                              (2 ** (8 * size - 2) - 1) // top))
@@ -393,9 +404,58 @@ def tight_row_sets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(row_sets(), tight_row_sets()))
+@example(([], [[128]]))         # the table's entries set the width alone
+@example(([[0]], [[2 ** 70]]))
 def test_dot_rows_equals_the_dot_loop(case):
     rows, table = case
     assert hyperoct._dot_rows(rows, table) == dot_loop(rows, table)
+
+
+# the widths read in C and two wider ones, read digit by digit
+SIZES = (1, 2, 4, 8, 9, 16)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_digit_size_is_the_first_width_with_two_spare_bits(size):
+    reach = 2 ** (8 * size - 2) - 1
+    assert hyperoct._digit_size(reach) == size
+    wider = {1: 2, 2: 4, 4: 8}.get(size, size + 1)
+    assert hyperoct._digit_size(reach + 1) == wider
+    for bound in (reach, reach + 1):
+        assert hyperoct._dot_rows([[bound], [-bound]], [[1], [-1], [0]]) == \
+            [[bound, -bound, 0], [-bound, bound, 0]]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_read_digits_reads_zero_negative_and_boundary_digits(size):
+    low, high = -2 ** (8 * size - 1), 2 ** (8 * size - 1) - 1
+    spare = 2 ** (8 * size - 2) - 1
+    digits = (0, 1, -1, high, low, spare, -spare, -1, low, 0)
+    total = sum(d << (8 * size * k) for k, d in enumerate(digits))
+    assert hyperoct._read_digits(total, size, len(digits)) == digits
+    assert hyperoct._pack_digits(digits, size) == total
+    assert hyperoct._read_digits(0, size, 3) == (0, 0, 0)
+    assert hyperoct._read_digits(0, size, 0) == ()
+    assert hyperoct._pack_digits((), size) == 0
+
+
+@st.composite
+def digit_strings(draw):
+    size = draw(st.one_of(st.sampled_from(SIZES), st.integers(1, 12)))
+    bound = 2 ** (8 * size - 1)
+    digits = draw(st.lists(st.one_of(st.integers(-bound, bound - 1),
+                                     st.sampled_from((0, -1, -bound, bound - 1))),
+                           max_size=8))
+    return size, tuple(digits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_strings())
+def test_pack_and_read_digits_invert_each_other(case):
+    size, digits = case
+    total = sum(d << (8 * size * k) for k, d in enumerate(digits))
+    assert hyperoct._pack_digits(digits, size) == total
+    assert hyperoct._read_digits(total, size, len(digits)) == digits
 
 
 def _corrupted_table_errors(n=3):
