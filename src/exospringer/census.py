@@ -196,7 +196,7 @@ def _is_nilpotent(x):
 
 def _is_unipotent(x):
     """(x - 1)^n = 0; decides unipotence for self-adjoint x only."""
-    return _is_nilpotent(x - FpMatrix.identity(x.rows, x.p))
+    return _is_nilpotent(x - FpMatrix._identity(x.rows, x.p))
 
 
 def iter_vectors(space):
@@ -237,15 +237,23 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
 
 def _times_transvection(space, g, u):
     """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
-    update g + (g u)(J u)^T, with T never built.  T* = 1 - u (J u)^T, so
+    update g + (g u)(J u)^T, with T never built: only the columns where
+    J u is nonzero change.  T* = 1 - u (J u)^T, so
     T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
     checked, with the AssertionError of `transvection`."""
     p, ju = space.p, space.J.apply(u)
     if sum(map(mul, ju, u)) % p:
         raise AssertionError("transvection along %r is not symplectic" % (u,))
-    return FpMatrix._trusted(tuple(
-        tuple((a + c * b) % p for a, b in zip(row, ju))
-        for row, c in zip(g.entries, g.apply(u))), p)
+    touched = [(k, b) for k, b in enumerate(ju) if b]
+    rows = []
+    for row, c in zip(g.entries, g.apply(u)):
+        if c:
+            row = list(row)
+            for k, b in touched:
+                row[k] = (row[k] + c * b) % p
+            row = tuple(row)
+        rows.append(row)
+    return FpMatrix._trusted(tuple(rows), p)
 
 
 def seeded_basis_change(space, seed):
@@ -254,7 +262,7 @@ def seeded_basis_change(space, seed):
     checked to be symplectic once, at the end."""
     rng = random.Random(seed)
     frame = _sp_frame(space)
-    g = FpMatrix.identity(space.dim, space.p)
+    g = space._one
     for _ in range(12):
         g = _times_transvection(space, g, rng.choice(frame))
     if not space.membership(g, "H_group"):

@@ -18,16 +18,16 @@ self-adjoint too, so h x = x h is read on its 2n^2 - n self-adjoint
 coordinates only.  The unknowns are h's coordinates on the units
 E_ij + c E_kl of `adjoint_units(-1)`, and each column is read off the
 rows and columns of x that its at most two terms touch, with no sp
-basis matrix built.  The geometric (algebraic-group)
-dimensions are recovered on the nose for odd p (checked across
-several primes in the tests).
+basis matrix built, kept sparse and ranked by `sparse_rank`.  The
+geometric (algebraic-group) dimensions are recovered on the nose for
+odd p (checked across several primes in the tests).
 """
 
 from operator import mul
 
 from .bicomb import Bipartition
-from .ffield import (FpMatrix, Subspace, commutant_basis, induced_action,
-                     jordan_chains, nilpotent_jordan_type)
+from .ffield import (Subspace, commutant_basis, induced_action, jordan_chains,
+                     nilpotent_jordan_type, sparse_rank)
 
 
 class NotDoubledError(ValueError):
@@ -129,21 +129,23 @@ def halve_doubled(parts):
     return parts[::2]
 
 
-def _kernel_dim(space, conditions):
-    """dim of the solution space of homogeneous conditions (rows), one
-    unknown per column."""
-    mat = FpMatrix._trusted(tuple(map(tuple, conditions)), space.p)
-    return mat.cols - mat.rank()
+def _kernel_dim(space, columns):
+    """dim of the solution space of a homogeneous system given as one
+    sparse column per unknown."""
+    return len(columns) - sparse_rank(columns, space.p)
 
 
-def _stabilizer_rows(space, x, v, line=None):
-    """Linear conditions on h in sp_2n, one unknown per unit E_ij + c E_kl
-    of `space.adjoint_units(-1)`: [h, x] = 0, h v = 0, h<w> in <w>.
+def _stabilizer_columns(space, x, v, line=None):
+    """Linear conditions on h in sp_2n, as one sparse column {condition:
+    coefficient} per unknown, h's coordinate on the unit E_ij + c E_kl of
+    `space.adjoint_units(-1)`: [h, x] = 0, h v = 0, h<w> in <w>.
 
     x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
     zero iff its 2n^2 - n coordinates, its entries at the (a, b) of
-    `adjoint_units(1)`, are.  With the coordinates indexed by row a and
-    by column b, a term c E_ij adds c x[j][b] to coordinate (i, b) of
+    `adjoint_units(1)`, are; these are conditions 0 .. 2n^2 - n - 1, and
+    the 2n entries of h v (with v), then the 2n - 1 line conditions (with
+    a line), follow.  With the coordinates indexed by row a and by
+    column b, a term c E_ij adds c x[j][b] to coordinate (i, b) of
     h x - x h, -c x[a][i] to coordinate (a, j), and c v_j to entry i of
     h v (and of h w).
     """
@@ -153,39 +155,44 @@ def _stabilizer_rows(space, x, v, line=None):
     for r, (a, b, _, _, _) in enumerate(coords):
         by_row[a].append((r, b))
         by_col[b].append((r, a))
+    hv_at = len(coords)
     if line is not None:
         lead = next(i for i, c in enumerate(line) if c)
+        # h w is a multiple of w iff each hw[j] w[lead] - hw[lead] w[j] is 0
+        line_rows = list(enumerate(
+            (j for j in range(dim) if j != lead),
+            hv_at + (dim if v is not None else 0)))
     cols = []
     for i, j, k, l, c in space.adjoint_units(-1):
         # the unit is E_ij alone when it is its own image
         terms = ((i, j, 1),) if (k, l) == (i, j) else ((i, j, 1), (k, l, c))
-        col = [0] * len(coords)
-        hv = [0] * dim
-        hw = [0] * dim
+        col = {}
+        hw = {}
         for i, j, c in terms:
+            xj = xe[j]
             for r, b in by_row[i]:
-                col[r] += c * xe[j][b]
+                if xj[b]:
+                    col[r] = col.get(r, 0) + c * xj[b]
             for r, a in by_col[j]:
-                col[r] -= c * xe[a][i]
-            if v is not None:
-                hv[i] += c * v[j]
-            if line is not None:
-                hw[i] += c * line[j]
-        col = [a % p for a in col]
-        if v is not None:
-            col += [a % p for a in hv]
-        if line is not None:
-            col += [(hw[j] * line[lead] - hw[lead] * line[j]) % p
-                    for j in range(dim) if j != lead]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
+                if xe[a][i]:
+                    col[r] = col.get(r, 0) - c * xe[a][i]
+            if v is not None and v[j]:
+                col[hv_at + i] = col.get(hv_at + i, 0) + c * v[j]
+            if line is not None and line[j]:
+                hw[i] = hw.get(i, 0) + c * line[j]
+        if hw:
+            for r, j in line_rows:
+                col[r] = hw.get(j, 0) * line[lead] - hw.get(lead, 0) * line[j]
+        cols.append({r: b for r, a in col.items() if (b := a % p)})
+    return cols
 
 
 def stabilizer_dim(pair, include_v):
     """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}; pair.x is
     self-adjoint, as every validated pair's is."""
-    rows = _stabilizer_rows(pair.space, pair.x, pair.v if include_v else None)
-    return _kernel_dim(pair.space, rows)
+    columns = _stabilizer_columns(pair.space, pair.x,
+                                  pair.v if include_v else None)
+    return _kernel_dim(pair.space, columns)
 
 
 def cyclic_dim(pair):
@@ -225,5 +232,5 @@ def parabolic_stabilizer_dim(nf, i, case):
     else:
         raise ValueError("case must be 'i_node' or 'ii_node'")
     pair = nf.pair
-    rows = _stabilizer_rows(pair.space, pair.x, pair.v, line=w)
-    return _kernel_dim(pair.space, rows)
+    columns = _stabilizer_columns(pair.space, pair.x, pair.v, line=w)
+    return _kernel_dim(pair.space, columns)

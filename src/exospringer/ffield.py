@@ -8,11 +8,17 @@ echelon form so that equal subspaces compare equal.
 Inputs are validated once, at the API edge.  The public constructors
 (`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity` and
 `Subspace(...)`) check the modulus, reduce every entry mod p and check
-the shape; the primality test is a deterministic Miller-Rabin, cheap
-even at p = 2^31 - 1.  Results are trusted inside:
-every operation's output is reduced by construction, so it is built
-with the private `_trusted` constructors, which skip all three checks.  Library code that builds
-an already-reduced matrix or span in a hot loop uses them too.
+the shape.  The primality test is a deterministic Miller-Rabin; at
+p = 2^31 - 1 it is the dearest of the checks (about 0.1 ms, against
+1 us at p = 7).  Results are trusted inside: every operation's output is
+reduced by construction, so it is built with the private `_trusted`
+constructors (and `FpMatrix._identity`), which skip all three checks.
+Library code that builds an already-reduced matrix or span over a
+modulus it has checked uses them too, so a symplectic space tests its
+p once and none of the matrices it makes.
+
+Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
+rows; `rref` stays the kernel for canonical forms, kernels and inverses.
 """
 
 from operator import index, mul
@@ -132,6 +138,42 @@ def _rref_rows(rows, ncols, p):
     return rows, tuple(pivots)
 
 
+def sparse_rank(rows, p):
+    """Rank of vectors given as {index: value} dicts, values in [1, p).
+
+    One sparse elimination: each step takes the shortest row left as the
+    pivot, clears one of its indices from the other rows and drops it
+    and every row that becomes empty.  The dicts are used up: the rows
+    are changed in place, so a caller passes rows it will not read again.
+    """
+    rank = 0
+    rows = [row for row in rows if row]
+    while rows:
+        rank += 1
+        if len(rows) == 1:
+            break
+        rows.sort(key=len, reverse=True)
+        top = rows.pop()
+        c, lead = top.popitem()
+        # row + row[c] * top, for each remaining row, clears index c
+        scale = p - pow(lead, -1, p)
+        top = [(k, b * scale % p) for k, b in top.items()]
+        rest = []
+        for row in rows:
+            f = row.pop(c, 0)
+            if f:
+                for k, b in top:
+                    a = (row.get(k, 0) + f * b) % p
+                    if a:
+                        row[k] = a
+                    else:
+                        del row[k]
+            if row:
+                rest.append(row)
+        rows = rest
+    return rank
+
+
 def _set_matrix(m, rows, p):
     object.__setattr__(m, "p", p)
     object.__setattr__(m, "rows", len(rows))
@@ -170,11 +212,15 @@ class FpMatrix:
     @classmethod
     def identity(cls, n, p):
         check_modulus(p)
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n))
-                     for i in range(n))
-        if not rows:
+        if n < 1:
             raise ValueError("empty matrix")
-        return cls._trusted(rows, p)
+        return cls._identity(n, p)
+
+    @classmethod
+    def _identity(cls, n, p):
+        """The n x n identity, n >= 1, over a checked modulus p."""
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), p)
 
     @classmethod
     def from_json(cls, obj):
@@ -259,7 +305,7 @@ class FpMatrix:
         if not self.is_square():
             raise NonSquareError("power of non-square matrix")
         if k == 0:
-            return FpMatrix.identity(self.rows, self.p)
+            return FpMatrix._identity(self.rows, self.p)
         base = self
         while not k & 1:
             base = base * base
@@ -281,29 +327,9 @@ class FpMatrix:
         return FpMatrix._trusted(tuple(map(tuple, red)), self.p), pivots
 
     def rank(self):
-        """Forward elimination only: each pivot row, unnormalised, clears
-        its column from the rows left, and rows that become zero are dropped."""
-        p = self.p
-        rows = [row for row in self.entries if any(row)]
-        rank = 0
-        for c in range(self.cols):
-            top = next((row for row in rows if row[c]), None)
-            if top is None:
-                continue
-            rank += 1
-            rows.remove(top)
-            inv = inv_mod(top[c], p)
-            rest = []
-            for row in rows:
-                f = row[c]
-                if f:
-                    f *= inv
-                    row = [(a - f * b) % p for a, b in zip(row, top)]
-                    if not any(row):
-                        continue
-                rest.append(row)
-            rows = rest
-        return rank
+        """The rank, by `sparse_rank` on the nonzero entries of each row."""
+        return sparse_rank([{c: a for c, a in enumerate(row) if a}
+                            for row in self.entries], self.p)
 
     def kernel_basis(self):
         """Canonical Subspace {v : Mv = 0} of the column space F_p^cols."""
@@ -467,6 +493,23 @@ def nilpotent_jordan_type(n_mat):
     return out
 
 
+def _echelon_add(basis, vec, p):
+    """Reduce vec against the semi-echelon basis [(pivot, row)], each row
+    1 at its pivot and 0 at the pivots before it; if a remainder is left,
+    append it, scaled to 1 at its first nonzero index, and return True."""
+    v = list(vec)
+    for pc, row in basis:
+        c = v[pc]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    pc = next((i for i, a in enumerate(v) if a), None)
+    if pc is None:
+        return False
+    inv = pow(v[pc], -1, p)
+    basis.append((pc, [a * inv % p for a in v]))
+    return True
+
+
 def jordan_chains(n_mat):
     """(chain lengths, P^-1) for a Jordan chain basis P of a nilpotent N.
 
@@ -474,8 +517,9 @@ def jordan_chains(n_mat):
     chains first, so the lengths are the Jordan type and P^-1 v splits
     into one block of coordinates per chain, index k on N^k u.  The tops
     are found top-down: those of length s are the vectors of ker N^s
-    independent of ker N^(s-1) and of the longer chains' vectors there,
-    each candidate reduced against the echelon span found so far.
+    independent of ker N^(s-1) and of the longer chains' vectors there.
+    The span for each s grows as one semi-echelon basis, into which each
+    candidate is reduced once.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan chains of non-square matrix")
@@ -483,13 +527,14 @@ def jordan_chains(n_mat):
     kernels = _power_kernels(n_mat)
     chains = []
     for s in range(len(kernels), 0, -1):
-        below = kernels[s - 2].basis if s > 1 else ()
+        # ker N^(s-1), in reduced echelon form, is already semi-echelon
+        below = kernels[s - 2] if s > 1 else Subspace._trusted(m, (), p)
+        span = list(zip(below._pivots, below.basis))
         # N^(t-s) u of each longer chain lies in ker N^s
-        span = Subspace._trusted(
-            m, below + tuple(c[len(c) - s] for c in chains), p)
+        for c in chains:
+            _echelon_add(span, c[len(c) - s], p)
         for w in kernels[s - 1].basis:
-            if any(span._reduce(w)[1]):
-                span = Subspace._trusted(m, span.basis + (w,), p)
+            if _echelon_add(span, w, p):
                 chain = [w]
                 for _ in range(s - 1):
                     chain.append(n_mat.apply(chain[-1]))

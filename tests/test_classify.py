@@ -15,7 +15,26 @@ from exospringer.classify import (
 from exospringer.census import seeded_basis_change
 from exospringer.ffield import (FpMatrix, NotNilpotentError, jordan_chains,
                                 nilpotent_jordan_type)
-from exospringer.symplectic import ExoticPair, SymplecticSpace, normal_form_pair
+from exospringer.symplectic import (ExoticPair, NormalFormData, SymplecticSpace,
+                                   normal_form_pair)
+
+
+@pytest.fixture(autouse=True)
+def nilpotent_part_is_log_map(monkeypatch):
+    """On every group pair a test here validates, the nilpotent part, which
+    is x - 1 with no check, equals the checked `log_map(x)`."""
+    pairs = []
+    validate = ExoticPair.validate
+
+    def recorded(self):
+        validate(self)
+        if self.flavor == "group":
+            pairs.append(self)
+
+    monkeypatch.setattr(ExoticPair, "validate", recorded)
+    yield pairs
+    for pair in pairs:
+        assert pair.nilpotent_part() == pair.space.log_map(pair.x)
 
 
 def test_enhanced_examples():
@@ -92,6 +111,59 @@ def test_labeler_matches_commutant_span_on_moved_normal_forms(p):
             # a second vector for the same x: its label still agrees
             w = g.apply(tuple(reversed(pair.v)))
             assert exotic_labeler(x)(w) == span_label(x, w)
+
+
+def test_nilpotent_part_is_the_checked_log_map(rng, nilpotent_part_is_log_map):
+    for n in (1, 2, 3, 4):
+        for p in (3, 2**31 - 1):
+            space = SymplecticSpace(n, p)
+            for label in bipartitions_of(n):
+                pair = normal_form_pair(label, space).pair
+                g = random_sp_element(rng, space)
+                moved = ExoticPair(space, g * pair.x * space.adjoint(g),
+                                   g.apply(pair.v), "group")
+                assert moved.nilpotent_part() == space.log_map(moved.x)
+                lie = ExoticPair(space, moved.nilpotent_part(), moved.v, "lie")
+                assert lie.nilpotent_part() is lie.x
+    # the fixture saw the pairs and checks them again after the test
+    assert len(nilpotent_part_is_log_map) == 2 * 2 * sum(
+        len(bipartitions_of(n)) for n in (1, 2, 3, 4))
+
+
+def subspace_rebuilding_jordan_chains(n_mat):
+    # reference builder: the span is a Subspace, built and row-reduced
+    # again at each new vector
+    m, p = n_mat.rows, n_mat.p
+    kernels = ffield._power_kernels(n_mat)
+    chains = []
+    for s in range(len(kernels), 0, -1):
+        below = kernels[s - 2].basis if s > 1 else ()
+        span = ffield.Subspace._trusted(
+            m, below + tuple(c[len(c) - s] for c in chains), p)
+        for w in kernels[s - 1].basis:
+            if any(span._reduce(w)[1]):
+                span = ffield.Subspace._trusted(m, span.basis + (w,), p)
+                chain = [w]
+                for _ in range(s - 1):
+                    chain.append(n_mat.apply(chain[-1]))
+                chains.append(chain)
+    p_mat = FpMatrix._trusted(tuple(zip(*[u for c in chains for u in c])), p)
+    return tuple(map(len, chains)), p_mat.inverse()
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+def test_jordan_chains_match_the_subspace_rebuilding_builder(rng, p):
+    # random nilpotent self-adjoint x: the log of every normal form, as it
+    # is and moved by random symplectic elements
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, p)
+        for label in bipartitions_of(n):
+            x = normal_form_pair(label, space).pair.nilpotent_part()
+            for k in range(3):
+                g = random_sp_element(rng, space) if k else space._one
+                moved = g * x * space.adjoint(g)
+                assert jordan_chains(moved) == \
+                    subspace_rebuilding_jordan_chains(moved)
 
 
 def test_labeler_refuses_a_non_nilpotent_matrix():
@@ -260,11 +332,11 @@ def test_parabolic_case_i_needs_removable_node():
         parabolic_stabilizer_dim(nf, 1, "i_node")
     # same geometry computed without the line shortcut: kernel with the
     # line condition has dim 8, not z - 2q + 2 = 9
-    from exospringer.classify import _kernel_dim, _stabilizer_rows
+    from exospringer.classify import _kernel_dim, _stabilizer_columns
     w = nf.jordan_basis[(1, 1)]
-    rows = _stabilizer_rows(sp, nf.pair.x, nf.pair.v, line=w)
-    assert len(rows[0]) == len(sp.adjoint_eigenbasis(-1))
-    assert _kernel_dim(sp, rows) == 8
+    columns = _stabilizer_columns(sp, nf.pair.x, nf.pair.v, line=w)
+    assert len(columns) == len(sp.adjoint_eigenbasis(-1))
+    assert _kernel_dim(sp, columns) == 8
     assert stabilizer_dim(nf.pair, include_v=True) - 2 * 1 + 2 == 9
 
 
@@ -343,13 +415,61 @@ def dense_stabilizer_rows(space, basis, x, v, line):
     return rows
 
 
+def dense_kernel_dim(space, basis, x, v, line):
+    dense = dense_stabilizer_rows(space, basis, x, v, line)
+    return len(basis) - len(FpMatrix(dense, space.p).rref()[1])
+
+
+def moved_normal_form(nf, g):
+    # the normal form carried by the symplectic g: (g x g^-1, g v), and
+    # both frames moved by g
+    space = nf.pair.space
+    pair = ExoticPair(space, g * nf.pair.x * space.adjoint(g),
+                      g.apply(nf.pair.v), nf.pair.flavor)
+    return NormalFormData(
+        pair, nf.label, nf.nu,
+        {key: g.apply(w) for key, w in nf.jordan_basis.items()},
+        {key: g.apply(w) for key, w in nf.dual_basis.items()},
+        nf.block_sizes, nf.nu_values, nf.mu1_values, nf.p_rows, nf.q_rows)
+
+
+@pytest.mark.parametrize("p", (3, 2**31 - 1))
+def test_stabilizer_dims_match_the_dense_oracle_on_moved_pairs(p):
+    cases = 0
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, p)
+        basis = space.adjoint_eigenbasis(-1)
+        for seed, label in enumerate(bipartitions_of(n), start=1):
+            nf = moved_normal_form(normal_form_pair(label, space),
+                                   seeded_basis_change(space, seed))
+            x, v = nf.pair.x, nf.pair.v
+            assert stabilizer_dim(nf.pair, include_v=False) == \
+                dense_kernel_dim(space, basis, x, None, None)
+            assert stabilizer_dim(nf.pair, include_v=True) == \
+                dense_kernel_dim(space, basis, x, v, None)
+            for i in range(1, nf.num_blocks + 1):
+                mu1 = nf.mu1_values[i - 1]
+                mu1_next = nf.mu1_values[i] if i < nf.num_blocks else 0
+                if mu1 > mu1_next:
+                    w = nf.jordan_basis[(nf.q_rows[i - 1], 1)]
+                    assert parabolic_stabilizer_dim(nf, i, "i_node") == \
+                        dense_kernel_dim(space, basis, x, v, w)
+                    cases += 1
+                if nf.nu_values[i - 1] > mu1:
+                    w = nf.dual_basis[(nf.p_rows[i - 1], nf.nu_values[i - 1])]
+                    assert parabolic_stabilizer_dim(nf, i, "ii_node") == \
+                        dense_kernel_dim(space, basis, x, v, w)
+                    cases += 1
+    assert cases > 50
+
+
 @pytest.mark.parametrize("p", (3, 2**31 - 1))
 def test_sparse_stabilizer_rows_match_dense_products(rng, p):
     # for self-adjoint x the bracket [h, x] is self-adjoint, so its rows
     # are the dense rows at the leading 1s of the self-adjoint basis, and
     # they cut out the same kernel as the full dense system; the rows are
     # built from the adjoint units, the dense ones from the basis matrices
-    from exospringer.classify import _stabilizer_rows
+    from exospringer.classify import _kernel_dim, _stabilizer_columns
     for n in (1, 2, 3, 4):
         space = SymplecticSpace(n, p)
         dim = space.dim
@@ -366,18 +486,27 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
             line = tuple(rng.randrange(p) for _ in range(dim))
             line = line if any(line) else space.e(1)
             for v, w in ((None, None), (v, None), (v, line), (None, line)):
-                rows = _stabilizer_rows(space, x, v, line=w)
+                columns = _stabilizer_columns(space, x, v, line=w)
                 dense = dense_stabilizer_rows(space, basis, x, v, w)
+                # one sparse column per unknown, no stored zero, read
+                # back as dense rows over the conditions
+                conditions = len(coords) + len(dense) - dim * dim
+                assert len(columns) == len(basis)
+                assert all(0 <= r < conditions and 0 < a < p
+                           for col in columns for r, a in col.items())
+                rows = [[col.get(r, 0) for col in columns]
+                        for r in range(conditions)]
                 assert rows[:len(coords)] == [dense[c] for c in coords]
                 assert rows[len(coords):] == dense[dim * dim:]
-                assert FpMatrix(rows, p).rank() == \
-                    len(FpMatrix(dense, p).rref()[1])
+                assert _kernel_dim(space, columns) == \
+                    len(basis) - len(FpMatrix(dense, p).rref()[1])
 
 
 def test_stabilizer_dim_cost(monkeypatch):
-    # n = 4: one system of 2n^2 - n commutator rows and 2n v rows, built
-    # from the adjoint units with no sp basis matrix, and ranked by
-    # forward elimination with no reduced echelon form
+    # n = 4: one system of 2n^2 + n sparse columns over 2n^2 - n commutator
+    # coordinates and 2n v coordinates, built from the adjoint units with
+    # no sp basis matrix, and ranked by one sparse elimination with no
+    # reduced echelon form
     n, p = 4, 5
     space = SymplecticSpace(n, p)
     label = Bipartition((2, 1), (1,))
@@ -385,14 +514,19 @@ def test_stabilizer_dim_cost(monkeypatch):
     g = seeded_basis_change(space, 3)
     pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
                       nf.pair.flavor)
-    systems, rref_calls, bases = [], [], []
-    stabilizer_rows, rref_rows = classify._stabilizer_rows, ffield._rref_rows
+    systems, ranked, rref_calls, bases = [], [], [], []
+    stabilizer_columns, rref_rows = classify._stabilizer_columns, ffield._rref_rows
+    sparse_rank = classify.sparse_rank
     eigenbasis = SymplecticSpace.adjoint_eigenbasis
 
     def recorded(*args, **kwargs):
-        rows = stabilizer_rows(*args, **kwargs)
-        systems.append((len(rows), len(rows[0])))
-        return rows
+        columns = stabilizer_columns(*args, **kwargs)
+        systems.append((len(columns), {r for col in columns for r in col}))
+        return columns
+
+    def rank_counted(columns, p):
+        ranked.append(len(columns))
+        return sparse_rank(columns, p)
 
     def counted(*args):
         rref_calls.append(1)
@@ -402,11 +536,16 @@ def test_stabilizer_dim_cost(monkeypatch):
         bases.append(sign)
         return eigenbasis(self, sign)
 
-    monkeypatch.setattr(classify, "_stabilizer_rows", recorded)
+    monkeypatch.setattr(classify, "_stabilizer_columns", recorded)
+    monkeypatch.setattr(classify, "sparse_rank", rank_counted)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
     monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", listed)
     assert stabilizer_dim(pair, include_v=True) == \
         2 * n * n + n - orbit_dim(label, n)
-    assert systems == [(2 * n * n - n + 2 * n, 2 * n * n + n)] == [(36, 36)]
+    [(unknowns, conditions)] = systems
+    assert unknowns == 2 * n * n + n == 36
+    assert conditions <= set(range(2 * n * n - n + 2 * n)) == set(range(28 + 8))
+    assert conditions & set(range(28)) and conditions - set(range(28))
+    assert ranked == [36]
     assert rref_calls == []
     assert bases == []

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -71,6 +72,37 @@ def test_repr_classify_roundtrip(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"label": "1|1", "dim_orbit": 6, "d": 1,
                                "stab_dim": 4}
+
+
+def test_classify_checks_the_modulus_once_per_validated_object(
+        monkeypatch, capsys):
+    # at p = 2^31 - 1 a primality test is the dearest check on the classify
+    # path: one for the matrix JSON, one for the space, none for the
+    # trusted matrices built from them
+    from exospringer import ffield
+    from exospringer.bicomb import parse_bipartition
+    from exospringer.census import seeded_basis_change
+    from exospringer.symplectic import ExoticPair, SymplecticSpace, \
+        normal_form_pair
+    p = 2**31 - 1
+    space = SymplecticSpace(4, p)
+    nf = normal_form_pair(parse_bipartition("2,1|1"), space)
+    g = seeded_basis_change(space, 5)
+    pair = ExoticPair(space, g * nf.pair.x * space.adjoint(g),
+                      g.apply(nf.pair.v), "group")
+    tested = []
+    is_odd_prime = ffield.is_odd_prime
+
+    def counted(q):
+        tested.append(q)
+        return is_odd_prime(q)
+
+    monkeypatch.setattr(ffield, "is_odd_prime", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pair.to_json())))
+    code, out = run(capsys, "classify", "--input", "-")
+    assert code == 0
+    assert json.loads(out)["label"] == "2,1|1"
+    assert tested == [p, p]
 
 
 def test_verify_sum_squares(capsys):

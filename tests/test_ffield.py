@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_matrix, random_invertible, zeros
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
-    commutant_basis, induced_action, inv_mod, jordan_chains,
-    nilpotent_jordan_type, is_odd_prime)
+    _rref_rows, commutant_basis, induced_action, inv_mod, jordan_chains,
+    nilpotent_jordan_type, is_odd_prime, sparse_rank)
 
 
 def field_arith(a, b, op, p):
@@ -327,6 +327,44 @@ def ranked_matrices(draw):
 def test_rank_by_forward_elimination_matches_rref(m):
     assert m.rank() == len(m.rref()[1])
     assert m.is_invertible() == (m.is_square() and len(m.rref()[1]) == m.rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1..40 x 1..40 matrices of every density, with zero rows and zero
+    columns, some of them a product through a narrower middle."""
+    p = draw(st.sampled_from((3, 5, 7, 2**31 - 1)))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from((0.05, 0.2, 0.5, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+
+    def entry():
+        return rng.randrange(1, p) if rng.random() < density else 0
+
+    k = draw(st.one_of(st.none(), st.integers(0, min(rows, cols))))
+    if k is None:
+        entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    else:
+        a = [[entry() for _ in range(k)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(k)]
+        entries = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                   if k else [0] * cols for row in a]
+    return FpMatrix([[0 if i in zero_rows or j in zero_cols else a
+                      for j, a in enumerate(row)]
+                     for i, row in enumerate(entries)], p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_matches_dense_rref_pivots(m):
+    _, pivots = _rref_rows([list(row) for row in m.entries], m.cols, m.p)
+    assert m.rank() == len(pivots)
+    # by columns too, as the stabilizer systems are ranked
+    columns = [{i: a for i, a in enumerate(col) if a}
+               for col in zip(*m.entries)]
+    assert sparse_rank(columns, m.p) == len(pivots)
 
 
 def test_jordan_chains_errors():
