@@ -92,10 +92,21 @@ class Bipartition:
     __slots__ = ("first", "second", "_hash")
 
     def __init__(self, first, second):
-        object.__setattr__(self, "first", check_partition(first))
-        object.__setattr__(self, "second", check_partition(second))
+        self._set(check_partition(first), check_partition(second))
+
+    @classmethod
+    def _trusted(cls, first, second):
+        """Wrap two valid partitions: tuples of positive ints, weakly
+        decreasing."""
+        bp = object.__new__(cls)
+        bp._set(first, second)
+        return bp
+
+    def _set(self, first, second):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
         # labels key the census's dicts, one lookup per labelled line
-        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+        object.__setattr__(self, "_hash", hash((first, second)))
 
     def __setattr__(self, *a):
         raise AttributeError("Bipartition is immutable")

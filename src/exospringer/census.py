@@ -17,6 +17,9 @@ order, with v = 0 and one vector per line through 0: a label depends on
 v only through the span of (commutant of x) . v, which c.v shares for
 every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  The orbit check reuses these labels.
+The cone is found with `power_is_zero`, the nilpotence test that
+`ExoticPair.validate` uses too: on x's rows, with no matrix built per x,
+and stopping at the first nonzero entry of x^n (or (x - 1)^n).
 """
 
 import random
@@ -24,7 +27,7 @@ from operator import mul
 
 from . import classify
 from .bicomb import format_bipartition
-from .ffield import FpMatrix, _unflatten
+from .ffield import FpMatrix, _unflatten, power_is_zero
 from .symplectic import ExoticPair, SymplecticSpace
 
 CENSUS_MAX_N = 2
@@ -191,12 +194,12 @@ def iter_self_adjoint(space):
 def _is_nilpotent(x):
     """x^n = 0 for 2n x 2n x; exact for self-adjoint x only, whose Jordan
     type lambda u lambda (|lambda| = n) has parts <= n."""
-    return x.power(x.rows // 2).is_zero()
+    return power_is_zero(x.entries, x.rows // 2, x.p)
 
 
 def _is_unipotent(x):
     """(x - 1)^n = 0; decides unipotence for self-adjoint x only."""
-    return _is_nilpotent(x - FpMatrix._identity(x.rows, x.p))
+    return power_is_zero(x.entries, x.rows // 2, x.p, minus_one=True)
 
 
 def iter_vectors(space):
@@ -240,13 +243,20 @@ def _times_transvection(space, g, u):
     update g + (g u)(J u)^T, with T never built: only the columns where
     J u is nonzero change.  T* = 1 - u (J u)^T, so
     T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
-    checked, with the AssertionError of `transvection`."""
-    p, ju = space.p, space.J.apply(u)
+    checked, with the AssertionError of `transvection`.  No dense product
+    is formed: J u is u moved by J's signed permutation, and g u reads
+    only the columns of g where u is nonzero (two at most on the frame)."""
+    p = space.p
+    ju = [0] * len(u)
+    for (pb, s), c in zip(space._signed_perm, u):
+        ju[pb] = s * c % p          # column b of J is s_b e_pi(b)
     if sum(map(mul, ju, u)) % p:
         raise AssertionError("transvection along %r is not symplectic" % (u,))
     touched = [(k, b) for k, b in enumerate(ju) if b]
+    support = [(k, a) for k, a in enumerate(u) if a]
     rows = []
-    for row, c in zip(g.entries, g.apply(u)):
+    for row in g.entries:
+        c = sum(row[k] * a for k, a in support) % p
         if c:
             row = list(row)
             for k, b in touched:

@@ -99,7 +99,9 @@ def exotic_labeler(n_mat):
         label = by_valuations.get(key)
         if label is None:
             first, second = _valuation_label(lengths, valuations)
-            label = Bipartition(halve_doubled(first), halve_doubled(second))
+            # halving keeps the parts positive and weakly decreasing
+            label = Bipartition._trusted(halve_doubled(first),
+                                         halve_doubled(second))
             by_valuations[key] = label
         return label
 

@@ -19,6 +19,7 @@ p once and none of the matrices it makes.
 
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
 rows; `rref` stays the kernel for canonical forms, kernels and inverses.
+Nilpotence is decided by one test on row tuples, `power_is_zero`.
 """
 
 from operator import index, mul
@@ -174,6 +175,49 @@ def sparse_rank(rows, p):
     return rank
 
 
+def _product_rows(a, b, p):
+    """The rows of the product of the matrices with rows a and b."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+
+
+def power_is_zero(rows, k, p, minus_one=False):
+    """Whether M^k = 0, or (M - 1)^k = 0 with minus_one, for the square
+    matrix M with these rows (entries in [0, p)) and k >= 1.
+
+    The one nilpotence test.  M - 1 is M with 1 taken off its diagonal.
+    The power is built by `FpMatrix.power`'s squaring chain, every
+    product but the last in full; the last is read entry by entry, and
+    the test stops at its first nonzero entry."""
+    if k < 1:
+        raise ValueError("power_is_zero needs k >= 1")
+    if minus_one:
+        rows = tuple(row[:i] + ((row[i] - 1) % p,) + row[i + 1:]
+                     for i, row in enumerate(rows))
+    while not k & 1:
+        k >>= 1
+        if k == 1:
+            return _product_is_zero(rows, rows, p)
+        rows = _product_rows(rows, rows, p)
+    if k == 1:
+        return not any(map(any, rows))
+    result = rows
+    while True:
+        rows = _product_rows(rows, rows, p)
+        k >>= 1
+        if k == 1:
+            return _product_is_zero(result, rows, p)
+        if k & 1:
+            result = _product_rows(result, rows, p)
+
+
+def _product_is_zero(a, b, p):
+    """Whether the product of the matrices with rows a and b is 0, read
+    up to its first nonzero entry."""
+    bt = tuple(zip(*b))
+    return not any(sum(map(mul, row, col)) % p for row in a for col in bt)
+
+
 def _set_matrix(m, rows, p):
     object.__setattr__(m, "p", p)
     object.__setattr__(m, "rows", len(rows))
@@ -266,11 +310,8 @@ class FpMatrix:
                                            for row in self.entries), p)
         if self.cols != other.rows or self.p != other.p:
             raise ValueError("shape/modulus mismatch in matmul")
-        p = self.p
-        bt = tuple(zip(*other.entries))
-        return FpMatrix._trusted(tuple(tuple(sum(map(mul, row, col)) % p
-                                             for col in bt)
-                                       for row in self.entries), p)
+        return FpMatrix._trusted(
+            _product_rows(self.entries, other.entries, self.p), self.p)
 
     __rmul__ = __mul__
 

@@ -11,7 +11,7 @@ builds representatives for.  `adjoint_eigenbasis` gives both.
 """
 
 from . import bicomb
-from .ffield import FpMatrix, check_modulus, json_fields
+from .ffield import FpMatrix, check_modulus, json_fields, power_is_zero
 
 
 class NotInGIotaThetaError(ValueError):
@@ -236,11 +236,10 @@ class ExoticPair:
         sp = self.space
         if not sp.membership(self.x, "g_minus_theta"):
             raise ValueError("x is not self-adjoint")
-        if self.flavor == "lie":
-            if not self.x.power(sp.n).is_zero():
-                raise ValueError("lie flavor requires nilpotent x")
-        elif not (self.x - sp._one).power(sp.n).is_zero():
-            raise ValueError("group flavor requires unipotent x")
+        group = self.flavor == "group"
+        if not power_is_zero(self.x.entries, sp.n, sp.p, minus_one=group):
+            raise ValueError("group flavor requires unipotent x" if group
+                             else "lie flavor requires nilpotent x")
 
     def nilpotent_part(self):
         """The nilpotent matrix driving classification (x itself or log x).

@@ -208,6 +208,16 @@ def test_string_grammar():
         parse_bipartition("1,2|-")      # not weakly decreasing
 
 
+def test_the_public_constructors_still_validate():
+    # only the labeller's trusted path skips the partition checks
+    for first, second in (((1, 2), ()), ((), (1, 2)), ((2, -1), ())):
+        with pytest.raises(ValueError):
+            Bipartition(first, second)
+    for text in ("1,2|-", "1|1,3", "2,x|1"):
+        with pytest.raises(ValueError):
+            parse_bipartition(text)
+
+
 def test_hook_count():
     assert standard_tableau_count((2, 1)) == 2
     assert standard_tableau_count(()) == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix, random_sp_element, zeros
-from exospringer import census as census_mod, classify
+from exospringer import census as census_mod, classify, ffield
 from exospringer.bicomb import Bipartition, bipartitions_of, closure_leq, \
     format_bipartition
 from exospringer.census import (
@@ -347,14 +347,61 @@ def test_cone_tests_match_is_nilpotent_on_self_adjoint_x(n, p):
     assert kept == {"lie": p ** (2 * n * n - 2 * n), "group": p ** (2 * n * n - 2 * n)}
 
 
-def test_cone_test_takes_one_product_at_n2_and_none_at_n1(matmul_calls):
-    # x^n by FpMatrix.power: x^2 is one product and x^1 none
-    for n, products in ((1, 0), (2, 1)):
-        for x in list(iter_self_adjoint(SymplecticSpace(n, 3)))[:40]:
-            del matmul_calls[:]
-            census_mod._is_nilpotent(x)
-            census_mod._is_unipotent(x)
-            assert len(matmul_calls) == 2 * products
+@pytest.fixture
+def scalar_products(monkeypatch):
+    """A list that grows by one entry per entry product in ffield's
+    matrix arithmetic: a dot product of length m adds m."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return a * b
+
+    monkeypatch.setattr(ffield, "mul", counted)
+    return calls
+
+
+def test_cone_test_takes_one_product_at_n2_and_none_at_n1(matmul_calls,
+                                                          scalar_products):
+    # the census predicates form no FpMatrix: x^n is built on row tuples,
+    # x^1 with no product and x^2 with one, read entry by entry up to its
+    # first nonzero entry, so when (x x)[0][0] != 0 one dot product is made
+    for n in (1, 2):
+        space = SymplecticSpace(n, 3)
+        one = FpMatrix.identity(space.dim, 3)
+        for x in iter_self_adjoint(space):
+            for keep, y in ((census_mod._is_nilpotent, x),
+                            (census_mod._is_unipotent, x - one)):
+                del scalar_products[:]
+                kept = keep(x)
+                assert matmul_calls == []
+                made = len(scalar_products)
+                if n == 1:
+                    assert made == 0
+                elif kept:
+                    assert made == 4 ** 3
+                elif sum(a * row[0] for a, row in zip(y.entries[0], y.entries)) % 3:
+                    assert made == 4
+                else:
+                    assert made % 4 == 0 and 8 <= made <= 4 ** 3
+
+
+def test_pair_validation_takes_the_power_chain(matmul_calls, scalar_products):
+    # ExoticPair.validate builds x^n (or (x - 1)^n) by FpMatrix.power's
+    # chain, 0, 1, 2, 2 products at n = 1..4, and reads every entry of the
+    # last product when x is on the cone
+    for n, chain in ((1, 0), (2, 1), (3, 2), (4, 2)):
+        space = SymplecticSpace(n, 5)
+        pair = normal_form_pair(Bipartition((n,), ()), space).pair
+        lie = pair.nilpotent_part()
+        del matmul_calls[:]
+        assert lie.power(n).is_zero()
+        assert len(matmul_calls) == chain
+        for x, flavor in ((lie, "lie"), (pair.x, "group")):
+            del matmul_calls[:], scalar_products[:]
+            ExoticPair(space, x, pair.v, flavor)
+            assert matmul_calls == []
+            assert len(scalar_products) == chain * space.dim ** 3
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3)])
@@ -432,8 +479,10 @@ def test_seeded_basis_change_is_the_word_in_all_generators(n, p, seed):
 
 def test_seeded_basis_change_builds_no_transvection_and_checks_once(monkeypatch):
     # the word is 12 rank-one updates, each factor checked in closed
-    # form; only the product is checked by membership
-    built, checked = [], []
+    # form; only the product is checked by membership.  No factor makes a
+    # dense apply: J u is read off J's signed permutation and g u off the
+    # nonzero entries of u
+    built, checked, applied = [], [], []
     membership = SymplecticSpace.membership
 
     def counted(self, x, which):
@@ -443,11 +492,13 @@ def test_seeded_basis_change_builds_no_transvection_and_checks_once(monkeypatch)
     monkeypatch.setattr(census_mod, "transvection",
                         lambda space, u: built.append(u))
     monkeypatch.setattr(SymplecticSpace, "membership", counted)
+    monkeypatch.setattr(FpMatrix, "apply",
+                        lambda self, vec: applied.append(vec))
     for n in (1, 4):
         checked.clear()
         space = SymplecticSpace(n, 5)
         g = census_mod.seeded_basis_change(space, 11)
-        assert built == [] and checked == ["H_group"]
+        assert built == [] and checked == ["H_group"] and applied == []
         assert membership(space, g, "H_group")
 
 
@@ -498,10 +549,12 @@ def test_closed_form_factor_check_agrees_with_membership(rng):
 
 
 def test_closed_form_factor_check_raises_like_transvection():
-    # with J swapped for the symmetric e_i <-> f_i, (J u).u = 2 != 0 for
-    # u = e_1 + f_1, and both checks refuse with the same message
+    # with J, and the signed permutation it is read as, swapped for the
+    # symmetric e_i <-> f_i, (J u).u = 2 != 0 for u = e_1 + f_1, and both
+    # checks refuse with the same message
     space = SymplecticSpace(1, 3)
     object.__setattr__(space, "J", FpMatrix([[0, 1], [1, 0]], 3))
+    object.__setattr__(space, "_signed_perm", ((1, 1), (0, 1)))
     for build in (census_mod.transvection,
                   lambda s, u: census_mod._times_transvection(s, s._one, u)):
         with pytest.raises(AssertionError,

@@ -1,0 +1,49 @@
+"""The stdout of the census and Klyachko verify suites, pinned by SHA-256.
+
+The calls are the benchmark's `census` workload items (with its seed,
+288545019, the program seed it derives from benchmark seed 1) and the
+orbit check at n = 1, where listing the group is cheap.  The digests are
+of the whole stdout, recorded from the program before the cone test was
+rewritten on row tuples; any change of one byte fails.
+"""
+
+import hashlib
+
+import pytest
+
+from exospringer import cli
+
+SEED = "288545019"
+
+STDOUT_SHA256 = {
+    "verify --suite census --n 2 --p 3 --flavor lie --seed " + SEED:
+        "afd1410435e9ab66ee69d828988b0f7dc79df7cb92a263c4e4843c641a970fcc",
+    "verify --suite census --n 2 --p 3 --flavor group --seed " + SEED:
+        "44013ee978f827f9d4acbf6fec0351e44b9822b2ca8cd8adf442c9d8718c2149",
+    "verify --suite census --n 1 --p 5 --flavor lie --seed " + SEED:
+        "be5d2b48f54ffdcd73cd7ea178160a735771914f4d4d7d2b09425db438e54012",
+    "verify --suite census --n 1 --p 5 --flavor group --seed " + SEED:
+        "fb5d87af58e0cc83e26493442d49b3de1631450a963294a27593ae47f161a9ec",
+    "verify --suite census --n 1 --p 3 --flavor lie --seed " + SEED
+    + " --check-orbits":
+        "1a839188d3e8314cb611c0d3d41f329035559f18ba82b5bcf056dbc782da9c0c",
+    "verify --suite census --n 1 --p 3 --flavor group --seed " + SEED
+    + " --check-orbits":
+        "26fa6ee891e934ec13cd0370a5268e1183b43039bb38acf5389ff955c70d10bb",
+    "verify --suite census --n 1 --p 5 --flavor lie --seed " + SEED
+    + " --check-orbits":
+        "b87d16afb98de0e18d2120b361a4d58d797aee2d32b38c20ae5ee114ade04c43",
+    "verify --suite census --n 1 --p 5 --flavor group --seed " + SEED
+    + " --check-orbits":
+        "a3c9c59945854ce36d110853771b2715c88f1f052ca9b9b993a5d3abcd75aec3",
+    "verify --suite klyachko --n 2 --p 3":
+        "afee2539621b506e9b7a21e588328b276edc06a793cc897717f200ef36d748f5",
+}
+
+
+@pytest.mark.parametrize("call", sorted(STDOUT_SHA256))
+def test_census_output_is_unchanged(call, capsys):
+    rc = cli.main(call.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[call]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -111,6 +112,23 @@ def test_labeler_matches_commutant_span_on_moved_normal_forms(p):
             # a second vector for the same x: its label still agrees
             w = g.apply(tuple(reversed(pair.v)))
             assert exotic_labeler(x)(w) == span_label(x, w)
+
+
+def test_labeler_labels_equal_the_validated_bipartitions():
+    # exotic_labeler builds its labels unchecked: every label it returns
+    # for any v, on every normal form at n <= 4 over F_3, is the object the
+    # validating constructor makes, equal to it and hashing the same
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, 3)
+        for label in bipartitions_of(n):
+            pair = normal_form_pair(label, space).pair
+            labeler = exotic_labeler(pair.nilpotent_part())
+            assert labeler(pair.v) == label
+            returned = {id(bp): bp for bp in map(
+                labeler, itertools.product(range(3), repeat=space.dim))}
+            for bp in returned.values():
+                checked = Bipartition(bp.first, bp.second)
+                assert bp == checked and hash(bp) == hash(checked)
 
 
 def test_nilpotent_part_is_the_checked_log_map(rng, nilpotent_part_is_log_map):

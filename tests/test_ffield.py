@@ -5,7 +5,7 @@ from conftest import random_matrix, random_invertible, zeros
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
     _rref_rows, commutant_basis, induced_action, inv_mod, jordan_chains,
-    nilpotent_jordan_type, is_odd_prime, sparse_rank)
+    nilpotent_jordan_type, is_odd_prime, power_is_zero, sparse_rank)
 
 
 def field_arith(a, b, op, p):
@@ -306,6 +306,45 @@ def test_jordan_chains_conjugate_random_nilpotents_to_chain_form(data):
     lengths, p_inv = jordan_chains(n_mat)
     assert lengths == tuple(sorted(sizes, reverse=True))
     assert p_inv * n_mat * p_inv.inverse() == chain_form(lengths, p)
+
+
+@st.composite
+def cone_test_matrices(draw):
+    """(M, p): an arbitrary square matrix, or a nilpotent (or nilpotent
+    plus 1) one, Jordan blocks conjugated by an invertible g = L U, so
+    that both tests of `power_is_zero` often come out True."""
+    p = draw(st.sampled_from((3, 5, 7, 2**31 - 1)))
+    m = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    if draw(st.booleans()):
+        return FpMatrix([[draw(entry) for _ in range(m)] for _ in range(m)], p), p
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(draw(st.integers(1, m - sum(sizes))))
+    lower = FpMatrix([[draw(entry) if j < i else int(i == j)
+                       for j in range(m)] for i in range(m)], p)
+    upper = FpMatrix([[draw(entry) if j > i else int(i == j)
+                       for j in range(m)] for i in range(m)], p)
+    g = lower * upper
+    n_mat = g * chain_form(sorted(sizes, reverse=True), p) * g.inverse()
+    if draw(st.booleans()):
+        n_mat = n_mat + FpMatrix.identity(m, p)
+    return n_mat, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_test_matrices(), st.integers(1, 9))
+def test_power_is_zero_matches_the_full_power(mp, k):
+    m, p = mp
+    one = FpMatrix.identity(m.rows, p)
+    assert power_is_zero(m.entries, k, p) == m.power(k).is_zero()
+    assert power_is_zero(m.entries, k, p, minus_one=True) == \
+        (m - one).power(k).is_zero()
+
+
+def test_power_is_zero_needs_a_positive_power():
+    with pytest.raises(ValueError, match="k >= 1"):
+        power_is_zero(((0,),), 0, 3)
 
 
 @st.composite
