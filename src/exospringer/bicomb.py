@@ -9,7 +9,8 @@ String grammar: "2,1|1" means ((2,1),(1)); an empty component is "-".
 """
 
 import functools
-from itertools import accumulate
+from itertools import accumulate, zip_longest
+from math import factorial, prod
 from operator import le
 
 
@@ -72,14 +73,8 @@ def conjugate(parts):
 def standard_tableau_count(parts):
     """f^lambda by the hook length formula (exact integer)."""
     n = sum(parts)
-    num = 1
-    for k in range(2, n + 1):
-        num *= k
-    den = 1
-    for row in hook_lengths(parts):
-        for h in row:
-            den *= h
-    count, rem = divmod(num, den)
+    den = prod(map(prod, hook_lengths(parts)))
+    count, rem = divmod(factorial(n), den)
     if rem:
         raise AssertionError("hook product %d does not divide %d! for %r"
                              % (den, n, parts))
@@ -180,24 +175,18 @@ def bipartitions_of(n):
 
 def interleave_c(bp):
     """The interleaved composition (mu_1, nu_1, mu_2, nu_2, ...)."""
-    mu, nu = bp.first, bp.second
-    length = max(len(mu), len(nu))
-    c = []
-    for i in range(length):
-        c.append(mu[i] if i < len(mu) else 0)
-        c.append(nu[i] if i < len(nu) else 0)
-    return tuple(c)
+    return tuple(part for pair in zip_longest(bp.first, bp.second, fillvalue=0)
+                 for part in pair)
 
 
 def dominance_leq(c, cprime):
     """Dominance order on compositions of equal total (after 0-padding)."""
     if sum(c) != sum(cprime):
         raise UnequalTotalsError("totals differ: %r vs %r" % (c, cprime))
-    length = max(len(c), len(cprime))
     s1 = s2 = 0
-    for i in range(length):
-        s1 += c[i] if i < len(c) else 0
-        s2 += cprime[i] if i < len(cprime) else 0
+    for a, b in zip_longest(c, cprime, fillvalue=0):
+        s1 += a
+        s2 += b
         if s1 > s2:
             return False
     return True
@@ -212,9 +201,7 @@ def closure_leq(bmu, bla):
 
 def partition_sum(mu, nu):
     """Componentwise sum (mu_i + nu_i) of two partitions."""
-    length = max(len(mu), len(nu))
-    return tuple((mu[i] if i < len(mu) else 0) + (nu[i] if i < len(nu) else 0)
-                 for i in range(length))
+    return tuple(map(sum, zip_longest(mu, nu, fillvalue=0)))
 
 
 def orbit_dim(bla, n):

@@ -19,7 +19,13 @@ every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  The orbit check reuses these labels.
 The cone is found with `power_is_zero`, the nilpotence test that
 `ExoticPair.validate` uses too: on x's rows, with no matrix built per x,
-and stopping at the first nonzero entry of x^n (or (x - 1)^n).
+and stopping at the first nonzero entry of x^n (or (x - 1)^n).  A group
+point x is labelled through x - 1, as `ExoticPair.nilpotent_part` does:
+the scan has shown what `log_map` would check.
+
+Every transvection, a generator or a factor of the seeded basis change,
+is one rank-one update, `_times_transvection`, checked symplectic in
+closed form; `_action_tables` checks each generator by membership too.
 """
 
 import random
@@ -73,15 +79,38 @@ def gl_class_count(n, p):
     raise SizeGateError("class count implemented for n <= 2 only")
 
 
-def transvection(space, u):
-    """x -> x + <x, u> u, that is 1 + u (J u)^T; symplectic for every u."""
-    p, ju = space.p, space.J.apply(u)
-    mat = FpMatrix._trusted(tuple(
-        tuple(((i == j) + a * b) % p for j, b in enumerate(ju))
-        for i, a in enumerate(u)), p)
-    if not space.membership(mat, "H_group"):
+def _times_transvection(space, g, u):
+    """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
+    update g + (g u)(J u)^T, with T never built: only the columns where
+    J u is nonzero change.  T* = 1 - u (J u)^T, so
+    T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
+    checked, with AssertionError otherwise.  No dense product is formed:
+    J u is u moved by J's signed permutation, and g u reads only the
+    columns of g where u is nonzero (two at most on the frame)."""
+    p = space.p
+    ju = [0] * len(u)
+    for (pb, s), c in zip(space._signed_perm, u):
+        ju[pb] = s * c % p          # column b of J is s_b e_pi(b)
+    if sum(map(mul, ju, u)) % p:
         raise AssertionError("transvection along %r is not symplectic" % (u,))
-    return mat
+    touched = [(k, b) for k, b in enumerate(ju) if b]
+    support = [(k, a) for k, a in enumerate(u) if a]
+    rows = []
+    for row in g.entries:
+        c = sum(row[k] * a for k, a in support) % p
+        if c:
+            row = list(row)
+            for k, b in touched:
+                row[k] = (row[k] + c * b) % p
+            row = tuple(row)
+        rows.append(row)
+    return FpMatrix._trusted(tuple(rows), p)
+
+
+def transvection(space, u):
+    """x -> x + <x, u> u, that is 1 + u (J u)^T: `_times_transvection` on
+    the identity, which checks (J u).u = 0, so T is symplectic."""
+    return _times_transvection(space, space._one, u)
 
 
 def _sp_frame(space):
@@ -238,34 +267,6 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
             yield ExoticPair._trusted(space, x, v, flavor)
 
 
-def _times_transvection(space, g, u):
-    """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
-    update g + (g u)(J u)^T, with T never built: only the columns where
-    J u is nonzero change.  T* = 1 - u (J u)^T, so
-    T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
-    checked, with the AssertionError of `transvection`.  No dense product
-    is formed: J u is u moved by J's signed permutation, and g u reads
-    only the columns of g where u is nonzero (two at most on the frame)."""
-    p = space.p
-    ju = [0] * len(u)
-    for (pb, s), c in zip(space._signed_perm, u):
-        ju[pb] = s * c % p          # column b of J is s_b e_pi(b)
-    if sum(map(mul, ju, u)) % p:
-        raise AssertionError("transvection along %r is not symplectic" % (u,))
-    touched = [(k, b) for k, b in enumerate(ju) if b]
-    support = [(k, a) for k, a in enumerate(u) if a]
-    rows = []
-    for row in g.entries:
-        c = sum(row[k] * a for k, a in support) % p
-        if c:
-            row = list(row)
-            for k, b in touched:
-                row[k] = (row[k] + c * b) % p
-            row = tuple(row)
-        rows.append(row)
-    return FpMatrix._trusted(tuple(rows), p)
-
-
 def seeded_basis_change(space, seed):
     """A reproducible symplectic element: a seeded word of 12 generating
     transvections, multiplied in as rank-one updates; the word is
@@ -298,8 +299,10 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
     for x in _cone_xs(space, flavor):
         if g is not None:
             x = g * x * gi
+        # the scan showed x self-adjoint with (x - 1)^n = 0, so x - 1 is
+        # `log_map(x)`, as in `ExoticPair.nilpotent_part`
         labeler = classify.exotic_labeler(
-            x if flavor == "lie" else space.log_map(x))
+            x if flavor == "lie" else x - space._one)
         for v, weight in lines:
             bp = labeler(v)
             label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))

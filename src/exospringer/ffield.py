@@ -19,7 +19,9 @@ p once and none of the matrices it makes.
 
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
 rows; `rref` stays the kernel for canonical forms, kernels and inverses.
-Nilpotence is decided by one test on row tuples, `power_is_zero`.
+Nilpotence is decided by one test on row tuples, `power_is_zero`.  It
+and `FpMatrix.power` take their factors from one squaring chain,
+`_power_factors`.
 """
 
 from operator import index, mul
@@ -181,39 +183,41 @@ def _product_rows(a, b, p):
     return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
+def _power_factors(rows, k, p):
+    """(a, b) with a b = M^k, for the square matrix M with these rows and
+    k >= 1; b is None at k = 1, where a = M.
+
+    The one squaring chain: it starts from k's lowest set bit, so that no
+    product is by the identity, and stops before its last product, which
+    the caller forms or reads.  With it, M^k costs
+    floor(log2 k) + popcount(k) - 1 products."""
+    a = None                # M^k = a rows^k, with None for the identity
+    while k > 1:
+        if k & 1:
+            a = rows if a is None else _product_rows(a, rows, p)
+        elif k == 2 and a is None:
+            return rows, rows
+        rows = _product_rows(rows, rows, p)
+        k >>= 1
+    return (rows, None) if a is None else (a, rows)
+
+
 def power_is_zero(rows, k, p, minus_one=False):
     """Whether M^k = 0, or (M - 1)^k = 0 with minus_one, for the square
     matrix M with these rows (entries in [0, p)) and k >= 1.
 
     The one nilpotence test.  M - 1 is M with 1 taken off its diagonal.
-    The power is built by `FpMatrix.power`'s squaring chain, every
-    product but the last in full; the last is read entry by entry, and
+    The factors a b = M^k come from `_power_factors`, the chain that
+    `FpMatrix.power` uses too; their product is read entry by entry, and
     the test stops at its first nonzero entry."""
     if k < 1:
         raise ValueError("power_is_zero needs k >= 1")
     if minus_one:
         rows = tuple(row[:i] + ((row[i] - 1) % p,) + row[i + 1:]
                      for i, row in enumerate(rows))
-    while not k & 1:
-        k >>= 1
-        if k == 1:
-            return _product_is_zero(rows, rows, p)
-        rows = _product_rows(rows, rows, p)
-    if k == 1:
-        return not any(map(any, rows))
-    result = rows
-    while True:
-        rows = _product_rows(rows, rows, p)
-        k >>= 1
-        if k == 1:
-            return _product_is_zero(result, rows, p)
-        if k & 1:
-            result = _product_rows(result, rows, p)
-
-
-def _product_is_zero(a, b, p):
-    """Whether the product of the matrices with rows a and b is 0, read
-    up to its first nonzero entry."""
+    a, b = _power_factors(rows, k, p)
+    if b is None:
+        return not any(map(any, a))
     bt = tuple(zip(*b))
     return not any(sum(map(mul, row, col)) % p for row in a for col in bt)
 
@@ -339,25 +343,16 @@ class FpMatrix:
         return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
     def power(self, k):
-        """self^k by squaring, starting from k's lowest set bit so that no
-        product is by the identity: floor(log2 k) + popcount(k) - 1 products."""
+        """self^k, by `_power_factors`' squaring chain for k >= 1."""
         if k < 0:
             raise ValueError("negative matrix power")
         if not self.is_square():
             raise NonSquareError("power of non-square matrix")
         if k == 0:
             return FpMatrix._identity(self.rows, self.p)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        while k > 1:
-            base = base * base
-            k >>= 1
-            if k & 1:
-                result = result * base
-        return result
+        a, b = _power_factors(self.entries, k, self.p)
+        return FpMatrix._trusted(
+            a if b is None else _product_rows(a, b, self.p), self.p)
 
     # -- elimination --------------------------------------------------
 

@@ -27,6 +27,7 @@ convert between a packed integer and its digits in C (struct) at 1, 2,
 
 import functools
 import struct
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -46,10 +47,7 @@ def wn_order(n):
 def _z_cycle(parts):
     """z_lambda = prod i^{m_i} m_i! for a cycle type lambda."""
     z = 1
-    mult = {}
-    for part in parts:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
+    for part, m in Counter(parts).items():
         z *= part ** m * factorial(m)
     return z
 
@@ -130,19 +128,10 @@ def sn_character(lam, rho):
 def _sub_multisets(parts):
     """All multiset splittings (sub, rest, weight) of a partition, grouped
     by size: entry s of the result holds those with |sub| = s."""
-    mult = {}
-    for part in parts:
-        mult[part] = mult.get(part, 0) + 1
-    values = sorted(mult, reverse=True)
     out = [((), (), 1)]
-    for val in values:
-        m = mult[val]
-        grown = []
-        for sub, rest, w in out:
-            for k in range(m + 1):
-                grown.append((sub + (val,) * k, rest + (val,) * (m - k),
-                              w * comb(m, k)))
-        out = grown
+    for val, m in sorted(Counter(parts).items(), reverse=True):
+        out = [(sub + (val,) * k, rest + (val,) * (m - k), w * comb(m, k))
+               for sub, rest, w in out for k in range(m + 1)]
     groups = [[] for _ in range(sum(parts) + 1)]
     for split in out:
         groups[sum(split[0])].append(split)

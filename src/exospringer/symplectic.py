@@ -10,6 +10,8 @@ matrices g^-theta, whose nilpotent/unipotent pairs (x, v) this module
 builds representatives for.  `adjoint_eigenbasis` gives both.
 """
 
+from itertools import accumulate, groupby
+
 from . import bicomb
 from .ffield import FpMatrix, check_modulus, json_fields, power_is_zero
 
@@ -316,19 +318,10 @@ class NormalFormData:
 
 def nu_blocks(nu):
     """Split nu into blocks of equal parts: (sizes, values, p_rows, q_rows)."""
-    sizes, values = [], []
-    for part in nu:
-        if values and values[-1] == part:
-            sizes[-1] += 1
-        else:
-            values.append(part)
-            sizes.append(1)
-    p_rows, q_rows = [], []
-    offset = 0
-    for s in sizes:
-        p_rows.append(offset + 1)
-        q_rows.append(offset + s)
-        offset += s
+    values = [part for part, _ in groupby(nu)]
+    sizes = [len(list(run)) for _, run in groupby(nu)]
+    q_rows = list(accumulate(sizes))
+    p_rows = [q - s + 1 for q, s in zip(q_rows, sizes)]
     return sizes, values, p_rows, q_rows
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from exospringer import ffield
 from exospringer.census import sp_generators
 from exospringer.ffield import FpMatrix
 
@@ -22,6 +23,21 @@ def matmul_calls(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(FpMatrix, "__mul__", counted)
+    return calls
+
+
+@pytest.fixture
+def row_products(monkeypatch):
+    """A list that grows by one entry per product of row tuples in ffield,
+    the products of `FpMatrix.__mul__` and of the squaring chain alike."""
+    calls = []
+    product_rows = ffield._product_rows
+
+    def counted(a, b, p):
+        calls.append(1)
+        return product_rows(a, b, p)
+
+    monkeypatch.setattr(ffield, "_product_rows", counted)
     return calls
 
 

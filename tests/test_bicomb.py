@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exospringer.bicomb import (
     Bipartition, RankMismatchError, UnequalTotalsError, bipartitions_of,
     closure_leq, dominance_leq, fiber_dim_d, format_bipartition, hasse_covers,
     hasse_dot, interleave_c, n_invariant, orbit_dim, parse_bipartition,
-    partitions_of, removable_nodes, standard_tableau_count)
+    partition_sum, partitions_of, removable_nodes, standard_tableau_count)
+from exospringer.symplectic import nu_blocks
 
 
 def partition_count_oracle(n):
@@ -65,6 +67,47 @@ def test_dominance():
     assert dominance_leq((1, 2, 1), (1, 2, 1))
     with pytest.raises(UnequalTotalsError):
         dominance_leq((1,), (2,))
+
+
+def padded(seq, length):
+    return [seq[i] if i < len(seq) else 0 for i in range(length)]
+
+
+def dominance_by_index(c, cprime):
+    length = max(len(c), len(cprime))
+    a, b = padded(c, length), padded(cprime, length)
+    return all(sum(a[:i + 1]) <= sum(b[:i + 1]) for i in range(length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 4), max_size=7),
+       st.lists(st.integers(-3, 4), max_size=7))
+def test_dominance_matches_the_padded_prefix_sums(c, head):
+    # cprime ends with the part that makes the totals equal; the lengths
+    # differ, and zeros and negative parts occur, so every prefix sum of
+    # the longer composition counts, past the end of the shorter one
+    cprime = head + [sum(c) - sum(head)]
+    assert dominance_leq(c, cprime) == dominance_by_index(c, cprime)
+    assert dominance_leq(cprime, c) == dominance_by_index(cprime, c)
+
+
+partitions = st.lists(st.integers(1, 6), max_size=6).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions, partitions)
+def test_partition_arithmetic_matches_the_padded_indices(mu, nu):
+    length = max(len(mu), len(nu))
+    a, b = padded(mu, length), padded(nu, length)
+    assert interleave_c(Bipartition(mu, nu)) == tuple(
+        x for i in range(length) for x in (a[i], b[i]))
+    assert partition_sum(mu, nu) == tuple(a[i] + b[i] for i in range(length))
+    # the blocks of nu are its maximal runs of equal parts, rows p..q
+    p_rows = [i for i in range(1, len(nu) + 1) if i == 1 or nu[i - 2] != nu[i - 1]]
+    q_rows = [i for i in range(1, len(nu) + 1) if i == len(nu) or nu[i] != nu[i - 1]]
+    assert nu_blocks(nu) == ([q - p + 1 for p, q in zip(p_rows, q_rows)],
+                             [nu[p - 1] for p in p_rows], p_rows, q_rows)
 
 
 def test_closure_examples():

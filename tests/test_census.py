@@ -386,22 +386,55 @@ def test_cone_test_takes_one_product_at_n2_and_none_at_n1(matmul_calls,
                     assert made % 4 == 0 and 8 <= made <= 4 ** 3
 
 
-def test_pair_validation_takes_the_power_chain(matmul_calls, scalar_products):
-    # ExoticPair.validate builds x^n (or (x - 1)^n) by FpMatrix.power's
-    # chain, 0, 1, 2, 2 products at n = 1..4, and reads every entry of the
-    # last product when x is on the cone
+def test_pair_validation_takes_the_power_chain(matmul_calls, row_products,
+                                               scalar_products):
+    # x^n (or (x - 1)^n) comes from one squaring chain, 0, 1, 2, 2
+    # products at n = 1..4: FpMatrix.power forms them all, and
+    # ExoticPair.validate all but the last, which it reads entry by entry,
+    # every entry when x is on the cone
     for n, chain in ((1, 0), (2, 1), (3, 2), (4, 2)):
         space = SymplecticSpace(n, 5)
         pair = normal_form_pair(Bipartition((n,), ()), space).pair
         lie = pair.nilpotent_part()
-        del matmul_calls[:]
+        del row_products[:]
         assert lie.power(n).is_zero()
-        assert len(matmul_calls) == chain
+        assert len(row_products) == chain
         for x, flavor in ((lie, "lie"), (pair.x, "group")):
             del matmul_calls[:], scalar_products[:]
             ExoticPair(space, x, pair.v, flavor)
             assert matmul_calls == []
             assert len(scalar_products) == chain * space.dim ** 3
+
+
+def test_group_census_labels_x_minus_one_with_no_log_map(monkeypatch):
+    # the scan has shown each x self-adjoint with (x - 1)^n = 0, which is
+    # all that log_map would check again
+    calls = []
+    monkeypatch.setattr(SymplecticSpace, "log_map",
+                        lambda self, x: calls.append(x))
+    orbit_census(2, 3, "group")
+    orbit_census(1, 5, "group", check_orbits=True)
+    assert calls == []
+
+
+def test_generators_are_checked_by_membership_in_the_action_tables(monkeypatch):
+    # each transvection is checked in closed form as it is built, and by
+    # membership once, when its action tables are built
+    checked = []
+    membership = SymplecticSpace.membership
+
+    def counted(self, x, which):
+        checked.append(which)
+        return membership(self, x, which)
+
+    monkeypatch.setattr(SymplecticSpace, "membership", counted)
+    for n, p in ((1, 3), (2, 3), (2, 5)):
+        space = SymplecticSpace(n, p)
+        del checked[:]
+        gens = sp_generators(space)
+        assert checked == []
+        census_mod._action_tables(space, gens)
+        assert checked.count("H_group") == len(gens)
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3)])
@@ -527,8 +560,8 @@ def test_rank_one_update_is_the_product_with_the_transvection(rng):
 
 def test_closed_form_factor_check_agrees_with_membership(rng):
     # (J u).u = 0, the closed-form check on each factor of the seeded word,
-    # against membership of the built transvection: on every u at (1, 3)
-    # and (2, 3), and on random u at n = 3 and 4
+    # against membership of T = 1 + u (J u)^T, built here: on every u at
+    # (1, 3) and (2, 3), and on random u at n = 3 and 4
     def accepts(space, u):
         try:
             census_mod._times_transvection(space, space._one, u)
@@ -544,8 +577,10 @@ def test_closed_form_factor_check_agrees_with_membership(rng):
             vectors = [tuple(rng.randrange(p) for _ in range(2 * n))
                        for _ in range(50)]
         for u in vectors:
-            assert accepts(space, u) == space.membership(
-                census_mod.transvection(space, u), "H_group")
+            ju = space.J.apply(u)
+            t = FpMatrix([[(i == j) + a * b for j, b in enumerate(ju)]
+                          for i, a in enumerate(u)], p)
+            assert accepts(space, u) == space.membership(t, "H_group")
 
 
 def test_closed_form_factor_check_raises_like_transvection():

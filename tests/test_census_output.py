@@ -1,10 +1,12 @@
 """The stdout of the census and Klyachko verify suites, pinned by SHA-256.
 
 The calls are the benchmark's `census` workload items (with its seed,
-288545019, the program seed it derives from benchmark seed 1) and the
-orbit check at n = 1, where listing the group is cheap.  The digests are
-of the whole stdout, recorded from the program before the cone test was
-rewritten on row tuples; any change of one byte fails.
+288545019, the program seed it derives from benchmark seed 1), the
+census and Klyachko suites at n = 2, p = 5, and the orbit check at
+n = 1, where listing the group is cheap.  The digests are of the whole
+stdout, each recorded from the program before the change it guards: the
+cone test's rewrite on row tuples, and for the n = 2, p = 5 calls the
+labelling of group points through x - 1.  Any change of one byte fails.
 """
 
 import hashlib
@@ -36,8 +38,14 @@ STDOUT_SHA256 = {
     "verify --suite census --n 1 --p 5 --flavor group --seed " + SEED
     + " --check-orbits":
         "a3c9c59945854ce36d110853771b2715c88f1f052ca9b9b993a5d3abcd75aec3",
+    "verify --suite census --n 2 --p 5 --flavor lie --seed " + SEED:
+        "64befc59443f0db4b049d3d5f7032c3cc20bec325e31bbf0b943855275c2ac53",
+    "verify --suite census --n 2 --p 5 --flavor group --seed " + SEED:
+        "302bd3149612d32262593cdbcac0e0f62c56b7e932a3deb3d3468800a1df324d",
     "verify --suite klyachko --n 2 --p 3":
         "afee2539621b506e9b7a21e588328b276edc06a793cc897717f200ef36d748f5",
+    "verify --suite klyachko --n 2 --p 5":
+        "7a8565fe85b9de4468b005457905b782d44551fcfa6054765160081199e6d1f4",
 }
 
 

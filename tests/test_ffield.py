@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,17 +207,19 @@ def test_jordan_type_errors():
         zeros(2, 3, 3).power(2)
 
 
-def test_power_matches_repeated_products_at_its_product_count(matmul_calls, rng):
+def test_power_matches_repeated_products_at_its_product_count(row_products,
+                                                              rng):
     # power squares from k's lowest set bit, never multiplying by the
-    # identity: floor(log2 k) + popcount(k) - 1 products for k >= 1
+    # identity: floor(log2 k) + popcount(k) - 1 products for k >= 1,
+    # counted on row tuples, where the squaring chain forms them
     a = random_invertible(rng, 3, 5)
     naive = [FpMatrix.identity(3, 5)]
     for _ in range(20):
         naive.append(naive[-1] * a)
     for k, expected in enumerate(naive):
-        del matmul_calls[:]
+        del row_products[:]
         assert a.power(k) == expected
-        assert len(matmul_calls) == (k.bit_length() + bin(k).count("1") - 2
+        assert len(row_products) == (k.bit_length() + bin(k).count("1") - 2
                                      if k else 0)
     assert a.power(0) == FpMatrix.identity(3, 5)
     with pytest.raises(ValueError):
@@ -335,11 +340,17 @@ def cone_test_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(cone_test_matrices(), st.integers(1, 9))
 def test_power_is_zero_matches_the_full_power(mp, k):
+    # the oracle is k - 1 plain products, not FpMatrix.power, which shares
+    # its squaring chain with power_is_zero
     m, p = mp
     one = FpMatrix.identity(m.rows, p)
-    assert power_is_zero(m.entries, k, p) == m.power(k).is_zero()
+
+    def full_power(x):
+        return functools.reduce(operator.mul, [x] * k)
+
+    assert power_is_zero(m.entries, k, p) == full_power(m).is_zero()
     assert power_is_zero(m.entries, k, p, minus_one=True) == \
-        (m - one).power(k).is_zero()
+        full_power(m - one).is_zero()
 
 
 def test_power_is_zero_needs_a_positive_power():

@@ -216,6 +216,28 @@ def test_klyachko_examples():
             sp1.embed_gl(block)
 
 
+VALUES = {
+    "FpMatrix": lambda: (FpMatrix([[1, 2], [3, 4]], 5), "entries"),
+    "Subspace": lambda: (Subspace(2, [(1, 2)], 5), "basis"),
+    "SymplecticSpace": lambda: (SymplecticSpace(1, 5), "p"),
+    "ExoticPair": lambda: (normal_form_pair(
+        Bipartition((1,), ()), SymplecticSpace(1, 5)).pair, "v"),
+    "Bipartition": lambda: (Bipartition((2,), (1,)), "first"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_value_types_refuse_attribute_assignment(kind):
+    # each type's own __setattr__ guard refuses a slot it has as well as a
+    # new name, and the value is left as it was
+    value, slot = VALUES[kind]()
+    before = getattr(value, slot)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError, match="%s is immutable" % kind):
+            setattr(value, name, before)
+    assert getattr(value, slot) == before
+
+
 def test_nu_blocks():
     assert nu_blocks((3, 3, 2, 1, 1, 1)) == ([2, 1, 3], [3, 2, 1],
                                              [1, 3, 4], [2, 3, 6])
