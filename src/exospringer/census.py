@@ -282,11 +282,11 @@ def seeded_basis_change(space, seed):
 
 
 def _census_chunk(space, flavor, basis_seed, check_orbits):
-    """Label counts and first representatives over the whole cone, with
-    each point first carried to (g x g^-1, g v) under a seeded g when
+    """Label counts and first representatives (x, v) over the whole cone,
+    with each point first carried to (g x g^-1, g v) under a seeded g when
     basis_seed is set.  With check_orbits it also returns the
-    {(x entries, v): label} map of the line representatives it labelled,
-    and None without.  (The name is kept for perfbench's layer trace.)"""
+    {(x code, v): label} map of the line representatives it labelled (each
+    x encoded once), and None without.  (The name is kept for perfbench.)"""
     lines = _line_reps(space)
     g = None
     if basis_seed:
@@ -303,14 +303,15 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
         # `log_map(x)`, as in `ExoticPair.nilpotent_part`
         labeler = classify.exotic_labeler(
             x if flavor == "lie" else x - space._one)
+        code = _encode(space, x) if check_orbits else None
         for v, weight in lines:
             bp = labeler(v)
             label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
             counts[label] = counts.get(label, 0) + weight
             if label not in reps:
-                reps[label] = (x.to_json(), list(v))
+                reps[label] = (x, v)
             if check_orbits:
-                labelled[x.entries, v] = label
+                labelled[code, v] = label
     return counts, reps, labelled
 
 
@@ -339,8 +340,9 @@ def orbit_census(n, p, flavor="lie", check_orbits=False, basis_seed=0):
     check_orbits reuses those labels for the union-find transitivity
     test under the generator action, and adds the exact orbit-stabilizer
     comparison (this needs the full group, so it is the slow part).  A
-    nonzero basis_seed classifies through a seeded symplectic change of
-    basis; the counts must not change (conjugation invariance).
+    nonzero basis_seed labels the points moved by a seeded symplectic g,
+    which permutes the cone and its lines: equal counts show that labels
+    are constant on lines, not invariance, which check_orbits tests.
     """
     if check_orbits:
         _gate_group(n, p)
@@ -398,13 +400,11 @@ def _generator_classes(space, points, what):
 
 def _orbit_checks(space, result, labelled):
     """Union-find transitivity plus orbit-stabilizer arithmetic per label.
-    `labelled` maps the census's (x entries, v) to their labels, one v per
+    `labelled` maps the census's (x code, v) to their labels, one v per
     line; each line's p - 1 multiples c.v share its label."""
     n, p = space.n, space.p
-    x_code = {xe: _encode(space, FpMatrix._trusted(xe, p))
-              for xe in {xe for xe, _ in labelled}}
-    points = {(x_code[xe], _vector_code([c * a % p for a in v], p)): label
-              for (xe, v), label in labelled.items() for c in range(1, p)}
+    points = {(code, _vector_code([c * a % p for a in v], p)): label
+              for (code, v), label in labelled.items() for c in range(1, p)}
     uf = _generator_classes(space, points, "cone")
     roots_per_label = {}
     for key, label in points.items():
@@ -414,8 +414,7 @@ def _orbit_checks(space, result, labelled):
     order = sp_group_order(n, p)
     checks = []
     for label, count in sorted(result.label_counts.items()):
-        xj, vj = result.reps[label]
-        stab = _stabilizer_order(group, FpMatrix.from_json(xj), tuple(vj))
+        stab = _stabilizer_order(group, *result.reps[label])
         checks.append({"label": label, "count": count, "stabilizer_order": stab,
                        "orbit_stabilizer_ok": stab * count == order,
                        "transitive": len(roots_per_label[label]) == 1})

@@ -83,8 +83,9 @@ def _add_verify(sub):
                      help=argparse.SUPPRESS)
     sub.add_argument("--check-orbits", action="store_true")
     sub.add_argument("--seed", type=int, default=0,
-                     help="census only: classify through a seeded symplectic "
-                          "basis change; counts must match the unseeded run")
+                     help="census only: label the points moved by a seeded "
+                          "symplectic g; equal counts show labels constant on "
+                          "lines (--check-orbits tests invariance)")
 
 
 def build_parser(command=None):

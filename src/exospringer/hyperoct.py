@@ -13,22 +13,25 @@ standard induction formula over class fusion, so every value is an
 exact integer.  The convention "first component <-> trivial Z/2
 action" is locked by the identity/sign acceptance checks.
 
-wn_character_row and induce_product state that formula irrep by irrep
-(the definition the tests check against); the cached table,
-_character_table_rows, evaluates the same sum by Kronecker
-substitution: each class's splittings become digits of a few big
-integers shared by every irrep (mu, nu) with |mu| = m, and each row is
-one integer whose signed digits are its values.  Its rows are tuples in
-wn_classes(n) order.  The branching and graded-module inner products
-(_dot_rows) are packed the same way.  _pack_digits and _read_digits
-convert between a packed integer and its digits in C (struct) at 1, 2,
-4 and 8 bytes per digit, and digit by digit beyond.
+_splittings is the one enumeration of a class's splittings.
+wn_character_row states the formula irrep by irrep through
+induce_product, which serves only it (the definition the tests check
+against); the cached table, _character_table_rows, evaluates the same
+sum by Kronecker substitution: each class's splittings become digits of
+a few big integers shared by every irrep (mu, nu) with |mu| = m, and
+each row is one integer whose signed digits are its values, in
+wn_classes(n) order.  graded_fiber_module fills all its degrees in one
+pass.  The branching and graded-module inner products (_dot_rows) are
+packed the same way.  _pack_digits and _read_digits convert between a
+packed integer and its digits in C (struct) at 1, 2, 4 and 8 bytes per
+digit, and digit by digit beyond.
 """
 
 import functools
 import struct
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from operator import mul
 
@@ -138,16 +141,16 @@ def _sub_multisets(parts):
     return tuple(tuple(g) for g in groups)
 
 
-def _splittings(signature, m):
-    """Splittings (a1, b1, a2, b2, weight) of the class (alpha, beta) with
-    |a1| + |b1| = m: a1 + a2 = alpha and b1 + b2 = beta as multisets,
-    weight the product of the multiplicity binomials."""
-    alpha = _sub_multisets(signature.first)
+def _splittings(signature):
+    """Splittings of the class (alpha, beta) as (m, A, B) per pair of size
+    groups: each (a1, a2, wa) of A and (b1, b2, wb) of B give a1 + a2 =
+    alpha and b1 + b2 = beta as multisets, of size m = |a1| + |b1| and
+    weight wa * wb, the product of the multiplicity binomials.  Yielding
+    groups keeps the callers' inner loops free of generator steps."""
     beta = _sub_multisets(signature.second)
-    for s in range(max(0, m - len(beta) + 1), min(m, len(alpha) - 1) + 1):
-        for a1, a2, wa in alpha[s]:
-            for b1, b2, wb in beta[m - s]:
-                yield a1, b1, a2, b2, wa * wb
+    for s, alpha_group in enumerate(_sub_multisets(signature.first)):
+        for t, beta_group in enumerate(beta):
+            yield s + t, alpha_group, beta_group
 
 
 def _merge_sorted(a, b):
@@ -165,9 +168,10 @@ def induce_product(n, m, f_left, f_right):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    return {cls.signature: sum(w * f_left(a1, b1) * f_right(a2, b2)
-                               for a1, b1, a2, b2, w
-                               in _splittings(cls.signature, m))
+    return {cls.signature: sum(wa * wb * f_left(a1, b1) * f_right(a2, b2)
+                               for size, alpha, beta in _splittings(cls.signature)
+                               if size == m
+                               for a1, a2, wa in alpha for b1, b2, wb in beta)
             for cls in wn_classes(n)}
 
 
@@ -216,10 +220,9 @@ def _character_table_rows(n):
     class first), irreps in bipartitions_of(n) order.
 
     The fusion formula of wn_character_row, packed by Kronecker
-    substitution.  The splittings of each class are listed once, for all
-    m together: a splitting (a1, b1, a2, b2) of size m = |a1| + |b1| adds
-    its weight * (-1)^len(b2) to the digit of its class column in one
-    integer T_ij, where i and j are the positions of the cycle types
+    substitution.  Each splitting (a1, b1, a2, b2) of a class, of size m
+    and weight w in _splittings, adds w * (-1)^len(b2) to the digit of its
+    class column in one integer T_ij, where i and j are the positions of
     a1 + b1 and a2 + b2 in partitions_of(m) and partitions_of(n - m).
     The row of (mu, nu) with |mu| = m is then sum_j chi^nu_j sum_i
     chi^mu_i T_ij, one integer whose digits are the row, read by
@@ -234,16 +237,13 @@ def _character_table_rows(n):
                 for lam in parts} for parts in ranks]
     terms = [[] for _ in range(n + 1)]  # m -> (column, i, j, signed weight)
     for c, cls in enumerate(classes):
-        alpha = _sub_multisets(cls.signature.first)
-        for t, beta in enumerate(_sub_multisets(cls.signature.second)):
-            for s, group in enumerate(alpha):
-                left, right = position[s + t], position[n - s - t]
-                out = terms[s + t]
-                for a1, a2, wa in group:
-                    for b1, b2, wb in beta:
-                        out.append((c, left[_merge_sorted(a1, b1)],
-                                    right[_merge_sorted(a2, b2)],
-                                    -wa * wb if len(b2) % 2 else wa * wb))
+        for m, alpha, beta in _splittings(cls.signature):
+            left, right, out = position[m], position[n - m], terms[m]
+            for a1, a2, wa in alpha:
+                for b1, b2, wb in beta:
+                    out.append((c, left[_merge_sorted(a1, b1)],
+                                right[_merge_sorted(a2, b2)],
+                                -wa * wb if len(b2) % 2 else wa * wb))
     cells, sizes = [], []  # per m: T_ij as [[T_ij for i] for j], digit bytes
     for m, split in enumerate(terms):
         weights = [0] * len(classes)
@@ -424,15 +424,10 @@ def _subset_weight_poly(alpha, beta):
     size = sum(alpha) + sum(beta)
     coeffs = [0] * (size + 1)
     coeffs[0] = 1
-    for part in alpha:
+    for part, sign in [(a, 1) for a in alpha] + [(b, -1) for b in beta]:
         nxt = coeffs[:]
         for k in range(size + 1 - part):
-            nxt[k + part] += coeffs[k]
-        coeffs = nxt
-    for part in beta:
-        nxt = coeffs[:]
-        for k in range(size + 1 - part):
-            nxt[k + part] -= coeffs[k]
+            nxt[k + part] += sign * coeffs[k]
         coeffs = nxt
     return coeffs
 
@@ -456,19 +451,19 @@ def graded_fiber_module(n, m, rho1, rho2):
     table = _character_table_rows(n)
     classes = wn_classes(n)
     order = wn_order(n)
-
-    def left(a1, b1):
-        return sn_character(rho1, _merge_sorted(a1, b1))
-
-    weighted = []
-    for k in range(n - m + 1):
-        def right(a2, b2, k=k):
-            coeffs = _subset_weight_poly(a2, b2)
-            weight = coeffs[k] if k < len(coeffs) else 0
-            return weight * sn_character(rho2, _merge_sorted(a2, b2))
-
-        values = induce_product(n, m, left, right)
-        weighted.append([c.size * values[c.signature] for c in classes])
+    # weighted[k][c] = |c| * (induced degree-2k value on c), for every k
+    # at once: _subset_weight_poly(a2, b2) has one coefficient per degree
+    weighted = [[0] * len(classes) for _ in range(n - m + 1)]
+    for c, cls in enumerate(classes):
+        for size, alpha, beta in _splittings(cls.signature):
+            if size != m:
+                continue
+            for (a1, a2, wa), (b1, b2, wb) in product(alpha, beta):
+                term = (cls.size * wa * wb
+                        * sn_character(rho1, _merge_sorted(a1, b1))
+                        * sn_character(rho2, _merge_sorted(a2, b2)))
+                for row, coeff in zip(weighted, _subset_weight_poly(a2, b2)):
+                    row[c] += term * coeff
     degrees = {}
     for k, dots in enumerate(_dot_rows(weighted, table.values())):
         mults = {}

@@ -95,13 +95,6 @@ def _branch_children(n):
     return out
 
 
-def _removal_children(n):
-    out = {}
-    for label in bipartitions_of(n):
-        out[label] = frozenset(r for _, _, r in removable_nodes(label))
-    return out
-
-
 def _count_matchings(candidates):
     """Number of perfect matchings, counted up to 2 (enough to tell a
     unique one), plus one witness matching."""
@@ -140,12 +133,12 @@ def determine_correspondence(n_max):
     for n in range(1, n_max + 1):
         labels = bipartitions_of(n)
         branch = _branch_children(n)
-        removals = _removal_children(n)
         candidates = {}
         for orbit in labels:
             # representation forced on the orbit: restriction must equal
             # the sum of the (already determined) reps one rank down
-            required = frozenset(prev[child] for child in removals[orbit])
+            required = frozenset(prev[child]
+                                 for _, _, child in removable_nodes(orbit))
             candidates[orbit] = {irrep for irrep in labels
                                  if branch[irrep] == required}
         # base axioms, available at every rank

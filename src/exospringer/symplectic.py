@@ -81,9 +81,7 @@ class SymplecticSpace:
         return tuple(v)
 
     def f(self, i):
-        v = [0] * self.dim
-        v[self.n + i - 1] = 1
-        return tuple(v)
+        return self.e(self.n + i)
 
     # -- the involution and adjoint ------------------------------------
 
@@ -328,8 +326,10 @@ def nu_blocks(nu):
 def normal_form_pair(label, space):
     """Representative (x, v) of the orbit labelled by a bipartition.
 
-    y is the unipotent with Jordan type nu = mu1 + mu2 on the standard
-    e-basis reindexed as v_{i,j}; x = y theta(y)^-1 = y y*; v is the sum of
+    y = diag(y_n, 1) is the unipotent with Jordan type nu = mu1 + mu2 on
+    the standard e-basis reindexed as v_{i,j}; x = y theta(y)^-1 = y y* is
+    diag(y_n, y_n^T), built as that block on the trusted path, and
+    `_check_normal_form` checks its Jordan frame; v is the sum of
     the v_{p_i, mu1_[i]} over blocks (terms with mu1_[i] = 0 are omitted:
     the column index 0 does not exist).
     """
@@ -367,10 +367,7 @@ def normal_form_pair(label, space):
         if j > 1:
             y_top[index[(i, j - 1)]][col] = 1
     y_small = FpMatrix._trusted(tuple(map(tuple, y_top)), p)
-    y = space.embed_gl(y_small)
-    x = y * space.adjoint(y)
-    if x != space.pair_block(y_small, y_small.transpose()):
-        raise AssertionError("y theta(y)^-1 is not diag(y, y^T)")
+    x = space.pair_block(y_small, y_small.transpose())
 
     jordan_basis = {key: space.e(col + 1) for key, col in index.items()}
     # <e_a, f_b> = delta_ab for this J, so the dual of e_col is f_col
@@ -384,11 +381,11 @@ def normal_form_pair(label, space):
         w = jordan_basis[(p_rows[blk], jcol)]
         v = [(a + b) % p for a, b in zip(v, w)]
 
-    pair = ExoticPair(space, x, tuple(v), "group")
+    pair = ExoticPair._trusted(space, x, tuple(v), "group")
     nf = NormalFormData(pair, label, nu, jordan_basis, dual_basis,
                         tuple(sizes), tuple(values), tuple(mu1_values),
                         tuple(p_rows), tuple(q_rows))
-    _check_normal_form(space, nf, y)
+    _check_normal_form(space, nf, space.embed_gl(y_small))
     return nf
 
 

@@ -138,10 +138,67 @@ def test_census_counts_invariant_under_basis_change(rng):
             classify.halve_doubled(gl_label.second)))
         counts[label] = counts.get(label, 0) + 1
     assert counts == orbit_census(1, 3).label_counts
-    # same property through the seeded-basis-change entry point
+    # the seeded entry point: g permutes the cone and its lines, so the
+    # seeded pass labels the same points, each line through another of its
+    # vectors; equal counts show that labels are constant on lines (the
+    # pointwise test below checks invariance)
     for seed in (1, 20260809):
         assert orbit_census(2, 3, basis_seed=seed).label_counts == \
             orbit_census(2, 3).label_counts
+
+
+def moved_label_mismatches(n, p, flavor):
+    # the cone points P = (x, v) whose label differs from that of g.P =
+    # (g x g^-1, g v), for g each generating transvection of Sp (so that no
+    # mismatch means every label is Sp-invariant) and one seeded basis
+    # change; labels come from classify.exotic_labeler, looked up per call
+    # as the census does, on x (lie) or x - 1 (group)
+    space = SymplecticSpace(n, p)
+    moves = sp_generators(space) + [census_mod.seeded_basis_change(space, 7)]
+    vectors = list(census_mod.iter_vectors(space))
+    mismatches = []
+    for x in census_mod._cone_xs(space, flavor):
+        part = x if flavor == "lie" else x - space._one
+        label = classify.exotic_labeler(part)
+        for g in moves:
+            moved = classify.exotic_labeler(g * part * space.adjoint(g))
+            mismatches += [(x, v, g) for v in vectors
+                           if moved(g.apply(v)) != label(v)]
+    return mismatches
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_labels_are_invariant_point_by_point(n, flavor):
+    assert moved_label_mismatches(n, 3, flavor) == []
+
+
+def test_only_the_pointwise_check_catches_a_basis_dependent_labeler(
+        monkeypatch):
+    # a labeller that is constant on lines but reads a coordinate of x: an
+    # x with a zero first row keeps its labels, any other x labels every v
+    # as it labels 0
+    labeler = classify.exotic_labeler
+
+    def basis_dependent(n_mat):
+        label = labeler(n_mat)
+        if not any(n_mat.entries[0]):
+            return label
+        zero = (0,) * n_mat.rows
+        return lambda v: label(zero)
+
+    flavors = ("lie", "group")
+    right = {flavor: orbit_census(2, 3, flavor).label_counts
+             for flavor in flavors}
+    monkeypatch.setattr(classify, "exotic_labeler", basis_dependent)
+    for flavor in flavors:
+        counts = orbit_census(2, 3, flavor).label_counts
+        assert counts != right[flavor]
+        # the seeded counts still equal the unseeded ones
+        for seed in (1, 20260809):
+            assert orbit_census(2, 3, flavor,
+                                basis_seed=seed).label_counts == counts
+        assert moved_label_mismatches(2, 3, flavor)
 
 
 def test_unipotent_census_matches_nilpotent():
@@ -257,7 +314,7 @@ def test_census_matches_labelling_every_point(n, p, seed):
             classify.halve_doubled(gl_label.first),
             classify.halve_doubled(gl_label.second)))
         counts[label] = counts.get(label, 0) + 1
-        reps.setdefault(label, (moved.x.to_json(), list(moved.v)))
+        reps.setdefault(label, (moved.x, moved.v))
     result = orbit_census(n, p, basis_seed=seed)
     assert result.label_counts == counts
     assert result.reps == reps

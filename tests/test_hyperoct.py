@@ -237,6 +237,28 @@ def test_induce_product_matches_unfiltered_fusion_sum():
                             induce_oracle(n, m, left, right)
 
 
+def graded_by_degree(n, m, rho1, rho2):
+    # one induce_product per degree 2k, each decomposed by inner products
+    # with the character table
+    table = CharacterTable(n)
+    degrees = {}
+    for k in range(n - m + 1):
+        values = induce_product(n, m, *fiber_callables(rho1, rho2, k))
+        mults = {irrep: inner_product(values, table.row(irrep), n)
+                 for irrep in table.rows}
+        degrees[2 * k] = {irrep: mult for irrep, mult in mults.items() if mult}
+    return degrees
+
+
+def test_graded_fiber_module_matches_one_induction_per_degree():
+    for n in range(1, 7):
+        for m in range(n + 1):
+            for rho1 in partitions_of(m):
+                for rho2 in partitions_of(n - m):
+                    assert graded_fiber_module(n, m, rho1, rho2) == \
+                        graded_by_degree(n, m, rho1, rho2)
+
+
 def test_sum_of_squares():
     for n in range(1, 9):
         assert sum(irrep_dim(b) ** 2 for b in bipartitions_of(n)) == wn_order(n)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_matrix, random_invertible, random_sp_element, zeros
 from exospringer import symplectic
-from exospringer.bicomb import Bipartition, parse_bipartition
+from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition
 from exospringer.census import transvection
 from exospringer.ffield import FpMatrix, Subspace, nilpotent_jordan_type
 from exospringer.symplectic import (
@@ -273,6 +273,39 @@ def test_normal_form_pairing_and_recurrences():
         assert nf.pair.space is sp
         member = nf.pair.space.membership(nf.pair.x, "G_iota_theta")
         assert member
+
+
+def frame_unipotent(nf):
+    """y with y - 1 shifting the Jordan basis down its chains and 0 on the
+    f-span, solved from the frame as y = (images) (basis)^-1."""
+    sp = nf.pair.space
+    zero = (0,) * sp.dim
+    keys = sorted(nf.jordan_basis)
+    f_span = [sp.f(i) for i in range(1, sp.n + 1)]
+    basis = [nf.jordan_basis[k] for k in keys] + f_span
+    images = [tuple(a + b for a, b in zip(
+        nf.jordan_basis[i, j], nf.jordan_basis.get((i, j - 1), zero)))
+        for i, j in keys] + f_span
+    return (FpMatrix(list(zip(*images)), sp.p)
+            * FpMatrix(list(zip(*basis)), sp.p).inverse())
+
+
+@pytest.mark.parametrize("p", (3, 5, 2**31 - 1))
+def test_trusted_normal_forms_pass_the_checks_they_skip(monkeypatch, p):
+    # normal_form_pair builds x as the block diag(y, y^T) and wraps the pair
+    # unchecked: every normal form at n <= 4 still passes the validating
+    # checks, and x is y theta(y)^-1 for the y its Jordan frame defines
+    validated = []
+    validate = ExoticPair.validate
+    monkeypatch.setattr(ExoticPair, "validate", validated.append)
+    for n in (1, 2, 3, 4):
+        sp = SymplecticSpace(n, p)
+        for label in bipartitions_of(n):
+            nf = normal_form_pair(label, sp)
+            assert validated == []
+            validate(nf.pair)
+            y = frame_unipotent(nf)
+            assert nf.pair.x == y * theta_group(sp, y).inverse()
 
 
 def test_fixed_point_counts_borel_torus():
