@@ -92,7 +92,10 @@ class Bipartition:
     @classmethod
     def _trusted(cls, first, second):
         """Wrap two valid partitions: tuples of positive ints, weakly
-        decreasing."""
+        decreasing.  Labels built inside the package take this path, as
+        their parts are valid by construction (`partitions_of`, a removed
+        corner, a merged-in part 1); `Bipartition(...)` and
+        `parse_bipartition` check outside input."""
         bp = object.__new__(cls)
         bp._set(first, second)
         return bp
@@ -168,7 +171,7 @@ def bipartitions_of(n):
     for m in range(n + 1):
         for mu in partitions_of(m):
             for nu in partitions_of(n - m):
-                out.append(Bipartition(mu, nu))
+                out.append(Bipartition._trusted(mu, nu))
     out.sort(key=Bipartition.sort_key)
     return tuple(out)
 
@@ -218,11 +221,9 @@ def orbit_dim(bla, n):
 
 def fiber_dim_d(bla, n):
     """Springer fibre dimension d = 2 n(nu) + n - |mu^(1)|."""
-    if bla.n != n:
-        raise RankMismatchError("|label| = %d but n = %d" % (bla.n, n))
     nu = partition_sum(bla.first, bla.second)
     d = 2 * n_invariant(nu) + n - sum(bla.first)
-    # cross identity with the orbit dimension: dim + 2d = 2n^2
+    # orbit_dim checks the rank; cross identity: dim + 2d = 2n^2
     if orbit_dim(bla, n) + 2 * d != 2 * n * n:
         raise AssertionError("dim + 2d != 2n^2 for %s" % (bla,))
     return d
@@ -241,10 +242,8 @@ def removable_nodes(bla):
             nxt = parts[i + 1] if i + 1 < len(parts) else 0
             if part > nxt:
                 shrunk = parts[:i] + ((part - 1,) if part > 1 else ()) + parts[i + 1:]
-                if comp == 1:
-                    out.append((comp, i + 1, Bipartition(shrunk, bla.second)))
-                else:
-                    out.append((comp, i + 1, Bipartition(bla.first, shrunk)))
+                pair = (shrunk, bla.second) if comp == 1 else (bla.first, shrunk)
+                out.append((comp, i + 1, Bipartition._trusted(*pair)))
     return out
 
 

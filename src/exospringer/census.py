@@ -131,18 +131,18 @@ def sp_generators(space):
 
 
 def sp_group_elements(n, p):
-    """All of Sp_2n(F_p) by breadth-first closure from the generators."""
+    """All of Sp_2n(F_p) by breadth-first closure from the generators,
+    each g T formed as the rank-one update `_times_transvection`."""
     _gate_group(n, p)
     space = SymplecticSpace(n, p)
-    gens = sp_generators(space)
-    start = FpMatrix.identity(2 * n, p)
-    seen = {start.entries: start}
-    frontier = [start]
+    frame = _sp_frame(space)
+    seen = {space._one.entries: space._one}
+    frontier = [space._one]
     while frontier:
         nxt = []
         for g in frontier:
-            for t in gens:
-                h = g * t
+            for u in frame:
+                h = _times_transvection(space, g, u)
                 if h.entries not in seen:
                     seen[h.entries] = h
                     nxt.append(h)

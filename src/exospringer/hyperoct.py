@@ -315,7 +315,7 @@ def inner_product(f, g, n):
 
 def fuse_class_up(signature):
     """Class fusion W_{n-1} -> W_n: add a positive fixed point."""
-    return Bipartition(_merge_sorted(signature.first, (1,)), signature.second)
+    return Bipartition._trusted(_merge_sorted(signature.first, (1,)), signature.second)
 
 
 # struct codes of the signed integers of 1, 2, 4 and 8 bytes

@@ -8,7 +8,8 @@ at every rank, the geometric branching constraint (each orbit's
 representation restricts to exactly the sum over its removable-node
 predecessors) is imposed, and the resulting assignment problem is
 solved by exhaustion.  Uniqueness failures raise instead of being
-silently resolved.
+silently resolved.  The per-rank checks (verify_restriction,
+d_difference_check, sum_squares_check) return lists of mismatch reports.
 """
 
 from dataclasses import dataclass
@@ -76,23 +77,10 @@ def springer_table(n):
                                 key=Bipartition.sort_key)),
         ))
     # fiber_dim_d has checked dim + 2d = 2n^2 for every row
-    if not sum_squares_check(n):
+    if sum_squares_check(n):
         raise AssertionError("squared irrep dims do not sum to |W_%d| = %d"
                              % (n, hyperoct.wn_order(n)))
     return SpringerTable(n, tuple(records))
-
-
-def _branch_children(n):
-    """label -> frozenset of labels appearing in its restriction (from
-    characters, multiplicity-free checked)."""
-    matrix = hyperoct.restrict_branching(n)
-    out = {}
-    for label, row in matrix.items():
-        if not all(v in (0, 1) for v in row.values()):
-            raise AssertionError("branching of %s is not multiplicity-free"
-                                 % (label,))
-        out[label] = frozenset(k for k, v in row.items() if v == 1)
-    return out
 
 
 def _count_matchings(candidates):
@@ -132,15 +120,21 @@ def determine_correspondence(n_max):
     prev = {Bipartition((), ()): Bipartition((), ())}
     for n in range(1, n_max + 1):
         labels = bipartitions_of(n)
-        branch = _branch_children(n)
+        # irreps by the set of labels in their restriction
+        by_restriction = {}
+        for irrep, row in hyperoct.restrict_branching(n).items():
+            if not all(v in (0, 1) for v in row.values()):
+                raise AssertionError("branching of %s is not multiplicity-free"
+                                     % (irrep,))
+            below = frozenset(k for k, v in row.items() if v == 1)
+            by_restriction.setdefault(below, set()).add(irrep)
         candidates = {}
         for orbit in labels:
             # representation forced on the orbit: restriction must equal
             # the sum of the (already determined) reps one rank down
             required = frozenset(prev[child]
                                  for _, _, child in removable_nodes(orbit))
-            candidates[orbit] = {irrep for irrep in labels
-                                 if branch[irrep] == required}
+            candidates[orbit] = by_restriction.get(required, set())
         # base axioms, available at every rank
         trivial = Bipartition((n,), ())
         sign = Bipartition((), (1,) * n)
@@ -202,6 +196,10 @@ def d_difference_check(n):
 
 
 def sum_squares_check(n):
-    """Sum of squared irreducible dimensions == |W_n| (exact)."""
+    """Sum of squared irreducible dimensions == |W_n| (exact): [], or one
+    mismatch report whose `got` is the sum."""
     total = sum(hyperoct.irrep_dim(label) ** 2 for label in bipartitions_of(n))
-    return total == hyperoct.wn_order(n)
+    if total == hyperoct.wn_order(n):
+        return []
+    return [{"check": "sum-squares", "n": n, "instance": "sum of squared dims",
+             "expected": hyperoct.wn_order(n), "got": total}]

@@ -7,7 +7,10 @@ argv with the CLI's own parser; it edits nothing under perfbench/.
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,36 @@ def test_every_benchmark_argv_parses():
         except SystemExit:
             pytest.fail("the benchmark runs `exospringer %s`, which the CLI "
                         "rejects" % " ".join(argv))
+
+
+# One cold process runs every `symbolic` argv and counts the partition
+# checks: labels built from valid parts skip them, so only the two axiom
+# labels per rank of `verify --suite determine --n 7`, and the two empty
+# labels it starts from, are checked (2 partitions each).
+_COUNT_CHECKS = """
+import contextlib, importlib.util, io, sys
+from exospringer import bicomb, cli
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+calls = []
+check_partition = bicomb.check_partition
+def counted(parts):
+    calls.append(parts)
+    return check_partition(parts)
+bicomb.check_partition = counted
+for argv in workloads.symbolic_argvs():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(len(calls))
+"""
+
+
+def test_symbolic_argvs_check_each_partition_once():
+    src = PERFBENCH.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_CHECKS, str(PERFBENCH / "workloads.py")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= 2 * (2 * 7 + 2) == 32

@@ -282,3 +282,33 @@ def test_equal_bipartitions_hash_equal():
     assert hash(a) == hash(((2, 1), (1,)))
     assert a != Bipartition((1,), (2, 1))
     assert {a: "2,1|1"}[equal[1]] == "2,1|1"
+
+
+def test_labels_built_inside_equal_their_validated_rebuild():
+    # bipartitions_of, removable_nodes and fuse_class_up build their
+    # labels without re-checking the parts; each must be exactly what the
+    # validating constructor gives for the same parts
+    from exospringer.hyperoct import fuse_class_up
+
+    def same_as_validated(b):
+        rebuilt = Bipartition(b.first, b.second)
+        assert b == rebuilt and hash(b) == hash(rebuilt)
+        assert (b.first, b.second) == (rebuilt.first, rebuilt.second)
+        assert type(b.first) is tuple and type(b.second) is tuple
+
+    for n in range(0, 9):
+        for b in bipartitions_of(n):
+            same_as_validated(b)
+            same_as_validated(fuse_class_up(b))
+            assert fuse_class_up(b).n == n + 1
+            if n:
+                for _, _, child in removable_nodes(b):
+                    same_as_validated(child)
+                    assert child.n == n - 1
+
+
+def test_dimensions_refuse_a_label_of_another_rank():
+    # fiber_dim_d gets its rank check from orbit_dim, before d is returned
+    for dim in (orbit_dim, fiber_dim_d):
+        with pytest.raises(RankMismatchError, match=r"\|label\| = 1 but n = 2"):
+            dim(bp("1|-"), 2)

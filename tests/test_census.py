@@ -360,6 +360,25 @@ def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_group_listing_equals_a_closure_under_dense_products(p):
+    # the listing extends each element by rank-one transvection updates;
+    # a plain BFS over dense products with the generator matrices must
+    # reach the same elements
+    space = SymplecticSpace(1, p)
+    gens = sp_generators(space)
+    start = FpMatrix.identity(2, p)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        frontier = [h for h in {g * t for g in frontier for t in gens}
+                    if h not in seen]
+        seen.update(frontier)
+    listed = sp_group_elements(1, p)
+    assert len(listed) == len(set(listed)) == len(seen) == sp_group_order(1, p)
+    assert set(listed) == seen
+
+
 def test_group_listing_gate_allows_the_listed_sizes():
     census_mod._gate_group(2, 3)            # |Sp_4(F_3)| = 51,840: allowed
     assert len(sp_group_elements(1, 5)) == sp_group_order(1, 5) == 120

@@ -115,7 +115,10 @@ def test_verify_sum_squares(capsys):
 
 def test_verify_exit_contract_with_injected_mismatch(monkeypatch, capsys):
     from exospringer import springer
-    monkeypatch.setattr(springer, "sum_squares_check", lambda n: False)
+    from exospringer.hyperoct import wn_order
+    monkeypatch.setattr(springer, "sum_squares_check", lambda n: [
+        {"check": "sum-squares", "n": n, "instance": "sum of squared dims",
+         "expected": wn_order(n), "got": 0}])
     code, out = run(capsys, "verify", "--suite", "sum-squares", "--n", "2")
     assert code == 1
     report = json.loads(out)
@@ -153,6 +156,71 @@ def test_verify_klyachko_report(capsys):
     code, out = run(capsys, "verify", "--suite", "klyachko", "--n", "1", "--p", "5")
     assert code == 0
     assert json.loads(out)["klyachko"]["orbit_count"] == 4
+
+
+def test_verify_klyachko_names_each_failed_check(monkeypatch, capsys):
+    from exospringer import census
+    klyachko_census = census.klyachko_census
+    for broken, want in (
+            ({"every_orbit_hit_by_embedding": False},
+             [("every_orbit_hit_by_embedding", True, False)]),
+            ({"count_matches": False, "orbit_count": 3},
+             [("count_matches", 4, 3)]),
+            ({"count_matches": False, "orbit_count": 3,
+              "every_orbit_hit_by_embedding": False},
+             [("count_matches", 4, 3),
+              ("every_orbit_hit_by_embedding", True, False)])):
+        monkeypatch.setattr(census, "klyachko_census",
+                            lambda n, p, broken=broken:
+                            {**klyachko_census(n, p), **broken})
+        code, out = run(capsys, "verify", "--suite", "klyachko", "--n", "1",
+                        "--p", "5")
+        assert code == 1
+        report = json.loads(out)
+        validate(report, "verify_report.schema.json")
+        assert [(m["check"], m["instance"], m["expected"], m["got"])
+                for m in report["mismatches"]] \
+            == [("klyachko",) + record for record in want]
+
+
+def test_verify_census_orbit_names_each_failed_check(monkeypatch, capsys):
+    from exospringer import census
+    orbit_census = census.orbit_census
+    for broken in (("orbit_stabilizer_ok",), ("transitive",),
+                   ("orbit_stabilizer_ok", "transitive")):
+        def failing(*args, broken=broken, **kwargs):
+            result = orbit_census(*args, **kwargs)
+            for name in broken:
+                result.orbit_checks[0][name] = False
+            return result
+
+        monkeypatch.setattr(census, "orbit_census", failing)
+        code, out = run(capsys, "verify", "--suite", "census", "--n", "1",
+                        "--p", "3", "--check-orbits")
+        assert code == 1
+        report = json.loads(out)
+        validate(report, "verify_report.schema.json")
+        label = report["census"]["orbit_checks"][0]["label"]
+        assert [(m["check"], m["instance"], m["expected"])
+                for m in report["mismatches"]] \
+            == [("census-orbit", "%s %s" % (label, name), True) for name in broken]
+        assert all(m["got"]["label"] == label for m in report["mismatches"])
+
+
+def test_verify_sum_squares_reports_the_actual_sum(monkeypatch, capsys):
+    from exospringer import hyperoct
+    from exospringer.bicomb import Bipartition
+    irrep_dim = hyperoct.irrep_dim
+    monkeypatch.setattr(hyperoct, "irrep_dim",
+                        lambda b: irrep_dim(b) + (b == Bipartition((1,), ())))
+    code, out = run(capsys, "verify", "--suite", "sum-squares", "--n", "3")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    # only rank 1 has the label 1|-: its dims become 2 and 1
+    assert report["mismatches"] == [
+        {"check": "sum-squares", "n": 1, "instance": "sum of squared dims",
+         "expected": 2, "got": 5}]
 
 
 def test_verify_determine_and_restriction(capsys):

@@ -75,14 +75,16 @@ def test_d_difference_examples():
 
 def test_sum_squares():
     for n in range(1, 9):
-        assert sum_squares_check(n)
+        assert sum_squares_check(n) == []
     assert sum(r.irrep_dim ** 2 for r in springer_table(2).records) == 8
     assert wn_order(8) == 10321920
 
 
 def test_table_refuses_a_failed_sum_of_squares(monkeypatch):
     from exospringer import springer
-    monkeypatch.setattr(springer, "sum_squares_check", lambda n: False)
+    failed = {"check": "sum-squares", "n": 2, "instance": "sum of squared dims",
+              "expected": 8, "got": 9}
+    monkeypatch.setattr(springer, "sum_squares_check", lambda n: [failed])
     with pytest.raises(AssertionError, match=r"\|W_2\| = 8"):
         springer_table(2)
 
@@ -107,3 +109,64 @@ def test_table_json():
     assert obj["n"] == 2
     assert obj["rows"][0]["label"] == "2|-"
     assert obj["rows"][0]["irrep"] == "2|-"
+
+
+def test_candidates_equal_the_scan_over_every_irrep(monkeypatch):
+    # the restriction map gives each orbit the same candidates as
+    # comparing its required set with every irrep's restriction set
+    from exospringer import hyperoct, springer
+    from exospringer.bicomb import removable_nodes
+    seen = []
+    count_matchings = springer._count_matchings
+
+    def recorded(candidates):
+        seen.append({k: set(v) for k, v in candidates.items()})
+        return count_matchings(candidates)
+
+    monkeypatch.setattr(springer, "_count_matchings", recorded)
+    determine_correspondence(7)
+    assert len(seen) == 7
+    for n, got in enumerate(seen, start=1):
+        labels = bipartitions_of(n)
+        branch = {irrep: frozenset(k for k, v in row.items() if v == 1)
+                  for irrep, row in hyperoct.restrict_branching(n).items()}
+        want = {}
+        for orbit in labels:
+            # one rank down the solution is the identity
+            required = frozenset(child for _, _, child in removable_nodes(orbit))
+            want[orbit] = {irrep for irrep in labels if branch[irrep] == required}
+        want[Bipartition((n,), ())] = {Bipartition((n,), ())}
+        want[Bipartition((), (1,) * n)] = {Bipartition((), (1,) * n)}
+        assert got == want
+
+
+def test_determine_refuses_a_branching_multiplicity_of_two(monkeypatch):
+    from exospringer import hyperoct
+    restrict = hyperoct.restrict_branching
+
+    def doubled(n):
+        matrix = restrict(n)
+        if n == 2:
+            row = dict(matrix[bp("1|1")])
+            row[bp("1|-")] = 2
+            matrix = {**matrix, bp("1|1"): row}
+        return matrix
+
+    monkeypatch.setattr(hyperoct, "restrict_branching", doubled)
+    with pytest.raises(AssertionError, match=r"branching of 1\|1 is not "
+                                             r"multiplicity-free"):
+        determine_correspondence(3)
+
+
+def test_sum_squares_reports_the_actual_sum(monkeypatch):
+    from exospringer import hyperoct, springer
+    irrep_dim = hyperoct.irrep_dim
+    monkeypatch.setattr(hyperoct, "irrep_dim",
+                        lambda b: irrep_dim(b) + (b == bp("1|1")))
+    # rank 2 dims become 1, 3, 1, 1, 1: the squares sum to 13, not 8
+    assert sum_squares_check(2) == [
+        {"check": "sum-squares", "n": 2, "instance": "sum of squared dims",
+         "expected": 8, "got": 13}]
+    assert sum_squares_check(1) == []
+    with pytest.raises(AssertionError, match=r"\|W_2\| = 8"):
+        springer.springer_table(2)
