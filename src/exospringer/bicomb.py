@@ -6,6 +6,9 @@ labels at once an orbit of the 2n-dimensional cone, a hyperoctahedral
 conjugacy class and a hyperoctahedral irreducible.
 
 String grammar: "2,1|1" means ((2,1),(1)); an empty component is "-".
+
+Sizes that differ have one rule, `check_rank(label, n)`, and one error,
+`RankMismatchError` (a ValueError), which every size check raises.
 """
 
 import functools
@@ -18,8 +21,10 @@ class RankMismatchError(ValueError):
     pass
 
 
-class UnequalTotalsError(ValueError):
-    pass
+def check_rank(label, n):
+    """Refuse a label, class or irrep whose size is not n."""
+    if label.n != n:
+        raise RankMismatchError("|label| = %d but n = %d" % (label.n, n))
 
 
 def check_partition(parts):
@@ -185,7 +190,7 @@ def interleave_c(bp):
 def dominance_leq(c, cprime):
     """Dominance order on compositions of equal total (after 0-padding)."""
     if sum(c) != sum(cprime):
-        raise UnequalTotalsError("totals differ: %r vs %r" % (c, cprime))
+        raise RankMismatchError("totals differ: %r vs %r" % (c, cprime))
     s1 = s2 = 0
     for a, b in zip_longest(c, cprime, fillvalue=0):
         s1 += a
@@ -197,8 +202,6 @@ def dominance_leq(c, cprime):
 
 def closure_leq(bmu, bla):
     """Orbit closure order: bmu <= bla iff c(bmu) <= c(bla) in dominance."""
-    if bmu.n != bla.n:
-        raise RankMismatchError("ranks differ: %d vs %d" % (bmu.n, bla.n))
     return dominance_leq(interleave_c(bmu), interleave_c(bla))
 
 
@@ -209,8 +212,7 @@ def partition_sum(mu, nu):
 
 def orbit_dim(bla, n):
     """dim of the orbit labelled bla: 2n^2 - 2n - 4 n(nu) + 2|mu^(1)|."""
-    if bla.n != n:
-        raise RankMismatchError("|label| = %d but n = %d" % (bla.n, n))
+    check_rank(bla, n)
     nu = partition_sum(bla.first, bla.second)
     d = 2 * n * n - 2 * n - 4 * n_invariant(nu) + 2 * sum(bla.first)
     if d < 0 or d % 2:

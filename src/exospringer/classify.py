@@ -16,8 +16,9 @@ Stabilizer dimensions are kernels of explicit linear systems on the
 symplectic Lie algebra.  For self-adjoint x the bracket [h, x] is
 self-adjoint too, so h x = x h is read on its 2n^2 - n self-adjoint
 coordinates only.  The unknowns are h's coordinates on the units
-E_ij + c E_kl of `adjoint_units(-1)`, and each column is read off the
-rows and columns of x that its at most two terms touch, with no sp
+E_ij + c E_kl of `adjoint_units(-1)` (and, under a line condition
+h<w> in <w>, one scalar t with h w = t w), and each column is read off
+the rows and columns of x that its at most two terms touch, with no sp
 basis matrix built, kept sparse and ranked by `sparse_rank`.  The
 geometric (algebraic-group) dimensions are recovered on the nose for
 odd p (checked across several primes in the tests).
@@ -145,11 +146,12 @@ def _stabilizer_columns(space, x, v, line=None):
     x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
     zero iff its 2n^2 - n coordinates, its entries at the (a, b) of
     `adjoint_units(1)`, are; these are conditions 0 .. 2n^2 - n - 1, and
-    the 2n entries of h v (with v), then the 2n - 1 line conditions (with
-    a line), follow.  With the coordinates indexed by row a and by
-    column b, a term c E_ij adds c x[j][b] to coordinate (i, b) of
-    h x - x h, -c x[a][i] to coordinate (a, j), and c v_j to entry i of
-    h v (and of h w).
+    the 2n entries of h v (with v), then the 2n entries of h w - t w
+    (with a line w), follow.  The line adds one last unknown t, fixed by
+    h as w != 0, so the kernel dimension is that of h alone.  With the
+    coordinates indexed by row a and by column b, a term c E_ij adds
+    c x[j][b] to coordinate (i, b) of h x - x h, -c x[a][i] to
+    coordinate (a, j), and c v_j to entry i of h v (and of h w).
     """
     dim, p, xe = space.dim, space.p, x.entries
     by_row, by_col = [[] for _ in range(dim)], [[] for _ in range(dim)]
@@ -158,18 +160,12 @@ def _stabilizer_columns(space, x, v, line=None):
         by_row[a].append((r, b))
         by_col[b].append((r, a))
     hv_at = len(coords)
-    if line is not None:
-        lead = next(i for i, c in enumerate(line) if c)
-        # h w is a multiple of w iff each hw[j] w[lead] - hw[lead] w[j] is 0
-        line_rows = list(enumerate(
-            (j for j in range(dim) if j != lead),
-            hv_at + (dim if v is not None else 0)))
+    hw_at = hv_at + (dim if v is not None else 0)
     cols = []
     for i, j, k, l, c in space.adjoint_units(-1):
         # the unit is E_ij alone when it is its own image
         terms = ((i, j, 1),) if (k, l) == (i, j) else ((i, j, 1), (k, l, c))
         col = {}
-        hw = {}
         for i, j, c in terms:
             xj = xe[j]
             for r, b in by_row[i]:
@@ -181,11 +177,10 @@ def _stabilizer_columns(space, x, v, line=None):
             if v is not None and v[j]:
                 col[hv_at + i] = col.get(hv_at + i, 0) + c * v[j]
             if line is not None and line[j]:
-                hw[i] = hw.get(i, 0) + c * line[j]
-        if hw:
-            for r, j in line_rows:
-                col[r] = hw.get(j, 0) * line[lead] - hw.get(lead, 0) * line[j]
+                col[hw_at + i] = col.get(hw_at + i, 0) + c * line[j]
         cols.append({r: b for r, a in col.items() if (b := a % p)})
+    if line is not None:
+        cols.append({hw_at + j: -w % p for j, w in enumerate(line) if w})
     return cols
 
 

@@ -216,11 +216,10 @@ def cmd_classify(args):
 
 
 def cmd_repr(args):
-    check_modulus(args.p)
     label = parse_bipartition(args.label)
-    if label.n != args.n:
-        raise ValueError("label %s has size %d, not n=%d"
-                         % (args.label, label.n, args.n))
+    # before SymplecticSpace, so a huge --n builds no 2n x 2n matrix
+    bicomb.check_rank(label, args.n)
+    check_modulus(args.p)
     space = SymplecticSpace(args.n, args.p)
     nf = normal_form_pair(label, space)
     sys.stdout.write(json.dumps(nf.pair.to_json(), indent=2, sort_keys=True) + "\n")

@@ -35,12 +35,8 @@ from itertools import product
 from math import comb, factorial
 from operator import mul
 
-from .bicomb import Bipartition, bipartitions_of, partitions_of, \
-    standard_tableau_count
-
-
-class SizeMismatchError(ValueError):
-    pass
+from .bicomb import Bipartition, RankMismatchError, bipartitions_of, \
+    check_rank, partitions_of, standard_tableau_count
 
 
 def wn_order(n):
@@ -106,7 +102,7 @@ def sn_character(lam, rho):
     lam = tuple(lam)
     rho = tuple(rho)
     if sum(lam) != sum(rho):
-        raise SizeMismatchError("|%r| != |%r|" % (lam, rho))
+        raise RankMismatchError("|%r| != |%r|" % (lam, rho))
     if not rho:
         return 1
     t, rest = rho[0], rho[1:]
@@ -200,9 +196,7 @@ def _columns(n):
 
 def wn_character(irrep, cls):
     """chi^(mu,nu) evaluated on the class (alpha, beta)."""
-    if irrep.n != cls.n:
-        raise SizeMismatchError("irrep rank %d != class rank %d"
-                                % (irrep.n, cls.n))
+    check_rank(irrep, cls.n)
     return _character_table_rows(irrep.n)[irrep][_columns(cls.n)[cls]]
 
 
@@ -308,7 +302,7 @@ def inner_product(f, g, n):
     for cls in wn_classes(n):
         sig = cls.signature
         if sig not in f or sig not in g:
-            raise SizeMismatchError("class function missing class %s" % (sig,))
+            raise RankMismatchError("class function missing class %s" % (sig,))
         total += cls.size * f[sig] * g[sig]
     return Fraction(total, order)
 

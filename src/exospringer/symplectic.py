@@ -24,10 +24,6 @@ class NotInAError(ValueError):
     pass
 
 
-class SizeMismatchError(ValueError):
-    pass
-
-
 class SymplecticSpace:
     """Dimension-2n symplectic space over F_p with the block form J."""
 
@@ -333,8 +329,7 @@ def normal_form_pair(label, space):
     the v_{p_i, mu1_[i]} over blocks (terms with mu1_[i] = 0 are omitted:
     the column index 0 does not exist).
     """
-    if label.n != space.n:
-        raise SizeMismatchError("|label| = %d but n = %d" % (label.n, space.n))
+    bicomb.check_rank(label, space.n)
     n, p = space.n, space.p
     nu = bicomb.partition_sum(label.first, label.second)
     sizes, values, p_rows, q_rows = nu_blocks(nu)
@@ -355,9 +350,6 @@ def normal_form_pair(label, space):
         for j in range(1, part + 1):
             index[(i, j)] = pos
             pos += 1
-    if pos != n:
-        raise AssertionError("the rows of nu index %d basis vectors, not n = %d"
-                             % (pos, n))
 
     # unipotent y = 1 + N on M_n, identity on the f-span
     y_top = [[0] * n for _ in range(n)]

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exospringer.bicomb import (
-    Bipartition, RankMismatchError, UnequalTotalsError, bipartitions_of,
-    closure_leq, dominance_leq, fiber_dim_d, format_bipartition, hasse_covers,
+    Bipartition, RankMismatchError, bipartitions_of, check_rank, closure_leq,
+    dominance_leq, fiber_dim_d, format_bipartition, hasse_covers,
     hasse_dot, interleave_c, n_invariant, orbit_dim, parse_bipartition,
     partition_sum, partitions_of, removable_nodes, standard_tableau_count)
+from exospringer.hyperoct import inner_product, wn_character, wn_classes
 from exospringer.symplectic import nu_blocks
 
 
@@ -65,7 +66,7 @@ def test_dominance():
     assert not dominance_leq((1, 0, 1), (0, 2))
     assert not dominance_leq((0, 2), (1, 0, 1))
     assert dominance_leq((1, 2, 1), (1, 2, 1))
-    with pytest.raises(UnequalTotalsError):
+    with pytest.raises(RankMismatchError):
         dominance_leq((1,), (2,))
 
 
@@ -312,3 +313,18 @@ def test_dimensions_refuse_a_label_of_another_rank():
     for dim in (orbit_dim, fiber_dim_d):
         with pytest.raises(RankMismatchError, match=r"\|label\| = 1 but n = 2"):
             dim(bp("1|-"), 2)
+
+
+def one_class_function(n):
+    return {c.signature: 1 for c in wn_classes(n)}
+
+
+# the size checks no other test reaches; the rest are pinned where they live
+@pytest.mark.parametrize("call", [
+    lambda: check_rank(bp("2,1|-"), 2),
+    lambda: wn_character(bp("1|-"), bp("2|-")),
+    lambda: inner_product(one_class_function(1), one_class_function(2), 2),
+], ids=["check_rank", "wn_character", "inner_product"])
+def test_other_size_checks_raise_rank_mismatch(call):
+    with pytest.raises(RankMismatchError):
+        call()

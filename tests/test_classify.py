@@ -354,7 +354,7 @@ def test_parabolic_case_i_needs_removable_node():
     from exospringer.classify import _kernel_dim, _stabilizer_columns
     w = nf.jordan_basis[(1, 1)]
     columns = _stabilizer_columns(sp, nf.pair.x, nf.pair.v, line=w)
-    assert len(columns) == len(sp.adjoint_eigenbasis(-1))
+    assert len(columns) == len(sp.adjoint_eigenbasis(-1)) + 1   # h, then t
     assert _kernel_dim(sp, columns) == 8
     assert stabilizer_dim(nf.pair, include_v=True) - 2 * 1 + 2 == 9
 
@@ -506,19 +506,22 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
             line = line if any(line) else space.e(1)
             for v, w in ((None, None), (v, None), (v, line), (None, line)):
                 columns = _stabilizer_columns(space, x, v, line=w)
-                dense = dense_stabilizer_rows(space, basis, x, v, w)
+                dense = dense_stabilizer_rows(space, basis, x, v, None)
+                expected = [dense[c] for c in coords] + dense[dim * dim:]
+                if w is not None:
+                    # h w - t w = 0 with one more unknown t, last
+                    hw = [h.apply(w) for h in basis]
+                    expected = [row + [0] for row in expected] + \
+                        [[u[i] for u in hw] + [-w[i] % p] for i in range(dim)]
                 # one sparse column per unknown, no stored zero, read
                 # back as dense rows over the conditions
-                conditions = len(coords) + len(dense) - dim * dim
-                assert len(columns) == len(basis)
-                assert all(0 <= r < conditions and 0 < a < p
+                assert len(columns) == len(expected[0])
+                assert all(0 <= r < len(expected) and 0 < a < p
                            for col in columns for r, a in col.items())
-                rows = [[col.get(r, 0) for col in columns]
-                        for r in range(conditions)]
-                assert rows[:len(coords)] == [dense[c] for c in coords]
-                assert rows[len(coords):] == dense[dim * dim:]
+                assert [[col.get(r, 0) for col in columns]
+                        for r in range(len(expected))] == expected
                 assert _kernel_dim(space, columns) == \
-                    len(basis) - len(FpMatrix(dense, p).rref()[1])
+                    dense_kernel_dim(space, basis, x, v, w)
 
 
 def test_stabilizer_dim_cost(monkeypatch):

@@ -457,6 +457,33 @@ def test_huge_prime_modulus_is_a_quick_usage_error(capsys):
         assert out.stderr == "error: modulus too large: %d\n" % (2**61 - 1)
 
 
+def test_repr_checks_the_label_size_before_building_the_space(capsys):
+    # --n 100000 with a label of size 1 is refused before SymplecticSpace
+    # builds its 200000 x 200000 J; the address-space cap turns a check
+    # moved after it into a quick MemoryError, not a huge allocation
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "exospringer.cli", "repr", "--n", "100000",
+         "--label", "1|-", "--p", "3"], capture_output=True, text=True,
+        timeout=60, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: |label| = 1 but n = 100000\n"
+    # the label is checked first, so a bad --p as well is not the one named
+    for p in ("3", "9"):
+        code = main(["repr", "--n", "2", "--label", "3|-", "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: |label| = 3 but n = 2\n"
+
+
 def test_cli_import_starts_no_process_pool():
     # the census is serial, so the CLI's import graph holds no multiprocessing
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

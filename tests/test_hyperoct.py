@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exospringer import hyperoct
-from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition, \
-    partitions_of, removable_nodes
+from exospringer.bicomb import Bipartition, RankMismatchError, bipartitions_of, \
+    parse_bipartition, partitions_of, removable_nodes
 from exospringer.hyperoct import (
-    CharacterTable, SizeMismatchError, centralizer_order, graded_fiber_module,
+    CharacterTable, centralizer_order, graded_fiber_module,
     induce_product, inner_product, irrep_dim, restrict_branching,
     sn_character, wn_character, wn_character_row, wn_classes, wn_order)
 
@@ -101,7 +101,7 @@ def test_sn_character_examples():
             assert sn_character((1,) * n, rho) == (-1) ** (n - len(rho))
     assert sn_character((2, 1), (1, 1, 1)) == 2
     assert sn_character((2, 1), (3,)) == -1
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(RankMismatchError):
         sn_character((2,), (1,))
 
 

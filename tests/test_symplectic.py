@@ -4,12 +4,13 @@ import pytest
 
 from conftest import random_matrix, random_invertible, random_sp_element, zeros
 from exospringer import symplectic
-from exospringer.bicomb import Bipartition, bipartitions_of, parse_bipartition
+from exospringer.bicomb import Bipartition, RankMismatchError, bipartitions_of, \
+    parse_bipartition
 from exospringer.census import transvection
 from exospringer.ffield import FpMatrix, Subspace, nilpotent_jordan_type
 from exospringer.symplectic import (
-    ExoticPair, NotInAError, NotInGIotaThetaError, SizeMismatchError,
-    SymplecticSpace, normal_form_pair, nu_blocks)
+    ExoticPair, NotInAError, NotInGIotaThetaError, SymplecticSpace,
+    normal_form_pair, nu_blocks)
 
 
 def all_matrices(rows, cols, p):
@@ -260,7 +261,7 @@ def test_normal_form_small_examples():
     assert nf1.nu == (2,)
     assert nf1.mu1_values == (1,)
     assert nf1.pair.v == nf1.jordan_basis[(1, 1)]
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(RankMismatchError):
         normal_form_pair(Bipartition((1,), ()), sp2)
 
 
