@@ -8,15 +8,19 @@ anything bigger raises SizeGateError, before any enumeration, instead of
 silently grinding.
 
 Points are integer codes: base-p digits, a vector's coordinates or a
-self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.  Each
-generator of Sp acts on codes as two permutation tables, built per call
-by linearity, and orbits come from union-find over codes under them.
+self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.
+`_linear_rows` enumerates every F_p^k in code order, so a point's code
+is its position, made once.  Each generator of Sp acts on codes as two
+permutation tables, built per call by linearity, and orbits come from
+union-find over codes under them.
 
 The census is one serial labelling pass over every cone x in code
 order, with v = 0 and one vector per line through 0: a label depends on
 v only through the span of (commutant of x) . v, which c.v shares for
 every c != 0, so each line is labelled once, at its smallest-code
-vector, and counted p - 1 times.  The orbit check reuses these labels.
+vector, and counted p - 1 times.  A seed moves these line vectors only:
+x -> g x g^-1 permutes the cone, so the points (x, g v) are the points
+(g x g^-1, g v) in another order.  The orbit check reuses the labels.
 The cone is found with `power_is_zero`, the nilpotence test that
 `ExoticPair.validate` uses too: on x's rows, with no matrix built per x,
 and stopping at the first nonzero entry of x^n (or (x - 1)^n).  A group
@@ -155,19 +159,17 @@ def sp_group_elements(n, p):
     return elements
 
 
-def _digits(code, p, k):
-    """The k base-p digits of code, least significant first."""
-    return [code // p ** i % p for i in range(k)]
+def _adjoint_coordinates(space, x):
+    """x's coordinates in `adjoint_eigenbasis(1)`: its entries at the leading
+    (i, j) of `space.adjoint_units(1)`; AssertionError unless self-adjoint."""
+    if not space.membership(x, "g_minus_theta"):
+        raise AssertionError("%r is not self-adjoint" % (x,))
+    return [x.entries[i][j] for i, j, _, _, _ in space.adjoint_units(1)]
 
 
 def _encode(space, x):
-    """x's code, its digits x's entries at the leading (i, j) of
-    `space.adjoint_units(1)`, the leading 1s of the echelon basis
-    `adjoint_eigenbasis(1)`; AssertionError unless x is self-adjoint."""
-    if not space.membership(x, "g_minus_theta"):
-        raise AssertionError("%r is not self-adjoint" % (x,))
-    return _vector_code([x.entries[i][j] for i, j, _, _, _
-                         in space.adjoint_units(1)], x.p)
+    """x's code, its digits x's `_adjoint_coordinates` (checked)."""
+    return _vector_code(_adjoint_coordinates(space, x), x.p)
 
 
 def _vector_code(v, p):
@@ -186,10 +188,16 @@ def _linear_rows(columns, p):
     return rows
 
 
-def _linear_table(images, p):
+def _all_vectors(k, p):
+    """Every vector of F_p^k as a tuple, in code order."""
+    return zip(*_linear_rows([[int(i == j) for j in range(k)]
+                              for i in range(k)], p))
+
+
+def _linear_table(columns, p):
     """The image code of each code under the linear map of F_p^k taking
-    the unit p^i to the code images[i]."""
-    rows = _linear_rows([_digits(code, p, len(images)) for code in images], p)
+    the unit p^i to the vector columns[i]."""
+    rows = _linear_rows(columns, p)
     table = rows[-1]
     for row in reversed(rows[:-1]):
         table = [t * p + y for t, y in zip(table, row)]
@@ -207,9 +215,9 @@ def _action_tables(space, generators):
         if not space.membership(g, "H_group"):
             raise AssertionError("generator %r is not symplectic" % (g,))
         gi = space.adjoint(g)
-        x_images = [_encode(space, g * b * gi) for b in basis]
-        v_images = [_vector_code(column, p) for column in zip(*g.entries)]
-        tables.append((_linear_table(x_images, p), _linear_table(v_images, p)))
+        x_columns = [_adjoint_coordinates(space, g * b * gi) for b in basis]
+        tables.append((_linear_table(x_columns, p),
+                       _linear_table(list(zip(*g.entries)), p)))
     return tables
 
 
@@ -232,29 +240,24 @@ def _is_unipotent(x):
 
 
 def iter_vectors(space):
-    dim, p = space.dim, space.p
-    for code in range(p ** dim):
-        yield tuple(_digits(code, p, dim))
+    """Every vector of F_p^2n, in code order."""
+    return _all_vectors(space.dim, space.p)
 
 
 def _cone_xs(space, flavor):
-    """The self-adjoint x, in code order, that lie on the cone of the
-    flavor: nilpotent for 'lie', unipotent for 'group'."""
+    """(code, x) for the self-adjoint x, in code order, that lie on the
+    cone of the flavor: nilpotent for 'lie', unipotent for 'group'."""
     keep = _is_nilpotent if flavor == "lie" else _is_unipotent
-    for x in iter_self_adjoint(space):
+    for code, x in enumerate(iter_self_adjoint(space)):
         if keep(x):
-            yield x
+            yield code, x
 
 
 def _line_reps(space):
-    """(v, weight) for v = 0 (weight 1) and, on each line through 0, the
-    smallest-code vector, whose last non-zero coordinate is 1 (weight
-    p - 1); in code order."""
-    reps = []
-    for v in iter_vectors(space):
-        if next((c for c in reversed(v) if c), 1) == 1:
-            reps.append((v, space.p - 1 if any(v) else 1))
-    return reps
+    """v = 0 and, on each line through 0, the smallest-code vector, whose
+    last non-zero coordinate is 1; in code order."""
+    return [v for v in iter_vectors(space)
+            if next((c for c in reversed(v) if c), 1) == 1]
 
 
 def enumerate_exotic_nilcone(n, p, flavor="lie"):
@@ -262,8 +265,9 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
     in a fixed deterministic order."""
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    for x in _cone_xs(space, flavor):
-        for v in iter_vectors(space):
+    vectors = list(iter_vectors(space))
+    for _, x in _cone_xs(space, flavor):
+        for v in vectors:
             yield ExoticPair._trusted(space, x, v, flavor)
 
 
@@ -282,37 +286,36 @@ def seeded_basis_change(space, seed):
 
 
 def _census_chunk(space, flavor, basis_seed, check_orbits):
-    """Label counts and first representatives (x, v) over the whole cone,
-    with each point first carried to (g x g^-1, g v) under a seeded g when
-    basis_seed is set.  With check_orbits it also returns the
-    {(x code, v): label} map of the line representatives it labelled (each
-    x encoded once), and None without.  (The name is kept for perfbench.)"""
-    lines = _line_reps(space)
-    g = None
+    """Label counts and first representatives (x, v) over the cone: each
+    cone x in code order with 0 and one v per line, moved to g v by a
+    seeded g when basis_seed is set; with check_orbits also the
+    {(x-code, v-code): label} map of every point, and None without.  (The
+    name is kept for perfbench.)"""
+    p = space.p
+    vs = _line_reps(space)
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
-        gi = space.adjoint(g)       # g^-1 = g* for symplectic g
-        # g is linear, so it carries each line, and its weight, to a line
-        lines = [(g.apply(v), weight) for v, weight in lines]
+        vs = [g.apply(v) for v in vs]   # g is linear: lines go to lines
+    # v with the codes of c.v, c != 0; their number is v's weight
+    lines = [(v, {_vector_code([c * a % p for a in v], p) for c in range(1, p)})
+             for v in vs]
     counts, reps, names = {}, {}, {}  # names: Bipartition -> its label
-    labelled = {} if check_orbits else None
-    for x in _cone_xs(space, flavor):
-        if g is not None:
-            x = g * x * gi
+    points = {} if check_orbits else None
+    for code, x in _cone_xs(space, flavor):
         # the scan showed x self-adjoint with (x - 1)^n = 0, so x - 1 is
         # `log_map(x)`, as in `ExoticPair.nilpotent_part`
         labeler = classify.exotic_labeler(
             x if flavor == "lie" else x - space._one)
-        code = _encode(space, x) if check_orbits else None
-        for v, weight in lines:
+        for v, v_codes in lines:
             bp = labeler(v)
             label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
-            counts[label] = counts.get(label, 0) + weight
+            counts[label] = counts.get(label, 0) + len(v_codes)
             if label not in reps:
                 reps[label] = (x, v)
             if check_orbits:
-                labelled[code, v] = label
-    return counts, reps, labelled
+                for v_code in v_codes:
+                    points[code, v_code] = label
+    return counts, reps, points
 
 
 class CensusResult:
@@ -340,21 +343,20 @@ def orbit_census(n, p, flavor="lie", check_orbits=False, basis_seed=0):
     check_orbits reuses those labels for the union-find transitivity
     test under the generator action, and adds the exact orbit-stabilizer
     comparison (this needs the full group, so it is the slow part).  A
-    nonzero basis_seed labels the points moved by a seeded symplectic g,
-    which permutes the cone and its lines: equal counts show that labels
-    are constant on lines, not invariance, which check_orbits tests.
+    nonzero basis_seed moves each line's vector by a seeded symplectic g,
+    which permutes the lines; x -> g x g^-1 permutes the cone, so x stays:
+    the same points are labelled.  Equal counts show that labels are
+    constant on lines, not invariance, which check_orbits tests.
     """
     if check_orbits:
         _gate_group(n, p)
     else:
         _gate(n, p)
     space = SymplecticSpace(n, p)
-    counts, reps, labelled = _census_chunk(space, flavor, basis_seed,
-                                           check_orbits)
-    result = CensusResult(n, p, flavor, counts, sum(counts.values()), reps)
-    if check_orbits:
-        result.orbit_checks = _orbit_checks(space, result, labelled)
-    return result
+    counts, reps, points = _census_chunk(space, flavor, basis_seed,
+                                         check_orbits)
+    checks = _orbit_checks(space, counts, reps, points) if check_orbits else None
+    return CensusResult(n, p, flavor, counts, sum(counts.values()), reps, checks)
 
 
 class UnionFind:
@@ -398,13 +400,10 @@ def _generator_classes(space, points, what):
     return uf
 
 
-def _orbit_checks(space, result, labelled):
-    """Union-find transitivity plus orbit-stabilizer arithmetic per label.
-    `labelled` maps the census's (x code, v) to their labels, one v per
-    line; each line's p - 1 multiples c.v share its label."""
+def _orbit_checks(space, counts, reps, points):
+    """Union-find transitivity plus orbit-stabilizer arithmetic per label,
+    over `points`, the census's {(x-code, v-code): label} map."""
     n, p = space.n, space.p
-    points = {(code, _vector_code([c * a % p for a in v], p)): label
-              for (code, v), label in labelled.items() for c in range(1, p)}
     uf = _generator_classes(space, points, "cone")
     roots_per_label = {}
     for key, label in points.items():
@@ -413,8 +412,8 @@ def _orbit_checks(space, result, labelled):
     group = sp_group_elements(n, p)
     order = sp_group_order(n, p)
     checks = []
-    for label, count in sorted(result.label_counts.items()):
-        stab = _stabilizer_order(group, *result.reps[label])
+    for label, count in sorted(counts.items()):
+        stab = _stabilizer_order(group, *reps[label])
         checks.append({"label": label, "count": count, "stabilizer_order": stab,
                        "orbit_stabilizer_ok": stab * count == order,
                        "transitive": len(roots_per_label[label]) == 1})
@@ -460,7 +459,7 @@ def klyachko_census(n, p):
 
 
 def _iter_gl(n, p):
-    for code in range(p ** (n * n)):
-        m = FpMatrix._trusted(_unflatten(_digits(code, p, n * n), n, n), p)
+    for flat in _all_vectors(n * n, p):
+        m = FpMatrix._trusted(_unflatten(flat, n, n), p)
         if m.is_invertible():
             yield m

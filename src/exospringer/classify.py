@@ -194,13 +194,11 @@ def stabilizer_dim(pair, include_v):
 
 def cyclic_dim(pair):
     """dim span{v, xv, x^2 v, ...} (equals the first part of the label)."""
-    space = pair.space
-    vecs = []
-    cur = pair.v
-    for _ in range(space.dim):
-        vecs.append(cur)
+    rows, cur = [], pair.v
+    for _ in range(pair.space.dim):
+        rows.append({k: a for k, a in enumerate(cur) if a})
         cur = pair.x.apply(cur)
-    return Subspace._trusted(space.dim, vecs, space.p).dim
+    return sparse_rank(rows, pair.space.p)
 
 
 def parabolic_stabilizer_dim(nf, i, case):

@@ -89,7 +89,7 @@ def _add_verify(sub):
                      help=argparse.SUPPRESS)
     sub.add_argument("--check-orbits", action="store_true")
     sub.add_argument("--seed", type=int, default=0,
-                     help="census only: label the points moved by a seeded "
+                     help="census only: move each line's vector by a seeded "
                           "symplectic g; equal counts show labels constant on "
                           "lines (--check-orbits tests invariance)")
 

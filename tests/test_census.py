@@ -157,7 +157,7 @@ def moved_label_mismatches(n, p, flavor):
     moves = sp_generators(space) + [census_mod.seeded_basis_change(space, 7)]
     vectors = list(census_mod.iter_vectors(space))
     mismatches = []
-    for x in census_mod._cone_xs(space, flavor):
+    for _, x in census_mod._cone_xs(space, flavor):
         part = x if flavor == "lie" else x - space._one
         label = classify.exotic_labeler(part)
         for g in moves:
@@ -299,16 +299,15 @@ def test_census_scans_the_cone_once(monkeypatch, n, check_orbits):
 def test_census_matches_labelling_every_point(n, p, seed):
     # the census labels 0 and one vector per line from Jordan-chain
     # valuations; labelling every point of the cone by the definition (the
-    # halved enhanced type on the commutant span), through the same seeded
-    # basis change, must give the same counts and the same first point per
-    # label
+    # halved enhanced type on the commutant span), with v moved by the same
+    # seeded basis change, must give the same counts and the same first
+    # point per label
     space = SymplecticSpace(n, p)
     g = census_mod.seeded_basis_change(space, seed) if seed else \
         FpMatrix.identity(space.dim, p)
-    gi = g.inverse()
     counts, reps = {}, {}
     for pair in enumerate_exotic_nilcone(n, p):
-        moved = ExoticPair(space, g * pair.x * gi, g.apply(pair.v), "lie")
+        moved = ExoticPair(space, pair.x, g.apply(pair.v), "lie")
         gl_label = classify.enhanced_type(moved.x, moved.v)
         label = format_bipartition(Bipartition(
             classify.halve_doubled(gl_label.first),
@@ -342,6 +341,49 @@ def test_census_labels_each_line_once(monkeypatch):
     assert result.label_counts == {"-|1": 1, "1|-": 8}
     assert all(chk["transitive"] and chk["orbit_stabilizer_ok"]
                for chk in result.orbit_checks)
+
+
+def test_a_seeded_census_multiplies_no_cone_matrix(matmul_calls):
+    # the seed moves the line vectors only (x -> g x g^-1 permutes the
+    # cone), so the seeded pass makes the products of the unseeded pass
+    # and of building g, and none per cone x
+    orbit_census(2, 3)
+    unseeded = len(matmul_calls)
+    space = SymplecticSpace(2, 3)
+    del matmul_calls[:]
+    census_mod.seeded_basis_change(space, 7)
+    change = len(matmul_calls)
+    del matmul_calls[:]
+    orbit_census(2, 3, basis_seed=7)
+    assert len(matmul_calls) == unseeded + change
+
+
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_the_scan_codes_every_point_by_its_position(monkeypatch, flavor):
+    # no point is encoded: an x's code is its position in iter_self_adjoint
+    # and a vector's its position in iter_vectors, and each point (x, c.v),
+    # c = 1..p-1, is mapped to the label of (x, v)
+    encoded = []
+    monkeypatch.setattr(census_mod, "_encode",
+                        lambda *args: encoded.append(args))
+    space = SymplecticSpace(2, 3)
+    p = space.p
+    _, _, points = census_mod._census_chunk(space, flavor, 0, True)
+    assert encoded == []
+    vs = list(census_mod.iter_vectors(space))
+    v_code = {v: code for code, v in enumerate(vs)}
+    keep = _is_nilpotent if flavor == "lie" else census_mod._is_unipotent
+    expected = {}
+    for x_code, x in enumerate(iter_self_adjoint(space)):
+        if keep(x):
+            label = classify.exotic_labeler(
+                x if flavor == "lie" else x - space._one)
+            for v in vs:
+                name = format_bipartition(label(v))
+                for c in range(1, p):
+                    expected[x_code, v_code[tuple(c * a % p for a in v)]] = name
+    assert len(expected) == 81 * p ** 4        # 81 cone x at n = 2, p = 3
+    assert points == expected
 
 
 def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
