@@ -379,9 +379,6 @@ class UnionFind:
         if rx != ry:
             self.parent[ry] = rx
 
-    def class_count(self):
-        return len({self.find(x) for x in self.parent})
-
 
 def _generator_classes(space, points, what):
     """Union-find of `points`, a set or dict of (x-code, v-code) pairs,
@@ -441,12 +438,12 @@ def klyachko_census(n, p):
     points = {(code, 0) for code, x in enumerate(iter_self_adjoint(space))
               if x.is_invertible()}
     uf = _generator_classes(space, points, "invertible self-adjoint locus")
-    orbit_count = uf.class_count()
+    all_roots = {uf.find(point) for point in points}
+    orbit_count = len(all_roots)
     expected = gl_class_count(n, p)
 
     covered = {uf.find((_encode(space, space.klyachko_embed(space.embed_gl(g))), 0))
                for g in _iter_gl(n, p)}
-    all_roots = {uf.find(point) for point in points}
 
     return {
         "n": n, "p": p,

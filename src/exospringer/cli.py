@@ -1,9 +1,12 @@
 """Command line entry point.
 
 Subcommands: orbits, hasse, chartable, springer, branch, classify,
-repr, verify.  Exit status: 0 success, 1 check failure (with a JSON
-mismatch report), 2 usage error: argparse's message for a bad command
-line, and after parsing one `error: ...` line on stderr for every other.
+repr, verify.  Each handler returns (stdout text, exit status) and
+writes nothing; `main` writes the text once, so an error leaves stdout
+empty.  Exit status: 0 success, 1 check failure (with a JSON mismatch
+report), 2 usage error: argparse's message for a bad command line, and
+after parsing one `error: ...` line on stderr for a ValueError or
+OSError, which bad outside input raises; any other error propagates.
 Output is byte-deterministic for fixed inputs; verify reports carry no
 timings.  Outside input is validated here, at the edge; the per-rank
 verify suites (RANK_SUITES) each return a list of mismatch reports.
@@ -27,6 +30,8 @@ SYMBOLIC_MAX_N = {
     "verify --suite restriction": 10, "verify --suite determine": 10,
     "verify --suite d-diff": 18, "verify --suite sum-squares": 21,
 }
+# repr's ceiling by the same rule; its normal-form checks cost about n^3.
+REPR_MAX_N = 200
 
 
 def _gate(args):
@@ -114,46 +119,43 @@ def build_parser(command=None):
     return ap
 
 
+def _json(obj):
+    """`obj` as JSON text: sorted keys, indent 2, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _tsv(rows):
+    """One line per row: the str of each field, tab-joined."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
 def cmd_orbits(args):
     n = args.n
     rows = [(format_bipartition(b), bicomb.orbit_dim(b, n),
              bicomb.fiber_dim_d(b, n)) for b in bipartitions_of(n)]
     if args.format == "tsv":
-        out = "".join("%s\t%d\t%d\n" % row for row in rows)
-    else:
-        out = json.dumps({"n": n, "orbits": [
-            {"label": lab, "dim": d, "d": dd} for lab, d, dd in rows]},
-            indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(out)
-    return 0
+        return _tsv(rows), 0
+    return _json({"n": n, "orbits": [
+        {"label": lab, "dim": d, "d": dd} for lab, d, dd in rows]}), 0
 
 
 def cmd_hasse(args):
-    n = args.n
-    covers = bicomb.hasse_covers(n)
     if args.format == "dot":
-        sys.stdout.write(bicomb.hasse_dot(n))
-    elif args.format == "tsv":
-        for lower, upper in covers:
-            sys.stdout.write("%s\t%s\n" % (format_bipartition(lower),
-                                           format_bipartition(upper)))
-    else:
-        sys.stdout.write(json.dumps({"n": n, "covers": [
-            [format_bipartition(a), format_bipartition(b)] for a, b in covers]},
-            indent=2, sort_keys=True) + "\n")
-    return 0
+        return bicomb.hasse_dot(args.n), 0
+    rows = [(format_bipartition(a), format_bipartition(b))
+            for a, b in bicomb.hasse_covers(args.n)]
+    if args.format == "tsv":
+        return _tsv(rows), 0
+    return _json({"n": args.n, "covers": rows}), 0
 
 
 def cmd_chartable(args):
     table = hyperoct.CharacterTable(args.n)
     if args.format == "json":
-        sys.stdout.write(json.dumps(table.to_json(), indent=2, sort_keys=True) + "\n")
-    else:
-        header = ["irrep\\class"] + [str(c.signature) for c in table.classes]
-        sys.stdout.write("\t".join(header) + "\n")
-        for label, row in zip(table.rows, table.values):
-            sys.stdout.write("\t".join([str(label)] + [str(v) for v in row]) + "\n")
-    return 0
+        return _json(table.to_json()), 0
+    header = ["irrep\\class"] + [c.signature for c in table.classes]
+    return _tsv([header] + [[label, *row] for label, row
+                            in zip(table.rows, table.values)]), 0
 
 
 def cmd_springer(args):
@@ -163,14 +165,11 @@ def cmd_springer(args):
         for r in table.records:
             r.census_count = counts[format_bipartition(r.label)]
     if args.format == "json":
-        sys.stdout.write(json.dumps(table.to_json(), indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("label\tdim\td\tirrep\tirrep_dim\tcovers\n")
-        for r in table.records:
-            sys.stdout.write("%s\t%d\t%d\t%s\t%d\t%s\n" % (
-                r.label, r.orbit_dim, r.d, r.irrep, r.irrep_dim,
-                ",".join(str(c) for c in r.covers)))
-    return 0
+        return _json(table.to_json()), 0
+    header = ("label", "dim", "d", "irrep", "irrep_dim", "covers")
+    return _tsv([header] + [
+        (r.label, r.orbit_dim, r.d, r.irrep, r.irrep_dim,
+         ",".join(str(c) for c in r.covers)) for r in table.records]), 0
 
 
 def cmd_branch(args):
@@ -178,19 +177,13 @@ def cmd_branch(args):
         raise ValueError("branch needs --n >= 2")
     matrix = hyperoct.restrict_branching(args.n)
     ups = bipartitions_of(args.n)
-    downs = bipartitions_of(args.n - 1)
     # each row of the matrix is keyed in bipartitions_of(n - 1) order
     if args.format == "json":
         payload = {str(up): {str(dn): mult for dn, mult in matrix[up].items()
                              if mult} for up in ups}
-        sys.stdout.write(json.dumps({"n": args.n, "branching": payload},
-                                    indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\t".join(["up\\down"] + [str(d) for d in downs]) + "\n")
-        for up in ups:
-            sys.stdout.write("\t".join([str(up)] + [str(mult) for mult
-                                                    in matrix[up].values()]) + "\n")
-    return 0
+        return _json({"n": args.n, "branching": payload}), 0
+    header = ["up\\down", *bipartitions_of(args.n - 1)]
+    return _tsv([header] + [[up, *matrix[up].values()] for up in ups]), 0
 
 
 def cmd_classify(args):
@@ -207,23 +200,22 @@ def cmd_classify(args):
     pair = ExoticPair.from_json(obj)
     label = classify.exotic_type(pair)
     n = pair.space.n
-    out = {"label": format_bipartition(label),
-           "dim_orbit": bicomb.orbit_dim(label, n),
-           "d": bicomb.fiber_dim_d(label, n),
-           "stab_dim": classify.stabilizer_dim(pair, include_v=True)}
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _json({"label": format_bipartition(label),
+                  "dim_orbit": bicomb.orbit_dim(label, n),
+                  "d": bicomb.fiber_dim_d(label, n),
+                  "stab_dim": classify.stabilizer_dim(pair, include_v=True)}), 0
 
 
 def cmd_repr(args):
     label = parse_bipartition(args.label)
     # before SymplecticSpace, so a huge --n builds no 2n x 2n matrix
     bicomb.check_rank(label, args.n)
+    if args.n > REPR_MAX_N:
+        raise ValueError("repr is gated to n <= %d (got n=%d)"
+                         % (REPR_MAX_N, args.n))
     check_modulus(args.p)
     space = SymplecticSpace(args.n, args.p)
-    nf = normal_form_pair(label, space)
-    sys.stdout.write(json.dumps(nf.pair.to_json(), indent=2, sort_keys=True) + "\n")
-    return 0
+    return _json(normal_form_pair(label, space).pair.to_json()), 0
 
 
 def cmd_verify(args):
@@ -249,12 +241,16 @@ def cmd_verify(args):
             args.n, args.p, flavor=args.flavor,
             check_orbits=args.check_orbits, basis_seed=args.seed)
         report["census"] = result.to_json()
-        expected_labels = len(bipartitions_of(args.n))
-        if len(result.label_counts) != expected_labels:
-            report["mismatches"].append(
-                {"check": "census", "n": args.n,
-                 "instance": "number of labels",
-                 "expected": expected_labels, "got": len(result.label_counts)})
+        # cone x V has p^(2n^2) points: p^(2n^2 - 2n) cone x, p^(2n) vectors
+        labels = sorted(map(format_bipartition, bipartitions_of(args.n)))
+        for instance, expected, got in (
+                ("labels", labels, sorted(result.label_counts)),
+                ("total points", args.p ** (2 * args.n ** 2),
+                 sum(result.label_counts.values()))):
+            if got != expected:
+                report["mismatches"].append(
+                    {"check": "census", "n": args.n, "instance": instance,
+                     "expected": expected, "got": got})
         for chk in result.orbit_checks:
             for name in ("orbit_stabilizer_ok", "transitive"):
                 if not chk[name]:
@@ -274,8 +270,7 @@ def cmd_verify(args):
                     {"check": "klyachko", "n": args.n, "instance": name,
                      "expected": expected, "got": got})
     report["pass"] = not report["mismatches"]
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0 if report["pass"] else 1
+    return _json(report), 0 if report["pass"] else 1
 
 
 # Each subcommand once, in help order: name -> (help, add arguments, handler).
@@ -314,10 +309,12 @@ def main(argv=None):
     args = build_parser(command).parse_args(_join_label(argv))
     try:
         _gate(args)
-        return COMMANDS[args.command][2](args)
-    except (ValueError, KeyError, OSError) as exc:
+        text, status = COMMANDS[args.command][2](args)
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def brute_gl2_class_count(p):
         gi = g.inverse()
         for h in elements:
             uf.union(h.entries, (g * h * gi).entries)
-    return uf.class_count()
+    return len({uf.find(g.entries) for g in elements})
 
 
 def test_sp_group_order_against_enumeration():

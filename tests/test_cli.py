@@ -548,3 +548,110 @@ def test_orbits_json(capsys):
     obj = json.loads(out)
     assert obj["orbits"] == [{"label": "1|-", "dim": 2, "d": 0},
                              {"label": "-|1", "dim": 0, "d": 1}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--n", "3", "--format", "json"],
+    ["hasse", "--n", "3", "--format", "tsv"],
+    ["chartable", "--n", "3"],
+    ["springer", "--n", "3", "--format", "tsv"],
+    ["branch", "--n", "3", "--format", "json"],
+    ["classify", "--input", "PAIR"],
+    ["repr", "--n", "2", "--label", "1|1", "--p", "3"],
+    ["verify", "--suite", "census", "--n", "1", "--p", "3"]])
+def test_handlers_return_their_text_and_main_writes_it(tmp_path, capsys, argv):
+    path = tmp_path / "pair.json"
+    main(["repr", "--n", "2", "--label", "2|-", "--p", "5"])
+    path.write_text(capsys.readouterr().out)
+    argv = [str(path) if arg == "PAIR" else arg for arg in argv]
+    args = cli.build_parser().parse_args(argv)
+    text, status = cli.COMMANDS[argv[0]][2](args)
+    assert type(text) is str and type(status) is int
+    assert capsys.readouterr().out == ""
+    assert (main(argv), capsys.readouterr().out) == (status, text)
+    assert status == 0 and text.endswith("\n")
+
+
+def test_an_error_midway_through_a_table_leaves_stdout_empty(
+        monkeypatch, capsys):
+    calls = []
+
+    def third_call_fails(label):
+        calls.append(label)
+        if len(calls) == 3:
+            raise ValueError("the third label")
+        return format_bipartition(label)
+
+    format_bipartition = cli.format_bipartition
+    monkeypatch.setattr(cli, "format_bipartition", third_call_fails)
+    code = main(["hasse", "--n", "3", "--format", "tsv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the third label\n"
+
+
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    from exospringer import springer
+
+    def missing(n):
+        raise KeyError("a table entry")
+
+    monkeypatch.setattr(springer, "springer_table", missing)
+    with pytest.raises(KeyError):
+        main(["springer", "--n", "2"])
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+def test_repr_is_gated_before_the_normal_form(monkeypatch, capsys):
+    def reached(*args):
+        raise RuntimeError("reached past the gate")
+
+    monkeypatch.setattr(cli, "SymplecticSpace", lambda n, p: None)
+    monkeypatch.setattr(cli, "normal_form_pair", reached)
+    ceiling = cli.REPR_MAX_N
+    with pytest.raises(RuntimeError):
+        main(["repr", "--n", str(ceiling), "--label", "%d|-" % ceiling])
+    t0 = time.perf_counter()
+    code = main(["repr", "--n", str(ceiling + 1), "--label", "%d|-" % (ceiling + 1)])
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: repr is gated to n <= %d (got n=%d)\n" \
+        % (ceiling, ceiling + 1)
+
+
+def run_broken_census(monkeypatch, capsys, break_counts):
+    from exospringer import census
+    orbit_census = census.orbit_census
+
+    def broken(*args, **kwargs):
+        result = orbit_census(*args, **kwargs)
+        break_counts(result.label_counts)
+        return result
+
+    monkeypatch.setattr(census, "orbit_census", broken)
+    code, out = run(capsys, "verify", "--suite", "census", "--n", "1", "--p", "3")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    return [(m["check"], m["instance"], m["expected"], m["got"])
+            for m in report["mismatches"]]
+
+
+def test_verify_census_checks_the_label_set(monkeypatch, capsys):
+    # as many labels as bipartitions of n, but one of them wrong
+    def rename(counts):
+        counts["2|-"] = counts.pop("-|1")
+
+    assert run_broken_census(monkeypatch, capsys, rename) == [
+        ("census", "labels", ["-|1", "1|-"], ["1|-", "2|-"])]
+
+
+def test_verify_census_checks_the_point_count(monkeypatch, capsys):
+    # cone x V has p^(2n^2) points: 3^2 at n = 1
+    def drift(counts):
+        counts["1|-"] += 1
+
+    assert run_broken_census(monkeypatch, capsys, drift) == [
+        ("census", "total points", 9, 10)]

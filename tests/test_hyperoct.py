@@ -373,7 +373,7 @@ def test_branching_at_8_matches_the_dot_loop():
 
 
 def test_branching_rows_are_in_bipartition_order():
-    # cmd_branch writes each TSV row from the row's values in this order
+    # cmd_branch builds each TSV row from the row's values in this order
     for n in range(1, 9):
         mat = restrict_branching(n)
         assert list(mat) == list(bipartitions_of(n))
