@@ -14,7 +14,6 @@ Sizes that differ have one rule, `check_rank(label, n)`, and one error,
 import functools
 from itertools import accumulate, zip_longest
 from math import factorial, prod
-from operator import le
 
 
 class RankMismatchError(ValueError):
@@ -251,23 +250,54 @@ def removable_nodes(bla):
 
 @functools.lru_cache(maxsize=None)
 def hasse_covers(n):
-    """Covering pairs (lower, upper) of the closure order on rank n."""
+    """Covering pairs (lower, upper) of the closure order on rank n, grouped
+    by upper in bipartitions_of(n) order, lowers in that order too.
+
+    bipartitions_of(n) is a linear extension of the closure order, largest
+    first (dominance implies lex order), so every label below label i comes
+    after it.  One pass from the last label to the first keeps below[i],
+    the set of labels under i, as an int bitmask: label i tests only the
+    later labels j > i, in ascending order; a j already in the mask is
+    skipped, and a j found below i brings below[j] along (transitivity).
+    A j tested and found below i is a cover: a mid strictly between them
+    would come before j, so it was found first and put j in the mask.
+
+    closure_leq(a, b) iff every prefix sum of c(a) is <= that of c(b),
+    the prefix sums padded with n to length 2n.  They are packed into one
+    int per label, 1 + n.bit_length() bits per sum, so the test is one
+    subtraction: with the top bit of every field set in hi, no field of
+    hi - lo borrows, and the top bits all survive iff lo <= hi fieldwise.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = bipartitions_of(n)
-    # closure_leq(a, b) iff every prefix sum of c(a) is <= that of c(b);
-    # zip may stop at the shorter composition: its last prefix sum is n
-    sums = [tuple(accumulate(interleave_c(b))) for b in labels]
-    below = [[j for j, lo in enumerate(sums) if j != i and all(map(le, lo, hi))]
-             for i, hi in enumerate(sums)]
-    covers = []
-    for upper, under in zip(labels, below):
-        # lower is covered by upper unless it lies below some mid in between
-        between = set()
-        for mid in under:
-            between.update(below[mid])
-        covers.extend((labels[j], upper) for j in under if j not in between)
-    return tuple(covers)
+    count = len(labels)
+    width = n.bit_length() + 1
+    top = sum(1 << (width * k + width - 1) for k in range(2 * n))
+    packed = []
+    for b in labels:
+        sums = list(accumulate(interleave_c(b)))
+        sums += [n] * (2 * n - len(sums))
+        packed.append(sum(s << (width * k) for k, s in enumerate(sums)))
+    below = [0] * count
+    covers = [None] * count
+    for i in range(count - 1, -1, -1):
+        hi = packed[i] | top
+        mask = 0
+        found = []
+        todo = (1 << count) - (1 << (i + 1))  # the labels after i
+        while todo:
+            low = todo & -todo
+            j = low.bit_length() - 1
+            if (hi - packed[j]) & top == top:
+                found.append(j)
+                mask |= low | below[j]
+                todo &= ~below[j]
+            todo ^= low
+        below[i] = mask
+        covers[i] = found
+    return tuple((labels[j], upper) for upper, found in zip(labels, covers)
+                 for j in found)
 
 
 def hasse_dot(n):

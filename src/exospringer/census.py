@@ -300,12 +300,13 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
     lines = [(v, {_vector_code([c * a % p for a in v], p) for c in range(1, p)})
              for v in vs]
     counts, reps, names = {}, {}, {}  # names: Bipartition -> its label
+    by_valuations = {}  # shared by every labeller of the pass
     points = {} if check_orbits else None
     for code, x in _cone_xs(space, flavor):
         # the scan showed x self-adjoint with (x - 1)^n = 0, so x - 1 is
         # `log_map(x)`, as in `ExoticPair.nilpotent_part`
         labeler = classify.exotic_labeler(
-            x if flavor == "lie" else x - space._one)
+            x if flavor == "lie" else x - space._one, by_valuations)
         for v, v_codes in lines:
             bp = labeler(v)
             label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))

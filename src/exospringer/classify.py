@@ -65,16 +65,19 @@ def exotic_type(pair):
     return exotic_labeler(pair.nilpotent_part())(pair.v)
 
 
-def exotic_labeler(n_mat):
+def exotic_labeler(n_mat, by_valuations=None):
     """v -> exotic label, with the Jordan chains of n_mat built once.
 
     The one path to an exotic label: the census classifies one
     nilpotent matrix against every vector, `exotic_type` against one.
     In the chain basis the span W of (commutant of N) . v is the sum of
     t^(b_j) M_j over the Jordan blocks M_j = F_p[t]/t^(l_j), and b_j
-    depends on v only through the valuations a_j of its block
-    coordinates (the index of the first nonzero one, l_j if none), so
-    results are cached per valuation tuple and halved once per tuple.
+    depends on v only through the chain lengths l_j and the valuations
+    a_j of its block coordinates (the index of the first nonzero one, l_j
+    if none), so labels are cached in by_valuations per (lengths,
+    valuations) key and halved once per key.  A caller that labels for
+    several matrices, as one census pass does, passes one dict to every
+    labeller; without one, the labeller keeps its own.
     """
     lengths, p_inv = jordan_chains(n_mat)
     m, p = n_mat.rows, n_mat.p
@@ -83,7 +86,8 @@ def exotic_labeler(n_mat):
     for length in lengths:
         blocks.append(p_inv.entries[start:start + length])
         start += length
-    by_valuations = {}
+    if by_valuations is None:
+        by_valuations = {}
 
     def label_of(v):
         if len(v) != m:
@@ -96,7 +100,7 @@ def exotic_labeler(n_mat):
             else:
                 k = len(rows)
             valuations.append(k)
-        key = tuple(valuations)
+        key = (lengths, tuple(valuations))
         label = by_valuations.get(key)
         if label is None:
             first, second = _valuation_label(lengths, valuations)

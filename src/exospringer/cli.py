@@ -26,8 +26,8 @@ from .symplectic import ExoticPair, SymplecticSpace, normal_form_pair
 # took under 5 s in every measurement (2-vCPU VM, Python 3.11.7); one
 # rank more takes 1.3-3.6x as long.  The census suites have census's gate.
 SYMBOLIC_MAX_N = {
-    "orbits": 24, "hasse": 12, "chartable": 13, "springer": 12, "branch": 10,
-    "verify --suite restriction": 10, "verify --suite determine": 10,
+    "orbits": 24, "hasse": 15, "chartable": 14, "springer": 15, "branch": 11,
+    "verify --suite restriction": 11, "verify --suite determine": 11,
     "verify --suite d-diff": 18, "verify --suite sum-squares": 21,
 }
 # repr's ceiling by the same rule; its normal-form checks cost about n^3.

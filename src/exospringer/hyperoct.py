@@ -13,6 +13,10 @@ standard induction formula over class fusion, so every value is an
 exact integer.  The convention "first component <-> trivial Z/2
 action" is locked by the identity/sign acceptance checks.
 
+The S_k characters come in whole tables: sn_table(k) builds every
+chi^lam(rho) of S_k at once by Murnaghan-Nakayama from the S_(k - t)
+tables, one rim-hook removal (_rim_hooks) per (lam, t) shared by every
+rho whose first part is t, and sn_character is a lookup into it.
 _splittings is the one enumeration of a class's splittings.
 wn_character_row states the formula irrep by irrep through
 induce_product, which serves only it (the definition the tests check
@@ -96,20 +100,15 @@ def wn_classes(n):
     return classes
 
 
-@functools.lru_cache(maxsize=None)
-def sn_character(lam, rho):
-    """chi^lam on the S_n class of cycle type rho (Murnaghan-Nakayama)."""
-    lam = tuple(lam)
-    rho = tuple(rho)
-    if sum(lam) != sum(rho):
-        raise RankMismatchError("|%r| != |%r|" % (lam, rho))
-    if not rho:
-        return 1
-    t, rest = rho[0], rho[1:]
+def _rim_hooks(lam, t):
+    """(sign, lam minus the hook) for every rim hook of length t in lam,
+    the sign (-1)^(height of the hook).  In beta numbers b_i = lam_i + k - 1
+    - i (k = len(lam)), removing a rim hook of length t moves one b to the
+    free b - t >= 0, and its height is the count of beta numbers crossed."""
     k = len(lam)
     beta = [lam[i] + (k - 1 - i) for i in range(k)]
     beta_set = set(beta)
-    total = 0
+    out = []
     for b in beta:
         b2 = b - t
         if b2 < 0 or b2 in beta_set:
@@ -119,8 +118,54 @@ def sn_character(lam, rho):
         new_lam = tuple(x for x in (v - (k - 1 - i)
                                     for i, v in enumerate(new_beta))
                         if x > 0)
-        total += (-1) ** crossed * sn_character(new_lam, rest)
-    return total
+        out.append((-1 if crossed % 2 else 1, new_lam))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def sn_table(k):
+    """The character table of S_k as (column, rows): column maps a cycle
+    type rho to its position in partitions_of(k), rows maps lam to the
+    tuple of chi^lam over partitions_of(k) in that order.
+
+    Murnaghan-Nakayama on the first part t of rho, all at once:
+    chi^lam(rho) = sum over the rim hooks of length t of lam of
+    (-1)^height chi^(lam - hook)(rho minus t), read from the table of
+    S_(k - t).  The hooks of one (lam, t) are found once and shared by
+    every rho whose first part is t.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    parts = partitions_of(k)
+    column = {rho: j for j, rho in enumerate(parts)}
+    if k == 0:
+        return column, {(): (1,)}
+    by_first = {}  # t -> [(j, position of rho minus t in partitions_of(k - t))]
+    for j, rho in enumerate(parts):
+        by_first.setdefault(rho[0], []).append(
+            (j, sn_table(k - rho[0])[0][rho[1:]]))
+    rows = {}
+    for lam in parts:
+        row = [0] * len(parts)
+        for t, cols in by_first.items():
+            lower = sn_table(k - t)[1]
+            for sign, rest in _rim_hooks(lam, t):
+                values = lower[rest]
+                for j, r in cols:
+                    row[j] += sign * values[r]
+        rows[lam] = tuple(row)
+    return column, rows
+
+
+def sn_character(lam, rho):
+    """chi^lam on the S_n class of cycle type rho (its parts in any
+    order), read from sn_table."""
+    lam = tuple(lam)
+    rho = tuple(sorted(rho, reverse=True))
+    if sum(lam) != sum(rho):
+        raise RankMismatchError("|%r| != |%r|" % (lam, rho))
+    column, rows = sn_table(sum(rho))
+    return rows[lam][column[rho]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,16 +264,14 @@ def _character_table_rows(n):
     class column in one integer T_ij, where i and j are the positions of
     a1 + b1 and a2 + b2 in partitions_of(m) and partitions_of(n - m).
     The row of (mu, nu) with |mu| = m is then sum_j chi^nu_j sum_i
-    chi^mu_i T_ij, one integer whose digits are the row, read by
+    chi^mu_i T_ij, with chi^mu and chi^nu the rows of sn_table(m) and
+    sn_table(n - m), one integer whose digits are the row, read by
     _read_digits.  The digit width of each m is taken from the data:
     every |value| is at most the largest per-class sum of |weight| times
     the largest |chi^mu| and |chi^nu|.
     """
     classes = wn_classes(n)
-    ranks = [partitions_of(k) for k in range(n + 1)]
-    position = [{rho: i for i, rho in enumerate(parts)} for parts in ranks]
-    sn_rows = [{lam: tuple(sn_character(lam, rho) for rho in parts)
-                for lam in parts} for parts in ranks]
+    position, sn_rows = zip(*map(sn_table, range(n + 1)))
     terms = [[] for _ in range(n + 1)]  # m -> (column, i, j, signed weight)
     for c, cls in enumerate(classes):
         for m, alpha, beta in _splittings(cls.signature):
@@ -247,7 +290,7 @@ def _character_table_rows(n):
                * max(abs(x) for row in sn_rows[n - m].values() for x in row))
         size = _digit_size(max(weights) * top)
         width = 8 * size
-        cell = [[0] * len(ranks[m]) for _ in ranks[n - m]]
+        cell = [[0] * len(position[m]) for _ in position[n - m]]
         for c, i, j, w in split:
             cell[j][i] += w << (width * c)
         cells.append(cell)

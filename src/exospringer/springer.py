@@ -84,26 +84,45 @@ def springer_table(n):
 
 
 def _count_matchings(candidates):
-    """Number of perfect matchings, counted up to 2 (enough to tell a
-    unique one), plus one witness matching."""
+    """Number of perfect matchings of {orbit: set of irreps}, counted up to
+    2 (enough to tell a unique one), plus one witness matching.
+
+    Orbits and irreps are indexed once by their sort_key order, and each
+    candidate set is an int bitmask over the irrep positions.  Depth-first,
+    the pending orbit with the fewest free candidates, (mask & ~used)
+    .bit_count(), is picked next (the first in sort_key order on a tie),
+    and its free irreps are tried in ascending bit order.  The search keeps
+    its own stack, one frame per picked orbit, so its depth is not bound by
+    Python's recursion limit.  The witness lists its orbits in the order
+    they were picked.
+    """
     orbits = sorted(candidates, key=Bipartition.sort_key)
+    irreps = sorted(set().union(*candidates.values()), key=Bipartition.sort_key)
+    bit = {irrep: 1 << k for k, irrep in enumerate(irreps)}
+    masks = [sum(bit[irrep] for irrep in candidates[orbit]) for orbit in orbits]
     found = []
-
-    def backtrack(assigned, used):
-        if len(found) >= 2:
-            return
-        if len(assigned) == len(orbits):
-            found.append(dict(assigned))
-            return
-        # most-constrained orbit first
-        pending = [o for o in orbits if o not in assigned]
-        pick = min(pending, key=lambda o: len(candidates[o] - used))
-        for irrep in sorted(candidates[pick] - used, key=Bipartition.sort_key):
-            assigned[pick] = irrep
-            backtrack(assigned, used | {irrep})
-            del assigned[pick]
-
-    backtrack({}, frozenset())
+    frames = []  # [orbit, its untried free irreps, the rest pending, used, tried]
+    pending, used = list(range(len(orbits))), 0
+    while True:
+        if pending:
+            # most-constrained orbit first
+            pick = min(pending, key=lambda o: (masks[o] & ~used).bit_count())
+            frames.append([pick, masks[pick] & ~used,
+                           [o for o in pending if o != pick], used, 0])
+        else:
+            found.append({orbits[o]: irreps[tried.bit_length() - 1]
+                          for o, _, _, _, tried in frames})
+            if len(found) == 2:
+                break
+        while frames and not frames[-1][1]:
+            frames.pop()
+        if not frames:
+            break
+        frame = frames[-1]
+        low = frame[1] & -frame[1]
+        frame[1] ^= low
+        frame[4] = low
+        pending, used = frame[2], frame[3] | low
     return len(found), (found[0] if found else None)
 
 

@@ -1,3 +1,6 @@
+from itertools import accumulate
+from operator import le
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +184,27 @@ def test_hasse_covers_match_brute_force_closure_order():
                          if not any(lower != mid and closure_leq(lower, mid)
                                     for mid in under)]
         assert list(hasse_covers(n)) == expected
+
+
+def set_based_hasse_covers(n):
+    # the transitive reduction with one Python set per label, over every
+    # pair of labels: the kernel hasse_covers had before its bitmask pass
+    labels = bipartitions_of(n)
+    sums = [tuple(accumulate(interleave_c(b))) for b in labels]
+    below = [[j for j, lo in enumerate(sums) if j != i and all(map(le, lo, hi))]
+             for i, hi in enumerate(sums)]
+    covers = []
+    for upper, under in zip(labels, below):
+        between = set()
+        for mid in under:
+            between.update(below[mid])
+        covers.extend((labels[j], upper) for j in under if j not in between)
+    return tuple(covers)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_hasse_covers_match_the_set_based_reduction(n):
+    assert hasse_covers(n) == set_based_hasse_covers(n)
 
 
 def test_hasse_n3_graded():

@@ -180,8 +180,8 @@ def test_only_the_pointwise_check_catches_a_basis_dependent_labeler(
     # as it labels 0
     labeler = classify.exotic_labeler
 
-    def basis_dependent(n_mat):
-        label = labeler(n_mat)
+    def basis_dependent(n_mat, by_valuations=None):
+        label = labeler(n_mat, by_valuations)
         if not any(n_mat.entries[0]):
             return label
         zero = (0,) * n_mat.rows
@@ -325,8 +325,8 @@ def test_census_labels_each_line_once(monkeypatch):
     calls = []
     labeler = classify.exotic_labeler
 
-    def counting_labeler(n_mat):
-        label_of = labeler(n_mat)
+    def counting_labeler(n_mat, by_valuations=None):
+        label_of = labeler(n_mat, by_valuations)
 
         def counted(v):
             calls.append(v)
@@ -341,6 +341,29 @@ def test_census_labels_each_line_once(monkeypatch):
     assert result.label_counts == {"-|1": 1, "1|-": 8}
     assert all(chk["transitive"] and chk["orbit_stabilizer_ok"]
                for chk in result.orbit_checks)
+
+
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_census_derives_each_valuation_label_once(monkeypatch, flavor):
+    # one census pass shares its (lengths, valuations) -> label dict across
+    # every cone x, so each distinct key is derived once, not once per x
+    keys = []
+    valuation_label = classify._valuation_label
+
+    def recorded(lengths, valuations):
+        keys.append((tuple(lengths), tuple(valuations)))
+        return valuation_label(lengths, valuations)
+
+    monkeypatch.setattr(classify, "_valuation_label", recorded)
+    shared = orbit_census(2, 3, flavor).label_counts
+    assert keys and len(keys) == len(set(keys))
+    # the same counts as with one private dict per labeller
+    labeler = classify.exotic_labeler
+    monkeypatch.setattr(classify, "exotic_labeler",
+                        lambda n_mat, by_valuations=None: labeler(n_mat))
+    del keys[:]
+    assert orbit_census(2, 3, flavor).label_counts == shared
+    assert len(keys) > len(set(keys))
 
 
 def test_a_seeded_census_multiplies_no_cone_matrix(matmul_calls):

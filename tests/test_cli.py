@@ -531,7 +531,7 @@ def test_symbolic_commands_are_gated_before_any_table(monkeypatch, capsys):
     assert main(["chartable", "--n", "40"]) == 2
     assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().err == \
-        "error: chartable is gated to n <= 13 (got n=40)\n"
+        "error: chartable is gated to n <= 14 (got n=40)\n"
     for name, ceiling in cli.SYMBOLIC_MAX_N.items():
         argv = name.split() + ["--n", str(ceiling + 1)]
         code = main(argv)

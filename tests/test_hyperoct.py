@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import pathlib
@@ -103,6 +104,42 @@ def test_sn_character_examples():
     assert sn_character((2, 1), (3,)) == -1
     with pytest.raises(RankMismatchError):
         sn_character((2,), (1,))
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_sn_character(lam, rho):
+    # Murnaghan-Nakayama one value at a time, by the first part of rho:
+    # the sn_character hyperoct had before it built whole S_k tables
+    if not rho:
+        return 1
+    t, rest = rho[0], rho[1:]
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        b2 = b - t
+        if b2 < 0 or b2 in beta_set:
+            continue
+        crossed = sum(1 for c in beta if b2 < c < b)
+        new_beta = sorted((beta_set - {b}) | {b2}, reverse=True)
+        new_lam = tuple(x for x in (v - (k - 1 - i)
+                                    for i, v in enumerate(new_beta))
+                        if x > 0)
+        total += (-1) ** crossed * recursive_sn_character(new_lam, rest)
+    return total
+
+
+def test_sn_tables_match_the_recursive_murnaghan_nakayama():
+    for k in range(11):
+        column, rows = hyperoct.sn_table(k)
+        parts = partitions_of(k)
+        assert list(column) == list(parts) and list(rows) == list(parts)
+        for lam in parts:
+            assert rows[lam] == tuple(recursive_sn_character(lam, rho)
+                                      for rho in parts)
+            assert all(sn_character(lam, rho) == rows[lam][column[rho]]
+                       for rho in parts)
 
 
 def test_sn_orthogonality():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
@@ -102,6 +104,60 @@ def test_matching_counter_detects_ambiguity():
     starved = {a: {b}, b: {b}}
     count, witness = _count_matchings(starved)
     assert count == 0 and witness is None
+
+
+def set_based_count_matchings(candidates):
+    # the backtracker _count_matchings had before its bitmasks: candidate
+    # sets of Bipartitions, the same pick rule and order
+    orbits = sorted(candidates, key=Bipartition.sort_key)
+    found = []
+
+    def backtrack(assigned, used):
+        if len(found) >= 2:
+            return
+        if len(assigned) == len(orbits):
+            found.append(dict(assigned))
+            return
+        pending = [o for o in orbits if o not in assigned]
+        pick = min(pending, key=lambda o: len(candidates[o] - used))
+        for irrep in sorted(candidates[pick] - used, key=Bipartition.sort_key):
+            assigned[pick] = irrep
+            backtrack(assigned, used | {irrep})
+            del assigned[pick]
+
+    backtrack({}, frozenset())
+    return len(found), (found[0] if found else None)
+
+
+def test_matching_counter_matches_the_set_based_backtracker():
+    a, b = bp("2|-"), bp("1,1|-")
+    cases = [{a: {a, b}, b: {a, b}}, {a: {a}, b: {a, b}}, {a: {b}, b: {b}}]
+    rng = random.Random(20260809)
+    for n in (2, 3, 4, 5):
+        labels = bipartitions_of(n)
+        for _ in range(40):
+            # a planted bijection, so that some maps have a matching
+            planted = rng.sample(labels, len(labels))
+            cases.append({orbit: set(rng.sample(labels, rng.randint(0, 3)))
+                          | ({irrep} if rng.random() < 0.9 else set())
+                          for orbit, irrep in zip(labels, planted)})
+    counts = set()
+    for candidates in cases:
+        got = _count_matchings(candidates)
+        want = set_based_count_matchings(candidates)
+        assert got == want
+        if got[1] is not None:
+            assert list(got[1].items()) == list(want[1].items())
+        counts.add(got[0])
+    assert counts == {0, 1, 2}
+
+
+def test_matching_counter_is_not_bound_by_the_recursion_limit():
+    # one search frame per orbit: 1,165 orbits at rank 12, past Python's
+    # default recursion limit of 1,000
+    labels = bipartitions_of(12)
+    count, witness = _count_matchings({label: {label} for label in labels})
+    assert count == 1 and witness == {label: label for label in labels}
 
 
 def test_table_json():
