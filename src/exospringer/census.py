@@ -2,10 +2,11 @@
 
 Everything here enumerates honestly: the symplectic group by closure
 from transvection generators, the exotic cone point by point.  Hard size
-gates (n <= 2, p in {3, 5}, and no group listed with more than
-|Sp_4(F_3)| = 51,840 elements) keep the combinatorial explosion out;
-anything bigger raises SizeGateError, before any enumeration, instead of
-silently grinding.
+gates keep the combinatorial explosion out: the census, its orbit check
+and the Klyachko count are gated to n <= 2 and p in {3, 5}, and listing
+the group (`sp_group_elements`, `stabilizer_census`) to at most
+|Sp_4(F_3)| = 51,840 elements.  Anything bigger raises SizeGateError,
+before any enumeration, instead of silently grinding.
 
 Points are integer codes: base-p digits, a vector's coordinates or a
 self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.
@@ -341,18 +342,16 @@ def orbit_census(n, p, flavor="lie", check_orbits=False, basis_seed=0):
     """Count cone points per label; optionally verify orbit structure.
 
     One serial pass labels 0 and one vector per line for every cone x.
-    check_orbits reuses those labels for the union-find transitivity
-    test under the generator action, and adds the exact orbit-stabilizer
-    comparison (this needs the full group, so it is the slow part).  A
-    nonzero basis_seed moves each line's vector by a seeded symplectic g,
-    which permutes the lines; x -> g x g^-1 permutes the cone, so x stays:
-    the same points are labelled.  Equal counts show that labels are
-    constant on lines, not invariance, which check_orbits tests.
+    check_orbits reuses those labels in a union-find under the generators:
+    each label's points must form one orbit of exactly `count` points,
+    whose size gives the stabilizer order (`_orbit_checks`); no group is
+    listed.  A nonzero basis_seed moves each line's vector by a seeded
+    symplectic g, which permutes the lines; x -> g x g^-1 permutes the
+    cone, so x stays: the same points are labelled.  Equal counts show
+    that labels are constant on lines, not invariance, which check_orbits
+    tests.
     """
-    if check_orbits:
-        _gate_group(n, p)
-    else:
-        _gate(n, p)
+    _gate(n, p)
     space = SymplecticSpace(n, p)
     counts, reps, points = _census_chunk(space, flavor, basis_seed,
                                          check_orbits)
@@ -399,21 +398,32 @@ def _generator_classes(space, points, what):
 
 
 def _orbit_checks(space, counts, reps, points):
-    """Union-find transitivity plus orbit-stabilizer arithmetic per label,
-    over `points`, the census's {(x-code, v-code): label} map."""
-    n, p = space.n, space.p
+    """Per label, over `points`, the census's {(x-code, v-code): label}
+    map joined under the generators: `transitive` if its points lie in one
+    class, `orbit_stabilizer_ok` if the class of its representative, its
+    orbit, has exactly `count` points, and the stabilizer order
+    |Sp_2n(F_p)| / |orbit|, checked to divide.  `sp_group_elements` checks
+    that the generators make Sp_2n(F_p) wherever it can list the group."""
+    p = space.p
     uf = _generator_classes(space, points, "cone")
-    roots_per_label = {}
+    roots_per_label, sizes = {}, {}
     for key, label in points.items():
-        roots_per_label.setdefault(label, set()).add(uf.find(key))
+        root = uf.find(key)
+        roots_per_label.setdefault(label, set()).add(root)
+        sizes[root] = sizes.get(root, 0) + 1
 
-    group = sp_group_elements(n, p)
-    order = sp_group_order(n, p)
+    order = sp_group_order(space.n, p)
     checks = []
     for label, count in sorted(counts.items()):
-        stab = _stabilizer_order(group, *reps[label])
-        checks.append({"label": label, "count": count, "stabilizer_order": stab,
-                       "orbit_stabilizer_ok": stab * count == order,
+        x, v = reps[label]
+        size = sizes[uf.find((_encode(space, x), _vector_code(v, p)))]
+        if order % size:
+            raise AssertionError(
+                "the orbit of %s has %d points, which does not divide "
+                "|Sp_%d(F_%d)| = %d" % (label, size, 2 * space.n, p, order))
+        checks.append({"label": label, "count": count,
+                       "stabilizer_order": order // size,
+                       "orbit_stabilizer_ok": size == count,
                        "transitive": len(roots_per_label[label]) == 1})
     return checks
 

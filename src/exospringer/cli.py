@@ -30,8 +30,9 @@ SYMBOLIC_MAX_N = {
     "verify --suite restriction": 11, "verify --suite determine": 11,
     "verify --suite d-diff": 18, "verify --suite sum-squares": 21,
 }
-# repr's ceiling by the same rule; its normal-form checks cost about n^3.
-REPR_MAX_N = 200
+# repr's ceiling by the same rule; its normal-form checks and its JSON
+# output cost about n^2.
+REPR_MAX_N = 850
 
 
 def _gate(args):

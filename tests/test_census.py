@@ -119,10 +119,25 @@ def test_stabilizer_census_examples():
     zero = zeros(2, 2, 3)
     assert stabilizer_census(ExoticPair(sp, zero, (0, 0), "lie")) == 24
     assert stabilizer_census(ExoticPair(sp, zero, (1, 0), "lie")) == 3
-    sp2 = SymplecticSpace(2, 3)
-    open_pair = normal_form_pair(Bipartition((2,), ()), sp2).pair
+    # Sp_4(F_3) is listed once, here: stabilizer_census is this listing
+    # and its fixed-point count
+    sp4 = sp_group_elements(2, 3)
+    open_pair = normal_form_pair(Bipartition((2,), ()), SymplecticSpace(2, 3)).pair
     count = orbit_census(2, 3).label_counts["2|-"]
-    assert stabilizer_census(open_pair) * count == sp_group_order(2, 3)
+    assert census_mod._stabilizer_order(sp4, open_pair.x, open_pair.v) * count \
+        == sp_group_order(2, 3)
+    # the orbit check reads |Stab| = |G| / |orbit| off its union-find; the
+    # listed group's fixed-point count of each representative must agree
+    for (n, p), flavors in (((1, 3), ("lie", "group")),
+                            ((1, 5), ("lie", "group")), ((2, 3), ("lie",))):
+        group = sp4 if (n, p) == (2, 3) else sp_group_elements(n, p)
+        for flavor in flavors:
+            result = orbit_census(n, p, flavor, check_orbits=True)
+            assert len(result.orbit_checks) == len(bipartitions_of(n))
+            for chk in result.orbit_checks:
+                x, v = result.reps[chk["label"]]
+                assert census_mod._stabilizer_order(group, x, v) \
+                    == chk["stabilizer_order"], (n, p, flavor, chk)
 
 
 def test_census_counts_invariant_under_basis_change(rng):
@@ -258,6 +273,55 @@ def test_census_second_prime_matches_orbit_stabilizer_predictions():
         "-|1,1": 1,
     }
     assert result.total_points == 5 ** 8
+
+
+def test_census_second_prime_computes_the_predicted_stabilizer_orders():
+    # the computed twin of the predictions above: each orbit's size is read
+    # off the union-find, with no group listed (Sp_4(F_5) has 9,360,000
+    # elements)
+    result = orbit_census(2, 5, check_orbits=True)
+    assert {chk["label"]: chk["stabilizer_order"]
+            for chk in result.orbit_checks} == {
+        "-|1,1": 9360000, "-|2": 15000, "1,1|-": 15000, "1|1": 625, "2|-": 25}
+    for chk in result.orbit_checks:
+        assert chk["transitive"] and chk["orbit_stabilizer_ok"]
+        assert chk["stabilizer_order"] * chk["count"] == sp_group_order(2, 5)
+
+
+def test_orbit_check_lists_no_group(monkeypatch):
+    def listed(*args):
+        raise RuntimeError("the orbit check listed the group")
+
+    monkeypatch.setattr(census_mod, "sp_group_elements", listed)
+    monkeypatch.setattr(census_mod, "_stabilizer_order", listed)
+    result = orbit_census(2, 3, check_orbits=True)
+    assert len(result.orbit_checks) == 5
+    for chk in result.orbit_checks:
+        assert chk["transitive"] and chk["orbit_stabilizer_ok"]
+
+
+def test_orbit_check_fails_the_label_whose_count_is_off(monkeypatch):
+    scan = census_mod._census_chunk
+
+    def one_count_off(*args):
+        counts, reps, points = scan(*args)
+        counts["1|1"] += 1
+        return counts, reps, points
+
+    monkeypatch.setattr(census_mod, "_census_chunk", one_count_off)
+    checks = orbit_census(2, 3, check_orbits=True).orbit_checks
+    assert [chk["label"] for chk in checks if not chk["orbit_stabilizer_ok"]] \
+        == ["1|1"]
+    assert all(chk["transitive"] for chk in checks)
+
+
+def test_orbit_check_refuses_an_orbit_size_that_does_not_divide_the_order(
+        monkeypatch):
+    # |Sp_2(F_3)| = 24, with orbits of 1 and 8 points; a group order of 25
+    # leaves the 8-point orbit with no integer stabilizer order
+    monkeypatch.setattr(census_mod, "sp_group_order", lambda n, q: 25)
+    with pytest.raises(AssertionError, match="orbit of 1\\|- has 8 points"):
+        orbit_census(1, 3, check_orbits=True)
 
 
 def test_klyachko_small():
@@ -413,14 +477,11 @@ def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise RuntimeError("enumeration started past the size gate")
 
-    monkeypatch.setattr(census_mod, "_census_chunk", no_enumeration)
-    monkeypatch.setattr(census_mod, "sp_generators", no_enumeration)
+    monkeypatch.setattr(census_mod, "_times_transvection", no_enumeration)
     space = SymplecticSpace(2, 5)
     zero = zeros(4, 4, 5)
     for call in (lambda: sp_group_elements(2, 5),
-                 lambda: stabilizer_census(ExoticPair(space, zero, (0,) * 4, "lie")),
-                 lambda: orbit_census(2, 5, check_orbits=True),
-                 lambda: orbit_census(2, 5, flavor="group", check_orbits=True)):
+                 lambda: stabilizer_census(ExoticPair(space, zero, (0,) * 4, "lie"))):
         with pytest.raises(SizeGateError, match="Sp_4\\(F_5\\) has 9360000"):
             call()
 

@@ -3,10 +3,13 @@
 The calls are the benchmark's `census` workload items (with its seed,
 288545019, the program seed it derives from benchmark seed 1), the
 census and Klyachko suites at n = 2, p = 5, and the orbit check at
-n = 1, where listing the group is cheap.  The digests are of the whole
-stdout, each recorded from the program before the change it guards: the
-cone test's rewrite on row tuples, and for the n = 2, p = 5 calls the
-labelling of group points through x - 1.  Any change of one byte fails.
+n = 1 and at n = 2, p = 3.  The digests are of the whole stdout, each
+recorded from the program before the change it guards: the cone test's
+rewrite on row tuples, for the n = 2, p = 5 calls the labelling of group
+points through x - 1, and for the n = 2, p = 3 orbit checks the reading
+of each stabilizer order off the union-find's orbit sizes, where the
+program before it listed Sp_4(F_3) (about 8 s a call).  Any change of
+one byte fails.
 """
 
 import hashlib
@@ -38,6 +41,12 @@ STDOUT_SHA256 = {
     "verify --suite census --n 1 --p 5 --flavor group --seed " + SEED
     + " --check-orbits":
         "a3c9c59945854ce36d110853771b2715c88f1f052ca9b9b993a5d3abcd75aec3",
+    "verify --suite census --n 2 --p 3 --flavor lie --seed " + SEED
+    + " --check-orbits":
+        "0273dce196aabb1672a251738002544689e7bf238073101682359bc2724aa738",
+    "verify --suite census --n 2 --p 3 --flavor group --seed " + SEED
+    + " --check-orbits":
+        "0ba16c12b6be5571025b85959599645a7cfa202d1e5725638f7722e5f8e2394a",
     "verify --suite census --n 2 --p 5 --flavor lie --seed " + SEED:
         "64befc59443f0db4b049d3d5f7032c3cc20bec325e31bbf0b943855275c2ac53",
     "verify --suite census --n 2 --p 5 --flavor group --seed " + SEED:

@@ -497,19 +497,19 @@ def test_cli_import_starts_no_process_pool():
     assert out.stdout == "False\n"
 
 
-def test_census_check_orbits_at_p5_is_gated(monkeypatch, capsys):
+def test_census_check_orbits_past_n2_is_gated(monkeypatch, capsys):
     from exospringer import census
 
     def no_enumeration(*args):
         raise RuntimeError("enumeration started past the size gate")
 
     monkeypatch.setattr(census, "_census_chunk", no_enumeration)
-    code = main(["verify", "--suite", "census", "--n", "2", "--p", "5",
+    code = main(["verify", "--suite", "census", "--n", "3", "--p", "3",
                  "--check-orbits"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "Sp_4(F_5) has 9360000 elements" in captured.err
+    assert "census is gated to n <= 2" in captured.err
 
 
 def test_symbolic_commands_are_gated_before_any_table(monkeypatch, capsys):
