@@ -7,10 +7,10 @@ computes it so, and is the definition and test oracle.  An exotic pair
 is classified through the ambient GL version, whose label is always
 the doubled bipartition, and halved.  Every exotic label, one pair at
 a time or a whole census, is read by `exotic_labeler`, which forms no
-span: it builds the Jordan chains of N once, and in that basis
-W = sum_j t^(b_j) M_j, with the b_j read off the valuations of v's
-coordinates on each chain (Achar-Henderson, Orbit closures in the
-enhanced nilpotent cone, Adv. Math. 2008).
+span: it takes the rows of P^-1 for a Jordan chain basis P of N once,
+from `jordan_chains`, and in that basis W = sum_j t^(b_j) M_j, with the
+b_j read off the valuations of P^-1 v on each chain (Achar-Henderson,
+Orbit closures in the enhanced nilpotent cone, Adv. Math. 2008).
 
 Stabilizer dimensions are kernels of explicit linear systems on the
 symplectic Lie algebra.  For self-adjoint x the bracket [h, x] is
@@ -66,26 +66,22 @@ def exotic_type(pair):
 
 
 def exotic_labeler(n_mat, by_valuations=None):
-    """v -> exotic label, with the Jordan chains of n_mat built once.
+    """v -> exotic label, with `jordan_chains(n_mat)` built once.
 
     The one path to an exotic label: the census classifies one
     nilpotent matrix against every vector, `exotic_type` against one.
     In the chain basis the span W of (commutant of N) . v is the sum of
     t^(b_j) M_j over the Jordan blocks M_j = F_p[t]/t^(l_j), and b_j
-    depends on v only through the chain lengths l_j and the valuations
+    depends on v only through the block lengths l_j and the valuations
     a_j of its block coordinates (the index of the first nonzero one, l_j
     if none), so labels are cached in by_valuations per (lengths,
     valuations) key and halved once per key.  A caller that labels for
     several matrices, as one census pass does, passes one dict to every
     labeller; without one, the labeller keeps its own.
     """
-    lengths, p_inv = jordan_chains(n_mat)
+    blocks = jordan_chains(n_mat)
+    lengths = tuple(map(len, blocks))
     m, p = n_mat.rows, n_mat.p
-    blocks = []                     # the rows of P^-1 for each chain
-    start = 0
-    for length in lengths:
-        blocks.append(p_inv.entries[start:start + length])
-        start += length
     if by_valuations is None:
         by_valuations = {}
 

@@ -18,7 +18,9 @@ modulus it has checked uses them too, so a symplectic space tests its
 p once and none of the matrices it makes.
 
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
-rows; `rref` stays the kernel for canonical forms, kernels and inverses.
+rows; a kernel is one `_rref_rows`, kept as semi-echelon (pivot, row)
+pairs, and `_reduce` is the one loop that reduces a vector against them.
+Only `kernel_basis` makes a kernel canonical; no library path inverts.
 Nilpotence is decided by one test on row tuples, `power_is_zero`.  It
 and `FpMatrix.power` take their factors from one squaring chain,
 `_power_factors`.
@@ -139,6 +141,33 @@ def _rref_rows(rows, ncols, p):
         pivots.append(c)
         r += 1
     return rows, tuple(pivots)
+
+
+def _kernel_rows(rows, ncols, p):
+    """{v : M v = 0} for the matrix M with these rows, by one `_rref_rows`,
+    as [(c, v)] over the free columns c: v is 1 at c and 0 at every other
+    free column, so the list is semi-echelon (see `_reduce`)."""
+    red, pivots = _rref_rows([list(row) for row in rows], ncols, p)
+    kernel = [(c, [0] * ncols) for c in range(ncols) if c not in pivots]
+    for c, v in kernel:
+        v[c] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[c] % p
+    return kernel
+
+
+def _reduce(basis, vec, p):
+    """(coefficients, remainder) of vec, entries in [0, p), against the
+    semi-echelon basis [(pivot, row)], each row 1 at its pivot and 0 at
+    the pivots before it; the remainder is zero iff vec lies in the span."""
+    v = list(vec)
+    coeffs = []
+    for pc, row in basis:
+        c = v[pc]
+        coeffs.append(c)
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return tuple(coeffs), v
 
 
 def sparse_rank(rows, p):
@@ -369,17 +398,8 @@ class FpMatrix:
 
     def kernel_basis(self):
         """Canonical Subspace {v : Mv = 0} of the column space F_p^cols."""
-        red, pivots = self.rref()
-        p = self.p
-        free = [c for c in range(self.cols) if c not in pivots]
-        vecs = []
-        for c in free:
-            v = [0] * self.cols
-            v[c] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = (-red.entries[i][c]) % p
-            vecs.append(v)
-        return Subspace._trusted(self.cols, vecs, p)
+        kernel = _kernel_rows(self.entries, self.cols, self.p)
+        return Subspace._trusted(self.cols, [v for _, v in kernel], self.p)
 
     def inverse(self):
         if not self.is_square():
@@ -454,17 +474,8 @@ class Subspace:
         return "Subspace(dim=%d of %d, p=%d)" % (self.dim, self.ambient_dim, self.p)
 
     def _reduce(self, vec):
-        """(coefficients, remainder) of vec, entries in [0, p), against the
-        echelon basis; the remainder is zero iff vec lies in the span."""
-        p = self.p
-        v = list(vec)
-        coeffs = []
-        for row, pc in zip(self.basis, self._pivots):
-            c = v[pc]
-            coeffs.append(c)
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return tuple(coeffs), v
+        """`_reduce` of vec against the echelon basis."""
+        return _reduce(zip(self._pivots, self.basis), vec, self.p)
 
 
 def commutant_basis(y):
@@ -493,21 +504,21 @@ def commutant_basis(y):
 
 
 def _power_kernels(n_mat):
-    """[ker N, ker N^2, ..., ker N^k = F_p^m] for a nilpotent N of index k.
+    """The `_kernel_rows` of N, N^2, ..., N^k for a nilpotent N of index k.
 
     The kernels of the powers never shrink, and once two in a row are
     equal they stay equal, so a kernel that stops growing short of F_p^m
     means N is not nilpotent.
     """
-    m = n_mat.rows
+    m, p = n_mat.rows, n_mat.p
     kernels = []
     power = n_mat
     while True:
-        kernel = power.kernel_basis()
-        if kernel.dim == (kernels[-1].dim if kernels else 0):
+        kernel = _kernel_rows(power.entries, m, p)
+        if len(kernel) == (len(kernels[-1]) if kernels else 0):
             raise NotNilpotentError("matrix is not nilpotent")
         kernels.append(kernel)
-        if kernel.dim == m:
+        if len(kernel) == m:
             return kernels
         power = power * n_mat
 
@@ -520,7 +531,7 @@ def nilpotent_jordan_type(n_mat):
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan type of non-square matrix")
-    dims = [0] + [k.dim for k in _power_kernels(n_mat)]
+    dims = [0] + [len(k) for k in _power_kernels(n_mat)]
     drops = [b - a for a, b in zip(dims, dims[1:])]
     out = tuple(sum(d >= i for d in drops) for i in range(1, drops[0] + 1))
     if sum(out) != n_mat.rows:
@@ -530,14 +541,10 @@ def nilpotent_jordan_type(n_mat):
 
 
 def _echelon_add(basis, vec, p):
-    """Reduce vec against the semi-echelon basis [(pivot, row)], each row
-    1 at its pivot and 0 at the pivots before it; if a remainder is left,
-    append it, scaled to 1 at its first nonzero index, and return True."""
-    v = list(vec)
-    for pc, row in basis:
-        c = v[pc]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
+    """Reduce vec against the semi-echelon basis [(pivot, row)]; if a
+    remainder is left, append it, scaled to 1 at its first nonzero index,
+    and return True."""
+    v = _reduce(basis, vec, p)[1]
     pc = next((i for i, a in enumerate(v) if a), None)
     if pc is None:
         return False
@@ -547,40 +554,38 @@ def _echelon_add(basis, vec, p):
 
 
 def jordan_chains(n_mat):
-    """(chain lengths, P^-1) for a Jordan chain basis P of a nilpotent N.
+    """P^-1's rows, one tuple per chain, longest first, for a basis P of
+    Jordan chains u, Nu, ..., N^(l-1) u of a nilpotent N.
 
-    P's columns are u, Nu, ..., N^(l-1) u for each chain top u, longest
-    chains first, so the lengths are the Jordan type and P^-1 v splits
-    into one block of coordinates per chain, index k on N^k u.  The tops
-    are found top-down: those of length s are the vectors of ker N^s
-    independent of ker N^(s-1) and of the longer chains' vectors there.
-    The span for each s grows as one semi-echelon basis, into which each
-    candidate is reduced once.
+    Row k of a block reads v's coordinate on N^k u, so the rows satisfy
+    r_k N = r_(k-1) and r_0 N = 0: reversed, they are a Jordan chain
+    w, T w, ..., T^(l-1) w of T = N^T.  So the chains are built for T,
+    and no P is formed.  Tops are found top-down: those of length s are
+    the vectors of ker T^s independent of ker T^(s-1) and of the longer
+    chains' vectors there, each reduced once into one semi-echelon span.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan chains of non-square matrix")
-    m, p = n_mat.rows, n_mat.p
-    kernels = _power_kernels(n_mat)
+    t = n_mat.transpose()
+    m, p = t.rows, t.p
+    kernels = [[]] + _power_kernels(t)
     chains = []
-    for s in range(len(kernels), 0, -1):
-        # ker N^(s-1), in reduced echelon form, is already semi-echelon
-        below = kernels[s - 2] if s > 1 else Subspace._trusted(m, (), p)
-        span = list(zip(below._pivots, below.basis))
-        # N^(t-s) u of each longer chain lies in ker N^s
+    for s in range(len(kernels) - 1, 0, -1):
+        span = list(kernels[s - 1])
+        # T^(l-s) w of each longer chain, of length l, lies in ker T^s
         for c in chains:
             _echelon_add(span, c[len(c) - s], p)
-        for w in kernels[s - 1].basis:
+        for _, w in kernels[s]:
             if _echelon_add(span, w, p):
-                chain = [w]
+                chain = [tuple(w)]
                 for _ in range(s - 1):
-                    chain.append(n_mat.apply(chain[-1]))
+                    chain.append(t.apply(chain[-1]))
                 chains.append(chain)
-    cols = [u for chain in chains for u in chain]
-    if len(cols) != m:
+    size = sum(map(len, chains))
+    if size != m:
         raise AssertionError("Jordan chains span %d of %d dimensions"
-                             % (len(cols), m))
-    p_mat = FpMatrix._trusted(tuple(zip(*cols)), p)
-    return tuple(map(len, chains)), p_mat.inverse()
+                             % (size, m))
+    return tuple(tuple(reversed(chain)) for chain in chains)
 
 
 def induced_action(m_mat, w, mode):

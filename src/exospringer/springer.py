@@ -62,7 +62,7 @@ def springer_table(n):
     """All orbit rows at rank n, labels doubling as irrep labels."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    covers_down = {}
+    covers_down = {}        # each upper's lowers, in bipartitions_of order
     for lower, upper in bicomb.hasse_covers(n):
         covers_down.setdefault(upper, []).append(lower)
     records = []
@@ -73,8 +73,7 @@ def springer_table(n):
             d=fiber_dim_d(label, n),
             irrep=label,
             irrep_dim=hyperoct.irrep_dim(label),
-            covers=tuple(sorted(covers_down.get(label, []),
-                                key=Bipartition.sort_key)),
+            covers=tuple(covers_down.get(label, ())),
         ))
     # fiber_dim_d has checked dim + 2d = 2n^2 for every row
     if sum_squares_check(n):

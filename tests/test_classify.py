@@ -13,9 +13,9 @@ from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
 from exospringer.classify import (
     NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler, exotic_type,
     parabolic_stabilizer_dim, stabilizer_dim)
-from exospringer.census import seeded_basis_change
+from exospringer.census import _cone_xs, seeded_basis_change
 from exospringer.ffield import (FpMatrix, NotNilpotentError, jordan_chains,
-                                nilpotent_jordan_type)
+                                nilpotent_jordan_type, power_is_zero)
 from exospringer.symplectic import (ExoticPair, NormalFormData, SymplecticSpace,
                                    normal_form_pair)
 
@@ -150,24 +150,25 @@ def test_nilpotent_part_is_the_checked_log_map(rng, nilpotent_part_is_log_map):
 
 
 def subspace_rebuilding_jordan_chains(n_mat):
-    # reference builder: the span is a Subspace, built and row-reduced
-    # again at each new vector
-    m, p = n_mat.rows, n_mat.p
-    kernels = ffield._power_kernels(n_mat)
+    # reference builder: the chains of N^T, reversed, with the span a
+    # Subspace, built and row-reduced again at each new vector
+    t = n_mat.transpose()
+    m, p = t.rows, t.p
+    kernels = [[tuple(v) for _, v in kernel]
+               for kernel in ffield._power_kernels(t)]
     chains = []
     for s in range(len(kernels), 0, -1):
-        below = kernels[s - 2].basis if s > 1 else ()
+        below = tuple(kernels[s - 2]) if s > 1 else ()
         span = ffield.Subspace._trusted(
             m, below + tuple(c[len(c) - s] for c in chains), p)
-        for w in kernels[s - 1].basis:
+        for w in kernels[s - 1]:
             if any(span._reduce(w)[1]):
                 span = ffield.Subspace._trusted(m, span.basis + (w,), p)
                 chain = [w]
                 for _ in range(s - 1):
-                    chain.append(n_mat.apply(chain[-1]))
+                    chain.append(t.apply(chain[-1]))
                 chains.append(chain)
-    p_mat = FpMatrix._trusted(tuple(zip(*[u for c in chains for u in c])), p)
-    return tuple(map(len, chains)), p_mat.inverse()
+    return tuple(tuple(reversed(c)) for c in chains)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
@@ -181,8 +182,41 @@ def test_jordan_chains_match_the_subspace_rebuilding_builder(rng, p):
             for k in range(3):
                 g = random_sp_element(rng, space) if k else space._one
                 moved = g * x * space.adjoint(g)
-                assert jordan_chains(moved) == \
-                    subspace_rebuilding_jordan_chains(moved)
+                blocks = jordan_chains(moved)
+                assert blocks == subspace_rebuilding_jordan_chains(moved)
+                assert tuple(map(len, blocks)) == nilpotent_jordan_type(moved)
+                # the rows of each block of P^-1: r_0 x = 0, r_k x = r_(k-1)
+                for rows in blocks:
+                    times_x = [(FpMatrix._trusted((r,), p) * moved).entries[0]
+                               for r in rows]
+                    assert times_x == [(0,) * moved.rows] + list(rows[:-1])
+                assert FpMatrix(sum(blocks, ()), p).is_invertible()
+
+
+def test_labelers_invert_nothing_and_reduce_each_kernel_power_once(monkeypatch):
+    # every lie-cone x at (2, 3): one rref per power of x up to its
+    # nilpotency index, no Subspace and no inverse
+    space = SymplecticSpace(2, 3)
+    xs = [x for _, x in _cone_xs(space, "lie")]
+    assert len(xs) == 81
+    indices = [next(k for k in range(1, 5) if power_is_zero(x.entries, k, 3))
+               for x in xs]
+    rrefs = []
+    rref_rows = ffield._rref_rows
+
+    def counted(*args):
+        rrefs.append(args)
+        return rref_rows(*args)
+
+    def refuse(*args):
+        raise AssertionError("the labeller built a Subspace or an inverse")
+
+    monkeypatch.setattr(ffield, "_rref_rows", counted)
+    monkeypatch.setattr(FpMatrix, "inverse", refuse)
+    monkeypatch.setattr(ffield.Subspace, "_set_span", refuse)
+    for x in xs:
+        exotic_labeler(x)
+    assert len(rrefs) == sum(indices)
 
 
 def test_labeler_refuses_a_non_nilpotent_matrix():
@@ -397,14 +431,13 @@ def test_span_type_check_survives_python_O(monkeypatch):
 def test_chain_cover_check_survives_python_O(monkeypatch):
     # chains that do not span F_p^m must raise, also under -O, where a
     # bare assert would be stripped
-    monkeypatch.setattr(ffield, "_power_kernels",
-                        lambda m: [ffield.Subspace(2, [(1, 0)], 3)])
+    monkeypatch.setattr(ffield, "_power_kernels", lambda m: [[(0, [1, 0])]])
     with pytest.raises(AssertionError, match="span 1 of 2 dimensions"):
         jordan_chains(zeros(2, 2, 3))
     src = pathlib.Path(classify.__file__).resolve().parents[1]
     code = ("import sys\n"
             "from exospringer import ffield\n"
-            "ffield._power_kernels = lambda m: [ffield.Subspace(2, [(1, 0)], 3)]\n"
+            "ffield._power_kernels = lambda m: [[(0, [1, 0])]]\n"
             "zero = ffield.FpMatrix(((0, 0), (0, 0)), 3)\n"
             "try:\n"
             "    ffield.jordan_chains(zero)\n"

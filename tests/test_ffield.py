@@ -284,7 +284,9 @@ def test_jordan_chains_match_jordan_type(rng):
         for m in range(1, 9):
             for _ in range(3):
                 n_mat = random_nilpotent(rng, m, p)
-                lengths, p_inv = jordan_chains(n_mat)
+                blocks = jordan_chains(n_mat)
+                lengths = tuple(map(len, blocks))
+                p_inv = FpMatrix(sum(blocks, ()), p)
                 assert lengths == nilpotent_jordan_type(n_mat) == \
                     jordan_from_ranks(n_mat)
                 # P^-1 N P is the chain form, so P^-1 is a chain basis change
@@ -308,7 +310,9 @@ def test_jordan_chains_conjugate_random_nilpotents_to_chain_form(data):
                        for j in range(m)] for i in range(m)], p)
     g = lower * upper
     n_mat = g * chain_form(sorted(sizes, reverse=True), p) * g.inverse()
-    lengths, p_inv = jordan_chains(n_mat)
+    blocks = jordan_chains(n_mat)
+    lengths = tuple(map(len, blocks))
+    p_inv = FpMatrix(sum(blocks, ()), p)
     assert lengths == tuple(sorted(sizes, reverse=True))
     assert p_inv * n_mat * p_inv.inverse() == chain_form(lengths, p)
 
