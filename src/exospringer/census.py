@@ -12,8 +12,8 @@ Points are integer codes: base-p digits, a vector's coordinates or a
 self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.
 `_linear_rows` enumerates every F_p^k in code order, so a point's code
 is its position, made once.  Each generator of Sp acts on codes as two
-permutation tables, built per call by linearity, and orbits come from
-union-find over codes under them.
+permutation tables, built per call by linearity.  Orbits are union-find
+classes of point ints k p^(2n) + v-code, k the position of x on the locus.
 
 The census is one serial labelling pass over every cone x in code
 order, with v = 0 and one vector per line through 0: a label depends on
@@ -34,6 +34,7 @@ closed form; `_action_tables` checks each generator by membership too.
 """
 
 import random
+from collections import Counter
 from operator import mul
 
 from . import classify
@@ -50,7 +51,9 @@ class SizeGateError(ValueError):
     pass
 
 
-def _gate(n, p):
+def _gate(n, p, flavor="lie"):
+    if flavor not in ("lie", "group"):
+        raise ValueError("flavor must be 'lie' or 'group'")
     if n > CENSUS_MAX_N:
         raise SizeGateError("census is gated to n <= %d (got n=%d)" % (CENSUS_MAX_N, n))
     if p not in CENSUS_PRIMES:
@@ -264,7 +267,7 @@ def _line_reps(space):
 def enumerate_exotic_nilcone(n, p, flavor="lie"):
     """Stream of exotic pairs (x self-adjoint nilpotent/unipotent, v),
     in a fixed deterministic order."""
-    _gate(n, p)
+    _gate(n, p, flavor)
     space = SymplecticSpace(n, p)
     vectors = list(iter_vectors(space))
     for _, x in _cone_xs(space, flavor):
@@ -289,10 +292,10 @@ def seeded_basis_change(space, seed):
 def _census_chunk(space, flavor, basis_seed, check_orbits):
     """Label counts and first representatives (x, v) over the cone: each
     cone x in code order with 0 and one v per line, moved to g v by a
-    seeded g when basis_seed is set; with check_orbits also the
-    {(x-code, v-code): label} map of every point, and None without.  (The
-    name is kept for perfbench.)"""
-    p = space.p
+    seeded g when basis_seed is set.  check_orbits adds the cone's x-codes
+    in scan order and each point's label at k p^(2n) + v-code, k the
+    position of its x; else None.  (The name is kept for perfbench.)"""
+    p, size = space.p, space.p ** space.dim
     vs = _line_reps(space)
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
@@ -302,12 +305,15 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
              for v in vs]
     counts, reps, names = {}, {}, {}  # names: Bipartition -> its label
     by_valuations = {}  # shared by every labeller of the pass
-    points = {} if check_orbits else None
+    codes, labels = [], []  # filled under check_orbits only
     for code, x in _cone_xs(space, flavor):
         # the scan showed x self-adjoint with (x - 1)^n = 0, so x - 1 is
         # `log_map(x)`, as in `ExoticPair.nilpotent_part`
         labeler = classify.exotic_labeler(
             x if flavor == "lie" else x - space._one, by_valuations)
+        if check_orbits:            # x's row is the last `size` labels
+            codes.append(code)
+            labels += [None] * size
         for v, v_codes in lines:
             bp = labeler(v)
             label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
@@ -316,8 +322,8 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
                 reps[label] = (x, v)
             if check_orbits:
                 for v_code in v_codes:
-                    points[code, v_code] = label
-    return counts, reps, points
+                    labels[v_code - size] = label
+    return counts, reps, (codes, labels) if check_orbits else None
 
 
 class CensusResult:
@@ -351,20 +357,16 @@ def orbit_census(n, p, flavor="lie", check_orbits=False, basis_seed=0):
     that labels are constant on lines, not invariance, which check_orbits
     tests.
     """
-    _gate(n, p)
+    _gate(n, p, flavor)
     space = SymplecticSpace(n, p)
-    counts, reps, points = _census_chunk(space, flavor, basis_seed,
-                                         check_orbits)
-    checks = _orbit_checks(space, counts, reps, points) if check_orbits else None
+    counts, reps, points = _census_chunk(space, flavor, basis_seed, check_orbits)
+    checks = _orbit_checks(space, counts, reps, *points) if check_orbits else None
     return CensusResult(n, p, flavor, counts, sum(counts.values()), reps, checks)
 
 
 class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
+    def __init__(self, size):
+        self.parent = list(range(size))
 
     def find(self, x):
         root = x
@@ -380,43 +382,43 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _generator_classes(space, points, what):
-    """Union-find of `points`, a set or dict of (x-code, v-code) pairs,
-    under the generator tables of `_action_tables`; an image outside
-    `points` raises AssertionError naming `what`."""
-    tables = _action_tables(space, sp_generators(space))
-    uf = UnionFind()
-    for point in points:
-        uf.add(point)
-    for point in points:
-        for x_table, v_table in tables:
-            moved = x_table[point[0]], v_table[point[1]]
-            if moved not in points:
+def _generator_classes(space, codes, size, what):
+    """The root of each point k * size + v-code (k the position of its x in
+    `codes`, a locus in scan order; size is p^(2n), or 1 where v = 0) in a
+    union-find under the tables of `_action_tables`.  Every such v-code of
+    a kept x is a point, so the locus test, AssertionError naming `what`,
+    runs once per (generator, x)."""
+    position = {code: k for k, code in enumerate(codes)}
+    uf = UnionFind(len(codes) * size)
+    for x_table, v_table in _action_tables(space, sp_generators(space)):
+        for k, code in enumerate(codes):
+            moved = position.get(x_table[code])
+            if moved is None:
                 raise AssertionError("a generator moved a point off the %s" % what)
-            uf.union(point, moved)
-    return uf
+            for point, image in enumerate(v_table[:size], k * size):
+                uf.union(point, moved * size + image)
+    return [uf.find(point) for point in range(len(codes) * size)]
 
 
-def _orbit_checks(space, counts, reps, points):
-    """Per label, over `points`, the census's {(x-code, v-code): label}
-    map joined under the generators: `transitive` if its points lie in one
+def _orbit_checks(space, counts, reps, codes, labels):
+    """Per label, over the points of `_census_chunk`'s codes and labels
+    joined under the generators: `transitive` if its points lie in one
     class, `orbit_stabilizer_ok` if the class of its representative, its
     orbit, has exactly `count` points, and the stabilizer order
     |Sp_2n(F_p)| / |orbit|, checked to divide.  `sp_group_elements` checks
     that the generators make Sp_2n(F_p) wherever it can list the group."""
-    p = space.p
-    uf = _generator_classes(space, points, "cone")
-    roots_per_label, sizes = {}, {}
-    for key, label in points.items():
-        root = uf.find(key)
-        roots_per_label.setdefault(label, set()).add(root)
-        sizes[root] = sizes.get(root, 0) + 1
+    p, width = space.p, space.p ** space.dim
+    roots = _generator_classes(space, codes, width, "cone")
+    # the points of each class, and the classes each label's points meet
+    sizes = Counter(roots)
+    classes = Counter(label for label, _ in set(zip(labels, roots)))
 
     order = sp_group_order(space.n, p)
     checks = []
     for label, count in sorted(counts.items()):
         x, v = reps[label]
-        size = sizes[uf.find((_encode(space, x), _vector_code(v, p)))]
+        k = codes.index(_encode(space, x))
+        size = sizes[roots[k * width + _vector_code(v, p)]]
         if order % size:
             raise AssertionError(
                 "the orbit of %s has %d points, which does not divide "
@@ -424,7 +426,7 @@ def _orbit_checks(space, counts, reps, points):
         checks.append({"label": label, "count": count,
                        "stabilizer_order": order // size,
                        "orbit_stabilizer_ok": size == count,
-                       "transitive": len(roots_per_label[label]) == 1})
+                       "transitive": classes[label] == 1})
     return checks
 
 
@@ -446,23 +448,21 @@ def klyachko_census(n, p):
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    points = {(code, 0) for code, x in enumerate(iter_self_adjoint(space))
-              if x.is_invertible()}
-    uf = _generator_classes(space, points, "invertible self-adjoint locus")
-    all_roots = {uf.find(point) for point in points}
-    orbit_count = len(all_roots)
-    expected = gl_class_count(n, p)
-
-    covered = {uf.find((_encode(space, space.klyachko_embed(space.embed_gl(g))), 0))
+    codes = [code for code, x in enumerate(iter_self_adjoint(space))
+             if x.is_invertible()]
+    roots = _generator_classes(space, codes, 1, "invertible self-adjoint locus")
+    root_of = dict(zip(codes, roots))
+    orbit_count = len(set(roots))
+    covered = {root_of[_encode(space, space.klyachko_embed(space.embed_gl(g)))]
                for g in _iter_gl(n, p)}
 
     return {
         "n": n, "p": p,
-        "points": len(points),
+        "points": len(codes),
         "orbit_count": orbit_count,
-        "gl_class_count": expected,
-        "count_matches": orbit_count == expected,
-        "every_orbit_hit_by_embedding": covered == all_roots,
+        "gl_class_count": gl_class_count(n, p),
+        "count_matches": orbit_count == gl_class_count(n, p),
+        "every_orbit_hit_by_embedding": covered == set(roots),
     }
 
 

@@ -33,20 +33,20 @@ def brute_sp2_order(p):
 
 
 def brute_gl2_class_count(p):
-    # union-find on GL_2(F_p) under conjugation by everything
+    # union-find on GL_2(F_p), each element by its index, under
+    # conjugation by everything
     elements = []
     for flat in itertools.product(range(p), repeat=4):
         g = FpMatrix([flat[:2], flat[2:]], p)
         if g.is_invertible():
             elements.append(g)
-    uf = UnionFind()
-    for g in elements:
-        uf.add(g.entries)
+    index = {g.entries: i for i, g in enumerate(elements)}
+    uf = UnionFind(len(elements))
     for g in elements:
         gi = g.inverse()
-        for h in elements:
-            uf.union(h.entries, (g * h * gi).entries)
-    return len({uf.find(g.entries) for g in elements})
+        for i, h in enumerate(elements):
+            uf.union(i, index[(g * h * gi).entries])
+    return len({uf.find(i) for i in range(len(elements))})
 
 
 def test_sp_group_order_against_enumeration():
@@ -81,6 +81,17 @@ def test_size_gates():
     with pytest.raises(SizeGateError):
         klyachko_census(3, 3)
     assert CENSUS_PRIMES == (3, 5)
+
+
+@pytest.mark.parametrize("flavor", ("Lie", "typo"))
+@pytest.mark.parametrize("n", (1, 3))
+def test_an_unknown_flavor_is_refused_before_the_gate(flavor, n):
+    # every flavor but 'lie' used to run the group census; n = 3 is past
+    # the size gate, so the flavor is checked first
+    with pytest.raises(ValueError, match="flavor must be 'lie' or 'group'"):
+        orbit_census(n, 3, flavor)
+    with pytest.raises(ValueError, match="flavor must be 'lie' or 'group'"):
+        next(enumerate_exotic_nilcone(n, 3, flavor))
 
 
 def test_nilcone_enumeration_counts():
@@ -275,11 +286,12 @@ def test_census_second_prime_matches_orbit_stabilizer_predictions():
     assert result.total_points == 5 ** 8
 
 
-def test_census_second_prime_computes_the_predicted_stabilizer_orders():
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_census_second_prime_computes_the_predicted_stabilizer_orders(flavor):
     # the computed twin of the predictions above: each orbit's size is read
     # off the union-find, with no group listed (Sp_4(F_5) has 9,360,000
     # elements)
-    result = orbit_census(2, 5, check_orbits=True)
+    result = orbit_census(2, 5, flavor, check_orbits=True)
     assert {chk["label"]: chk["stabilizer_order"]
             for chk in result.orbit_checks} == {
         "-|1,1": 9360000, "-|2": 15000, "1,1|-": 15000, "1|1": 625, "2|-": 25}
@@ -448,29 +460,32 @@ def test_a_seeded_census_multiplies_no_cone_matrix(matmul_calls):
 @pytest.mark.parametrize("flavor", ("lie", "group"))
 def test_the_scan_codes_every_point_by_its_position(monkeypatch, flavor):
     # no point is encoded: an x's code is its position in iter_self_adjoint
-    # and a vector's its position in iter_vectors, and each point (x, c.v),
-    # c = 1..p-1, is mapped to the label of (x, v)
+    # and a vector's its position in iter_vectors; the point (x, v) is
+    # k * p^4 + v-code, k the position of x along the cone, and each point
+    # (x, c.v), c = 1..p-1, is mapped to the label of (x, v)
     encoded = []
     monkeypatch.setattr(census_mod, "_encode",
                         lambda *args: encoded.append(args))
     space = SymplecticSpace(2, 3)
     p = space.p
-    _, _, points = census_mod._census_chunk(space, flavor, 0, True)
+    _, _, (codes, labels) = census_mod._census_chunk(space, flavor, 0, True)
     assert encoded == []
     vs = list(census_mod.iter_vectors(space))
     v_code = {v: code for code, v in enumerate(vs)}
     keep = _is_nilpotent if flavor == "lie" else census_mod._is_unipotent
+    cone = [(x_code, x) for x_code, x in enumerate(iter_self_adjoint(space))
+            if keep(x)]
     expected = {}
-    for x_code, x in enumerate(iter_self_adjoint(space)):
-        if keep(x):
-            label = classify.exotic_labeler(
-                x if flavor == "lie" else x - space._one)
-            for v in vs:
-                name = format_bipartition(label(v))
-                for c in range(1, p):
-                    expected[x_code, v_code[tuple(c * a % p for a in v)]] = name
+    for k, (_, x) in enumerate(cone):
+        label = classify.exotic_labeler(
+            x if flavor == "lie" else x - space._one)
+        for v in vs:
+            name = format_bipartition(label(v))
+            for c in range(1, p):
+                expected[k * p ** 4 + v_code[tuple(c * a % p for a in v)]] = name
     assert len(expected) == 81 * p ** 4        # 81 cone x at n = 2, p = 3
-    assert points == expected
+    assert codes == [x_code for x_code, _ in cone]
+    assert dict(enumerate(labels)) == expected
 
 
 def test_group_listing_gate_refuses_before_enumerating(monkeypatch):
@@ -700,6 +715,34 @@ def test_each_orbit_pass_builds_the_tables_once(monkeypatch):
             run()
             assert len(builds) == calls    # built per call, never reused
         builds.clear()
+
+
+@pytest.mark.parametrize("run, kept, what", [
+    (lambda: orbit_census(1, 3, "lie", check_orbits=True), "zero", "cone"),
+    (lambda: orbit_census(1, 3, "group", check_orbits=True), "one", "cone"),
+    (lambda: klyachko_census(1, 3), "one", "invertible self-adjoint locus")])
+def test_a_generator_moving_a_point_off_the_locus_is_refused(
+        monkeypatch, run, kept, what):
+    # one generator's x-table is broken to send one x of the locus (x = 0
+    # on the nilpotent cone, x = 1 on the unipotent cone and the
+    # invertible locus) to the other, which is off the locus
+    space = SymplecticSpace(1, 3)
+    codes = {"zero": 0, "one": census_mod._encode(space, space._one)}
+    off = codes["one" if kept == "zero" else "zero"]
+    build = census_mod._action_tables
+
+    def broken(*args):
+        tables = build(*args)
+        x_table, v_table = tables[0]
+        x_table = list(x_table)
+        x_table[codes[kept]] = off
+        tables[0] = (x_table, v_table)
+        return tables
+
+    monkeypatch.setattr(census_mod, "_action_tables", broken)
+    with pytest.raises(AssertionError,
+                       match="a generator moved a point off the %s$" % what):
+        run()
 
 
 @settings(max_examples=40, deadline=None)
