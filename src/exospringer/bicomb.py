@@ -74,8 +74,10 @@ def conjugate(parts):
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
+@functools.lru_cache(maxsize=None)
 def standard_tableau_count(parts):
-    """f^lambda by the hook length formula (exact integer)."""
+    """f^lambda by the hook length formula (exact integer); parts is a
+    tuple, and each partition's hook product is taken once."""
     n = sum(parts)
     den = prod(map(prod, hook_lengths(parts)))
     count, rem = divmod(factorial(n), den)

@@ -266,13 +266,13 @@ def _line_reps(space):
 
 def enumerate_exotic_nilcone(n, p, flavor="lie"):
     """Stream of exotic pairs (x self-adjoint nilpotent/unipotent, v),
-    in a fixed deterministic order."""
+    in a fixed deterministic order.  The flavor and the size gate are
+    checked at the call, before the stream is returned."""
     _gate(n, p, flavor)
     space = SymplecticSpace(n, p)
     vectors = list(iter_vectors(space))
-    for _, x in _cone_xs(space, flavor):
-        for v in vectors:
-            yield ExoticPair._trusted(space, x, v, flavor)
+    return (ExoticPair._trusted(space, x, v, flavor)
+            for _, x in _cone_xs(space, flavor) for v in vectors)
 
 
 def seeded_basis_change(space, seed):

@@ -8,8 +8,11 @@ report), 2 usage error: argparse's message for a bad command line, and
 after parsing one `error: ...` line on stderr for a ValueError or
 OSError, which bad outside input raises; any other error propagates.
 Output is byte-deterministic for fixed inputs; verify reports carry no
-timings.  Outside input is validated here, at the edge; the per-rank
-verify suites (RANK_SUITES) each return a list of mismatch reports.
+timings.  JSON output has the same bytes as json.dumps(obj, indent=2,
+sort_keys=True): `_json` writes the indented layout and the ints, and
+json's C encoder every key and other scalar.  Outside input is
+validated here, at the edge; the per-rank verify suites (RANK_SUITES)
+each return a list of mismatch reports.
 """
 
 import argparse
@@ -120,9 +123,54 @@ def build_parser(command=None):
     return ap
 
 
+# json's C encoder, which `indent` turns off in json.dumps
+_scalar = json.JSONEncoder().encode
+
+
 def _json(obj):
-    """`obj` as JSON text: sorted keys, indent 2, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`obj` as JSON text: sorted keys, indent 2, final newline.
+
+    The same bytes as json.dumps(obj, indent=2, sort_keys=True) + "\\n",
+    without its pure-Python encoder: the indented layout of dicts, lists
+    and tuples is written here, exact ints (not bools) by str as json
+    writes them, and every key and other scalar by json's C encoder.  A
+    key that is not a str raises TypeError, where json.dumps would
+    convert it.
+    """
+    return _layout(obj, "\n") + "\n"
+
+
+def _layout(obj, newline):
+    """JSON text of `obj`, whose lines after the first start with
+    `newline` (a newline and the enclosing indent)."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, not %s"
+                                % type(key).__name__)
+        keys = sorted(obj)
+        texts = _texts([obj[key] for key in keys], inner)
+        body = [_scalar(key) + ": " + text for key, text in zip(keys, texts)]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _texts(obj, inner)
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    return _scalar(obj)
+
+
+def _texts(items, newline):
+    """The JSON text of each item: a list of exact ints is one map(str),
+    and an exact int or a str in any other list costs no call of
+    _layout."""
+    if all(type(x) is int for x in items):
+        return map(str, items)
+    return [str(x) if type(x) is int else _scalar(x) if type(x) is str
+            else _layout(x, newline) for x in items]
 
 
 def _tsv(rows):

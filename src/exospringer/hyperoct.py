@@ -263,24 +263,31 @@ def _character_table_rows(n):
     and weight w in _splittings, adds w * (-1)^len(b2) to the digit of its
     class column in one integer T_ij, where i and j are the positions of
     a1 + b1 and a2 + b2 in partitions_of(m) and partitions_of(n - m).
-    The row of (mu, nu) with |mu| = m is then sum_j chi^nu_j sum_i
-    chi^mu_i T_ij, with chi^mu and chi^nu the rows of sn_table(m) and
-    sn_table(n - m), one integer whose digits are the row, read by
-    _read_digits.  The digit width of each m is taken from the data:
-    every |value| is at most the largest per-class sum of |weight| times
-    the largest |chi^mu| and |chi^nu|.
+    Each pair (a, b) is merged and looked up once per build: a dict local
+    to the call keeps its position for every later splitting.  The row
+    of (mu, nu) with |mu| = m is then sum_j chi^nu_j sum_i chi^mu_i T_ij,
+    with chi^mu and chi^nu the rows of sn_table(m) and sn_table(n - m),
+    one integer whose digits are the row, read by _read_digits.  The
+    digit width of each m is taken from the data: every |value| is at
+    most the largest per-class sum of |weight| times the largest |chi^mu|
+    and |chi^nu|.
     """
     classes = wn_classes(n)
     position, sn_rows = zip(*map(sn_table, range(n + 1)))
+    place = {}  # (a, b) -> position of a + b in partitions_of(|a| + |b|)
     terms = [[] for _ in range(n + 1)]  # m -> (column, i, j, signed weight)
     for c, cls in enumerate(classes):
         for m, alpha, beta in _splittings(cls.signature):
             left, right, out = position[m], position[n - m], terms[m]
             for a1, a2, wa in alpha:
                 for b1, b2, wb in beta:
-                    out.append((c, left[_merge_sorted(a1, b1)],
-                                right[_merge_sorted(a2, b2)],
-                                -wa * wb if len(b2) % 2 else wa * wb))
+                    i = place.get((a1, b1))
+                    if i is None:
+                        i = place[a1, b1] = left[_merge_sorted(a1, b1)]
+                    j = place.get((a2, b2))
+                    if j is None:
+                        j = place[a2, b2] = right[_merge_sorted(a2, b2)]
+                    out.append((c, i, j, -wa * wb if len(b2) % 2 else wa * wb))
     cells, sizes = [], []  # per m: T_ij as [[T_ij for i] for j], digit bytes
     for m, split in enumerate(terms):
         weights = [0] * len(classes)

@@ -94,6 +94,14 @@ def test_an_unknown_flavor_is_refused_before_the_gate(flavor, n):
         next(enumerate_exotic_nilcone(n, 3, flavor))
 
 
+@pytest.mark.parametrize("n, flavor, error",
+                         ((3, "lie", SizeGateError), (1, "typo", ValueError)))
+def test_the_nilcone_stream_is_refused_at_the_call(n, flavor, error):
+    # no next(): as a generator function it checked only at the first pair
+    with pytest.raises(error):
+        enumerate_exotic_nilcone(n, 3, flavor)
+
+
 def test_nilcone_enumeration_counts():
     pairs = list(enumerate_exotic_nilcone(1, 3))
     assert len(pairs) == 9            # x forced to 0, all 9 vectors

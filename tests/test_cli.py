@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exospringer import cli
 from exospringer.cli import main
@@ -255,6 +256,29 @@ def test_chartable_json(capsys):
     assert len(obj["rows"]) == len(obj["cols"]) == 5
     from exospringer.hyperoct import CharacterTable
     assert obj == CharacterTable(2).to_json()
+
+
+# what the CLI writes: str-keyed dicts, lists and tuples of ints (bools
+# and ints past 2^64 too), None and non-ASCII strings, empty containers
+JSON_INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text() | JSON_INTS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(JSON_INTS) | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_has_the_bytes_of_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", ({1: 2}, {True: 0}, {"a": [{None: 1}]}))
+def test_json_refuses_a_key_that_is_not_a_str(obj):
+    # json.dumps would write the key 1 as "1" and True as "true"
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._json(obj)
 
 
 def test_branch_tsv(capsys):

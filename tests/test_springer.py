@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from exospringer import bicomb, hyperoct
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 parse_bipartition, partitions_of)
 from exospringer.hyperoct import wn_order
@@ -80,6 +81,25 @@ def test_sum_squares():
         assert sum_squares_check(n) == []
     assert sum(r.irrep_dim ** 2 for r in springer_table(2).records) == 8
     assert wn_order(8) == 10321920
+
+
+def test_one_hook_product_per_partition(monkeypatch):
+    # from cold caches, as each benchmark item starts: f^lam for the 67
+    # partitions of sizes 0-8 and no more
+    for module in (bicomb, hyperoct):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    calls = []
+    hook_lengths = bicomb.hook_lengths
+
+    def counted(parts):
+        calls.append(parts)
+        return hook_lengths(parts)
+
+    monkeypatch.setattr(bicomb, "hook_lengths", counted)
+    assert sum_squares_check(8) == []
+    assert len(calls) <= sum(map(len, map(partitions_of, range(9)))) == 67
 
 
 def test_table_refuses_a_failed_sum_of_squares(monkeypatch):

@@ -2,9 +2,10 @@
 
 The benchmark's `symbolic` workload checks each of its CLI calls against
 a digest in `perfbench/reference.json`; this runs the same calls, so a
-change of one byte fails the test suite and not only the benchmark.  Two
-larger calls, past the workload's sizes, are pinned here.  It loads
-perfbench read-only and edits nothing there.
+change of one byte fails the test suite and not only the benchmark.
+Larger calls, past the workload's sizes, and JSON formats it does not
+run are pinned here.  It loads perfbench read-only and edits nothing
+there.
 """
 
 import importlib.util
@@ -23,6 +24,14 @@ LARGER = {
         "9b92a1dc052fce78a793668963f0067213c34311225791c0b3f640a03b889263",
     "branch --n 9":
         "fca7d904ee49d7da729380e68ae490ef3b82ef3e99f6f30c37d8b99de69cf967",
+    # JSON formats the workload does not run, recorded from the program
+    # while cli._json was still json.dumps(indent=2, sort_keys=True)
+    "hasse --n 8 --format json":
+        "1b8fd5849e6aa9e1056c9c801310bfe44f862a834366c56c4202d1c89a1ce2a0",
+    "springer --n 10 --format json":
+        "d3afaa7e9bc96f019a77cdebf8f26d0cf8607612e05a0d13e8c4c61fda382658",
+    "orbits --n 8 --format json":
+        "76eb4bb3bd1aae503d4938189c6b24cb1cfc051a263f91909f893d732e82a0f3",
 }
 
 
