@@ -139,9 +139,6 @@ class Bipartition:
         padded = c + (0,) * (2 * self.n - len(c))
         return tuple(-x for x in padded)
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
 
 def parse_bipartition(text):
     grammar = "bipartition must look like '2,1|1', got %r" % (text,)
@@ -301,14 +298,3 @@ def hasse_covers(n):
     return tuple((labels[j], upper) for upper, found in zip(labels, covers)
                  for j in found)
 
-
-def hasse_dot(n):
-    """DOT source for the closure-order Hasse diagram of rank n."""
-    lines = ["digraph hasse {"]
-    for b in bipartitions_of(n):
-        lines.append('  "%s" [rank=%d];' % (format_bipartition(b), orbit_dim(b, n)))
-    for lower, upper in hasse_covers(n):
-        lines.append('  "%s" -> "%s";'
-                     % (format_bipartition(upper), format_bipartition(lower)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

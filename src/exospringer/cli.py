@@ -86,18 +86,23 @@ RANK_SUITES = {"restriction": (1, "verify_restriction"),
                "sum-squares": (1, "sum_squares_check")}
 
 
+# verify's flags that some suites never read: dest -> (the suites, default)
+SUITE_FLAGS = {"p": (("census", "klyachko"), 3), "flavor": (("census",), "lie"),
+               "check_orbits": (("census",), False), "seed": (("census",), 0)}
+
+
 def _add_verify(sub):
     sub.add_argument("--suite", required=True,
                      choices=(*RANK_SUITES, "determine", "census", "klyachko"))
     sub.add_argument("--n", type=_rank, required=True)
-    sub.add_argument("--p", type=int, default=3)
-    sub.add_argument("--flavor", choices=("lie", "group"), default="lie")
+    sub.add_argument("--p", type=int, default=None)
+    sub.add_argument("--flavor", choices=("lie", "group"), default=None)
     # Serial only: perfbench/workloads.py passes --jobs 1 to every census
     # item, so the flag stays, hidden, until the benchmark stops passing it.
     sub.add_argument("--jobs", type=int, choices=(1,), default=1,
                      help=argparse.SUPPRESS)
-    sub.add_argument("--check-orbits", action="store_true")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--check-orbits", action="store_true", default=None)
+    sub.add_argument("--seed", type=int, default=None,
                      help="census only: move each line's vector by a seeded "
                           "symplectic g; equal counts show labels constant on "
                           "lines (--check-orbits tests invariance)")
@@ -189,13 +194,17 @@ def cmd_orbits(args):
 
 
 def cmd_hasse(args):
-    if args.format == "dot":
-        return bicomb.hasse_dot(args.n), 0
     rows = [(format_bipartition(a), format_bipartition(b))
             for a, b in bicomb.hasse_covers(args.n)]
     if args.format == "tsv":
         return _tsv(rows), 0
-    return _json({"n": args.n, "covers": rows}), 0
+    if args.format == "json":
+        return _json({"n": args.n, "covers": rows}), 0
+    # DOT: each label ranked by its orbit dimension, each cover upper -> lower
+    lines = ['  "%s" [rank=%d];' % (format_bipartition(b), bicomb.orbit_dim(b, args.n))
+             for b in bipartitions_of(args.n)]
+    lines += ['  "%s" -> "%s";' % (upper, lower) for lower, upper in rows]
+    return "\n".join(["digraph hasse {", *lines, "}"]) + "\n", 0
 
 
 def cmd_chartable(args):
@@ -208,17 +217,17 @@ def cmd_chartable(args):
 
 
 def cmd_springer(args):
-    table = springer.springer_table(args.n)
+    rows = springer.springer_table(args.n)
     if args.census_p is not None:
         counts = census.orbit_census(args.n, args.census_p).label_counts
-        for r in table.records:
-            r.census_count = counts[format_bipartition(r.label)]
+        for row in rows:
+            row["census_count"] = counts[row["label"]]
     if args.format == "json":
-        return _json(table.to_json()), 0
+        return _json({"n": args.n, "rows": rows}), 0
     header = ("label", "dim", "d", "irrep", "irrep_dim", "covers")
     return _tsv([header] + [
-        (r.label, r.orbit_dim, r.d, r.irrep, r.irrep_dim,
-         ",".join(str(c) for c in r.covers)) for r in table.records]), 0
+        (r["label"], r["dim_orbit"], r["d"], r["irrep"], r["irrep_dim"],
+         ",".join(r["covers"])) for r in rows]), 0
 
 
 def cmd_branch(args):
@@ -267,7 +276,21 @@ def cmd_repr(args):
     return _json(normal_form_pair(label, space).pair.to_json()), 0
 
 
+def _fill_suite_flags(args):
+    """Default each unset SUITE_FLAGS flag; refuse one its suite never reads."""
+    unread = []
+    for dest, (suites, default) in SUITE_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.suite not in suites:
+            unread.append("--" + dest.replace("_", "-"))
+    if unread:
+        raise ValueError("verify --suite %s does not read %s"
+                         % (args.suite, ", ".join(unread)))
+
+
 def cmd_verify(args):
+    _fill_suite_flags(args)
     report = {"suite": args.suite, "n": args.n, "mismatches": []}
     if args.suite in RANK_SUITES:
         low, check = RANK_SUITES[args.suite]

@@ -1,18 +1,17 @@
 """The Springer table and the inductive determination of the correspondence.
 
-The correspondence pairs the orbit labelled by a bipartition with the
-irreducible of the same label.  determine_correspondence re-derives
-this instead of assuming it: base axioms pin the open orbit to the
-identity representation and the point orbit to the sign representation
-at every rank, the geometric branching constraint (each orbit's
-representation restricts to exactly the sum over its removable-node
-predecessors) is imposed, and the resulting assignment problem is
-solved by exhaustion.  Uniqueness failures raise instead of being
-silently resolved.  The per-rank checks (verify_restriction,
+springer_table returns the table as the JSON rows that `springer`
+prints.  The correspondence pairs the orbit labelled by a bipartition
+with the irreducible of the same label; determine_correspondence
+re-derives this instead of assuming it: base axioms pin the open orbit
+to the identity representation and the point orbit to the sign
+representation at every rank, the geometric branching constraint (each
+orbit's representation restricts to exactly the sum over its
+removable-node predecessors) is imposed, and the resulting assignment
+problem is solved by exhaustion.  Uniqueness failures raise instead of
+being silently resolved.  The per-rank checks (verify_restriction,
 d_difference_check, sum_squares_check) return lists of mismatch reports.
 """
-
-from dataclasses import dataclass
 
 from . import bicomb, hyperoct
 from .bicomb import Bipartition, bipartitions_of, fiber_dim_d, orbit_dim, \
@@ -23,63 +22,25 @@ class AmbiguousAssignmentError(RuntimeError):
     pass
 
 
-@dataclass
-class OrbitRecord:
-    label: Bipartition
-    orbit_dim: int
-    d: int
-    irrep: Bipartition
-    irrep_dim: int
-    covers: tuple  # labels directly below in the closure order
-    census_count: int | None = None
-
-    def to_json(self):
-        out = {"label": str(self.label), "dim_orbit": self.orbit_dim,
-               "d": self.d, "irrep": str(self.irrep),
-               "irrep_dim": self.irrep_dim,
-               "covers": [str(c) for c in self.covers]}
-        if self.census_count is not None:
-            out["census_count"] = self.census_count
-        return out
-
-
-@dataclass
-class SpringerTable:
-    n: int
-    records: tuple
-
-    def to_json(self):
-        return {"n": self.n, "rows": [r.to_json() for r in self.records]}
-
-    def record(self, label):
-        for r in self.records:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-
 def springer_table(n):
-    """All orbit rows at rank n, labels doubling as irrep labels."""
+    """The Springer table at rank n as the JSON rows `springer` prints:
+    one dict per label, in bipartitions_of(n) order, each label doubling
+    as its irrep's label, and every label a str."""
     if n < 1:
         raise ValueError("n must be >= 1")
     covers_down = {}        # each upper's lowers, in bipartitions_of order
     for lower, upper in bicomb.hasse_covers(n):
-        covers_down.setdefault(upper, []).append(lower)
-    records = []
-    for label in bipartitions_of(n):
-        records.append(OrbitRecord(
-            label=label,
-            orbit_dim=orbit_dim(label, n),
-            d=fiber_dim_d(label, n),
-            irrep=label,
-            irrep_dim=hyperoct.irrep_dim(label),
-            covers=tuple(covers_down.get(label, ())),
-        ))
+        covers_down.setdefault(upper, []).append(str(lower))
+    rows = [{"label": str(label), "dim_orbit": orbit_dim(label, n),
+             "d": fiber_dim_d(label, n), "irrep": str(label),
+             "irrep_dim": hyperoct.irrep_dim(label),
+             "covers": covers_down.get(label, [])}
+            for label in bipartitions_of(n)]
     # fiber_dim_d has checked dim + 2d = 2n^2 for every row
     if sum_squares_check(n):
         raise AssertionError("squared irrep dims do not sum to |W_%d| = %d"
                              % (n, hyperoct.wn_order(n)))
-    return SpringerTable(n, tuple(records))
+    return rows
 
 
 def _count_matchings(candidates):

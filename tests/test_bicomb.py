@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from exospringer.bicomb import (
     Bipartition, RankMismatchError, bipartitions_of, check_rank, closure_leq,
     dominance_leq, fiber_dim_d, format_bipartition, hasse_covers,
-    hasse_dot, interleave_c, n_invariant, orbit_dim, parse_bipartition,
+    interleave_c, n_invariant, orbit_dim, parse_bipartition,
     partition_sum, partitions_of, removable_nodes, standard_tableau_count)
 from exospringer.hyperoct import inner_product, wn_character, wn_classes
 from exospringer.symplectic import nu_blocks
@@ -290,12 +290,6 @@ def test_hook_count():
     assert standard_tableau_count((2, 1)) == 2
     assert standard_tableau_count(()) == 1
     assert standard_tableau_count((3, 2)) == 5
-
-
-def test_dot_output():
-    dot = hasse_dot(2)
-    assert dot.startswith("digraph")
-    assert '"2|-" -> "1|1";' in dot
 
 
 def test_equal_bipartitions_hash_equal():

@@ -2,8 +2,9 @@
 
 The calls are the benchmark's `census` workload items (with its seed,
 288545019, the program seed it derives from benchmark seed 1), the
-census and Klyachko suites at n = 2, p = 5, and the orbit check at
-n = 1 and at n = 2, p = 3.  The digests are of the whole stdout, each
+census and Klyachko suites at n = 2, p = 5, the orbit check at n = 1
+and at n = 2, p = 3, and the Springer table joined to its census counts
+at n = 2, p = 3.  The digests are of the whole stdout, each
 recorded from the program before the change it guards: the cone test's
 rewrite on row tuples, for the n = 2, p = 5 calls the labelling of group
 points through x - 1, and for the n = 2, p = 3 orbit checks the reading
@@ -55,6 +56,10 @@ STDOUT_SHA256 = {
         "afee2539621b506e9b7a21e588328b276edc06a793cc897717f200ef36d748f5",
     "verify --suite klyachko --n 2 --p 5":
         "7a8565fe85b9de4468b005457905b782d44551fcfa6054765160081199e6d1f4",
+    # the census counts joined to the Springer table, recorded while the
+    # table was still built from record objects
+    "springer --n 2 --format json --census-p 3":
+        "adc5106d77d3e89494eb2b77d54f751c7c8e17a36704fcae7560276aec4ee0ae",
 }
 
 

@@ -51,7 +51,7 @@ def test_output_bytes_deterministic(capsys):
     assert parsed["n"] == 3 and len(parsed["rows"]) == 10
     # emitted JSON re-parses to the in-memory structure
     from exospringer.springer import springer_table
-    assert parsed == springer_table(3).to_json()
+    assert parsed == {"n": 3, "rows": springer_table(3)}
     # verify reports too: no wall-clock field
     argv = ("verify", "--suite", "census", "--n", "1", "--p", "3", "--seed", "5")
     code, first = run(capsys, *argv)
@@ -335,7 +335,13 @@ def test_usage_errors(capsys):
     ["verify", "--suite", "d-diff", "--n", "1"],
     ["repr", "--n", "2", "--label", "3|-", "--p", "3"],
     ["chartable", "--n", "40"],
-    ["classify", "--input", "/nonexistent.json"]])
+    ["classify", "--input", "/nonexistent.json"],
+    # a flag the suite never reads
+    ["verify", "--suite", "sum-squares", "--n", "2", "--p", "9"],
+    ["verify", "--suite", "klyachko", "--n", "1", "--p", "3", "--flavor",
+     "group", "--check-orbits", "--seed", "5"],
+    ["verify", "--suite", "determine", "--n", "3", "--seed", "7",
+     "--check-orbits"]])
 def test_usage_errors_after_parsing_print_one_error_line(capsys, argv):
     # past argparse, every usage error takes main's one exit-2 path
     code = main(argv)
@@ -343,6 +349,23 @@ def test_usage_errors_after_parsing_print_one_error_line(capsys, argv):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_verify_refuses_a_flag_its_suite_never_reads(capsys):
+    for suite, flags, named in (
+            ("sum-squares", ["--p", "9"], "--p"),
+            ("klyachko", ["--flavor", "group", "--check-orbits", "--seed", "5"],
+             "--flavor, --check-orbits, --seed"),
+            ("determine", ["--seed", "7", "--check-orbits"],
+             "--check-orbits, --seed")):
+        code = main(["verify", "--suite", suite, "--n", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: verify --suite %s does not read %s\n"
+                                % (suite, named))
+    # a suite that reads a flag still defaults it: --p 3
+    code, out = run(capsys, "verify", "--suite", "klyachko", "--n", "1")
+    assert code == 0 and json.loads(out)["p"] == 3
 
 
 # one usage error per subcommand, each raised by a different argparse rule
@@ -509,16 +532,19 @@ def test_repr_checks_the_label_size_before_building_the_space(capsys):
 
 
 def test_cli_import_starts_no_process_pool():
-    # the census is serial, so the CLI's import graph holds no multiprocessing
+    # the census is serial, so the CLI's import graph holds no
+    # multiprocessing; and no record class, so no dataclasses (which
+    # imports inspect) on the cold start
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = ("import sys\n"
             "import exospringer.cli\n"
-            "print('multiprocessing' in sys.modules)\n")
+            "print([m for m in ('multiprocessing', 'dataclasses', 'inspect')\n"
+            "       if m in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_census_check_orbits_past_n2_is_gated(monkeypatch, capsys):

@@ -15,41 +15,47 @@ def bp(s):
     return parse_bipartition(s)
 
 
+def rows_by_label(n):
+    return {row["label"]: row for row in springer_table(n)}
+
+
 def test_table_rank1():
-    table = springer_table(1)
-    open_row = table.record(bp("1|-"))
-    assert open_row.irrep_dim == 1 and open_row.orbit_dim == 2 and open_row.d == 0
-    zero_row = table.record(bp("-|1"))
-    assert zero_row.irrep_dim == 1 and zero_row.orbit_dim == 0 and zero_row.d == 1
+    rows = rows_by_label(1)
+    open_row = rows["1|-"]
+    assert (open_row["irrep_dim"], open_row["dim_orbit"], open_row["d"]) \
+        == (1, 2, 0)
+    zero_row = rows["-|1"]
+    assert (zero_row["irrep_dim"], zero_row["dim_orbit"], zero_row["d"]) \
+        == (1, 0, 1)
 
 
 def test_table_rank2():
-    table = springer_table(2)
-    assert [r.irrep_dim for r in table.records] == [1, 2, 1, 1, 1]
-    assert [r.orbit_dim for r in table.records] == [8, 6, 4, 4, 0]
-    assert table.record(bp("2|-")).covers == (bp("1|1"),)
+    rows = springer_table(2)
+    assert [r["irrep_dim"] for r in rows] == [1, 2, 1, 1, 1]
+    assert [r["dim_orbit"] for r in rows] == [8, 6, 4, 4, 0]
+    assert rows_by_label(2)["2|-"]["covers"] == ["1|1"]
 
 
 def test_open_and_zero_rows():
     for n in range(1, 7):
-        table = springer_table(n)
-        assert table.record(Bipartition((n,), ())).d == 0
-        assert table.record(Bipartition((), (1,) * n)).d == n * n
-        for r in table.records:
-            assert r.orbit_dim + 2 * r.d == 2 * n * n
-            assert r.irrep == r.label
+        rows = rows_by_label(n)
+        assert rows[str(Bipartition((n,), ()))]["d"] == 0
+        assert rows[str(Bipartition((), (1,) * n))]["d"] == n * n
+        for r in rows.values():
+            assert r["dim_orbit"] + 2 * r["d"] == 2 * n * n
+            assert r["irrep"] == r["label"]
 
 
 def test_partition_rows_match_unenhanced_orbits():
     # rows with empty first component biject with partitions and carry
     # the matrix-only orbit dimension 2n^2 - 2n - 4 n(lambda)
     for n in range(1, 7):
-        table = springer_table(n)
-        rows = [r for r in table.records if not r.label.first]
+        rows = [(bp(r["label"]), r) for r in springer_table(n)]
+        rows = [(label, r) for label, r in rows if not label.first]
         assert len(rows) == len(partitions_of(n))
-        for r in rows:
-            lam = r.label.second
-            assert r.orbit_dim == 2 * n * n - 2 * n - 4 * n_invariant(lam)
+        for label, r in rows:
+            lam = label.second
+            assert r["dim_orbit"] == 2 * n * n - 2 * n - 4 * n_invariant(lam)
 
 
 def test_determine_is_identity_up_to_6():
@@ -79,7 +85,7 @@ def test_d_difference_examples():
 def test_sum_squares():
     for n in range(1, 9):
         assert sum_squares_check(n) == []
-    assert sum(r.irrep_dim ** 2 for r in springer_table(2).records) == 8
+    assert sum(r["irrep_dim"] ** 2 for r in springer_table(2)) == 8
     assert wn_order(8) == 10321920
 
 
@@ -181,10 +187,11 @@ def test_matching_counter_is_not_bound_by_the_recursion_limit():
 
 
 def test_table_json():
-    obj = springer_table(2).to_json()
-    assert obj["n"] == 2
-    assert obj["rows"][0]["label"] == "2|-"
-    assert obj["rows"][0]["irrep"] == "2|-"
+    # the rows `springer --format json` prints, in bipartitions_of order
+    rows = springer_table(2)
+    assert [r["label"] for r in rows] == list(map(str, bipartitions_of(2)))
+    assert rows[0] == {"label": "2|-", "dim_orbit": 8, "d": 0, "irrep": "2|-",
+                       "irrep_dim": 1, "covers": ["1|1"]}
 
 
 def test_candidates_equal_the_scan_over_every_irrep(monkeypatch):

@@ -32,6 +32,12 @@ LARGER = {
         "d3afaa7e9bc96f019a77cdebf8f26d0cf8607612e05a0d13e8c4c61fda382658",
     "orbits --n 8 --format json":
         "76eb4bb3bd1aae503d4938189c6b24cb1cfc051a263f91909f893d732e82a0f3",
+    # recorded from the program while springer_table still built record
+    # objects and bicomb wrote the DOT text
+    "springer --n 10 --format tsv":
+        "961a3e921f65c18655962dcbb27fbb9baa1c581d397ef0b3eb453283fc235048",
+    "hasse --n 8 --format dot":
+        "976bc6939d4273ee9bccc5efee621facfe76ca93e984a13ff61dd61ee3919313",
 }
 
 
