@@ -604,3 +604,11 @@ def test_stabilizer_dim_cost(monkeypatch):
     assert ranked == [36]
     assert rref_calls == []
     assert bases == []
+
+
+def test_halve_doubled_refuses_undoubled_parts():
+    assert classify.halve_doubled((3, 3, 1, 1)) == (3, 1)
+    with pytest.raises(NotDoubledError, match="odd number of parts"):
+        classify.halve_doubled((2, 2, 1))
+    with pytest.raises(NotDoubledError, match=r"parts \(2, 1\) are not doubled"):
+        classify.halve_doubled((2, 1))

@@ -705,3 +705,92 @@ def test_verify_census_checks_the_point_count(monkeypatch, capsys):
 
     assert run_broken_census(monkeypatch, capsys, drift) == [
         ("census", "total points", 9, 10)]
+
+
+def test_verify_restriction_reports_a_flipped_branching_entry(monkeypatch,
+                                                              capsys):
+    from exospringer import hyperoct
+    from exospringer.bicomb import parse_bipartition
+    restrict = hyperoct.restrict_branching
+    up, down = parse_bipartition("1|1"), parse_bipartition("1|-")
+
+    def flipped(n):
+        matrix = restrict(n)
+        if n == 2:
+            matrix[up] = {**matrix[up], down: 0}
+        return matrix
+
+    monkeypatch.setattr(hyperoct, "restrict_branching", flipped)
+    code, out = run(capsys, "verify", "--suite", "restriction", "--n", "2")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    assert report["mismatches"] == [
+        {"check": "restriction", "n": 2, "instance": "1|1 -> 1|-",
+         "expected": 1, "got": 0}]
+
+
+def test_verify_d_diff_reports_each_removal_of_a_shifted_d(monkeypatch,
+                                                          capsys):
+    # d(1|1) one too large: its own removals at rank 2 read one more, the
+    # rank-3 labels with 1|1 as a child one less
+    from exospringer import springer
+    from exospringer.bicomb import parse_bipartition
+    fiber_dim_d = springer.fiber_dim_d
+    shifted = parse_bipartition("1|1")
+    monkeypatch.setattr(springer, "fiber_dim_d",
+                        lambda b, n: fiber_dim_d(b, n) + (b == shifted))
+    code, out = run(capsys, "verify", "--suite", "d-diff", "--n", "3")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    assert [(m["n"], m["instance"], m["expected"], m["got"])
+            for m in report["mismatches"]] == [
+        (2, "1|1 remove comp 1 row 1", 0, 1),
+        (2, "1|1 remove comp 2 row 1", 1, 2),
+        (3, "2|1 remove comp 1 row 1", 0, -1),
+        (3, "1|2 remove comp 2 row 1", 1, 0),
+        (3, "1,1|1 remove comp 1 row 2", 2, 1),
+        (3, "1|1,1 remove comp 2 row 2", 3, 2)]
+    assert {m["check"] for m in report["mismatches"]} == {"d-difference"}
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"1|-": 1, "-|1": 1}, "axiom 2|- -> 2|- conflicts with branching at rank 2"),
+    (None, "rank 2 admits no bijections")])
+def test_verify_determine_reports_an_ambiguous_assignment(monkeypatch, capsys,
+                                                          row, message):
+    # 2|- restricting to both rank-1 labels breaks its axiom; 1|1
+    # restricting to 1|- alone leaves the orbit 1|1 no candidate irrep
+    from exospringer import hyperoct
+    from exospringer.bicomb import parse_bipartition
+    restrict = hyperoct.restrict_branching
+    label = parse_bipartition("2|-" if row else "1|1")
+
+    def broken(n):
+        matrix = restrict(n)
+        if n == 2:
+            matrix[label] = {parse_bipartition(k): v for k, v in
+                             (row or {"1|-": 1, "-|1": 0}).items()}
+        return matrix
+
+    monkeypatch.setattr(hyperoct, "restrict_branching", broken)
+    code, out = run(capsys, "verify", "--suite", "determine", "--n", "2")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "verify_report.schema.json")
+    assert report["mismatches"] == [
+        {"check": "determine", "n": 2, "instance": "bijection",
+         "expected": "unique identity", "got": message}]
+
+
+def test_classify_refuses_a_flavor_in_the_wrong_case(monkeypatch, capsys):
+    _, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
+    pair = json.loads(out)
+    pair["flavor"] = "Lie"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pair)))
+    code = main(["classify", "--input", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: flavor must be 'lie' or 'group'\n"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exospringer import bicomb, hyperoct
+from exospringer import bicomb, hyperoct, springer
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 parse_bipartition, partitions_of)
 from exospringer.hyperoct import wn_order
@@ -253,3 +253,43 @@ def test_sum_squares_reports_the_actual_sum(monkeypatch):
     assert sum_squares_check(1) == []
     with pytest.raises(AssertionError, match=r"\|W_2\| = 8"):
         springer.springer_table(2)
+
+
+def broken_rank_two(monkeypatch, rows):
+    """restrict_branching with the rank-2 rows named in `rows` (irrep ->
+    the labels it restricts to) replaced."""
+    restrict = hyperoct.restrict_branching
+
+    def broken(n):
+        matrix = restrict(n)
+        if n == 2:
+            for irrep, below in rows.items():
+                matrix[bp(irrep)] = {other: int(str(other) in below)
+                                     for other in bipartitions_of(1)}
+        return matrix
+
+    monkeypatch.setattr(hyperoct, "restrict_branching", broken)
+
+
+def test_determine_refuses_an_axiom_the_branching_contradicts(monkeypatch):
+    broken_rank_two(monkeypatch, {"2|-": ("1|-", "-|1")})
+    with pytest.raises(springer.AmbiguousAssignmentError,
+                       match=r"axiom 2\|- -> 2\|- conflicts with branching "
+                             r"at rank 2"):
+        determine_correspondence(2)
+
+
+def test_determine_refuses_a_rank_without_a_bijection(monkeypatch):
+    broken_rank_two(monkeypatch, {"1|1": ("1|-",)})
+    with pytest.raises(springer.AmbiguousAssignmentError,
+                       match="rank 2 admits no bijections"):
+        determine_correspondence(2)
+
+
+def test_determine_refuses_a_unique_bijection_other_than_the_identity(
+        monkeypatch):
+    # swapped rows pair the orbit 1,1|- with -|2 and -|2 with 1,1|-
+    broken_rank_two(monkeypatch, {"1,1|-": ("-|1",), "-|2": ("1|-",)})
+    with pytest.raises(AssertionError,
+                       match="constraint solution differs from the identity map"):
+        determine_correspondence(2)
