@@ -14,6 +14,7 @@ Sizes that differ have one rule, `check_rank(label, n)`, and one error,
 import functools
 from itertools import accumulate, zip_longest
 from math import factorial, prod
+from operator import index
 
 
 class RankMismatchError(ValueError):
@@ -27,7 +28,7 @@ def check_rank(label, n):
 
 
 def check_partition(parts):
-    parts = tuple(int(x) for x in parts if int(x) != 0)
+    parts = tuple(x for x in map(index, parts) if x)
     if any(x < 0 for x in parts):
         raise ValueError("negative part in %r" % (parts,))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -224,10 +224,11 @@ def cmd_springer(args):
             row["census_count"] = counts[row["label"]]
     if args.format == "json":
         return _json({"n": args.n, "rows": rows}), 0
-    header = ("label", "dim", "d", "irrep", "irrep_dim", "covers")
+    extra = () if args.census_p is None else ("census_count",)
+    header = ("label", "dim", "d", "irrep", "irrep_dim", "covers", *extra)
     return _tsv([header] + [
         (r["label"], r["dim_orbit"], r["d"], r["irrep"], r["irrep_dim"],
-         ",".join(r["covers"])) for r in rows]), 0
+         ",".join(r["covers"]), *(r[key] for key in extra)) for r in rows]), 0
 
 
 def cmd_branch(args):
@@ -303,10 +304,8 @@ def cmd_verify(args):
         try:
             springer.determine_correspondence(args.n)
         except springer.AmbiguousAssignmentError as exc:
-            report["mismatches"].append(
-                {"check": "determine", "n": args.n,
-                 "instance": "bijection", "expected": "unique identity",
-                 "got": str(exc)})
+            report["mismatches"].append(springer.mismatch(
+                "determine", args.n, "bijection", "unique identity", str(exc)))
     elif args.suite == "census":
         report["p"] = args.p
         result = census.orbit_census(
@@ -320,16 +319,14 @@ def cmd_verify(args):
                 ("total points", args.p ** (2 * args.n ** 2),
                  sum(result.label_counts.values()))):
             if got != expected:
-                report["mismatches"].append(
-                    {"check": "census", "n": args.n, "instance": instance,
-                     "expected": expected, "got": got})
+                report["mismatches"].append(springer.mismatch(
+                    "census", args.n, instance, expected, got))
         for chk in result.orbit_checks:
             for name in ("orbit_stabilizer_ok", "transitive"):
                 if not chk[name]:
-                    report["mismatches"].append(
-                        {"check": "census-orbit", "n": args.n,
-                         "instance": "%s %s" % (chk["label"], name),
-                         "expected": True, "got": chk})
+                    report["mismatches"].append(springer.mismatch(
+                        "census-orbit", args.n, "%s %s" % (chk["label"], name),
+                        True, chk))
     elif args.suite == "klyachko":
         report["p"] = args.p
         kres = census.klyachko_census(args.n, args.p)
@@ -338,9 +335,8 @@ def cmd_verify(args):
                 ("count_matches", kres["gl_class_count"], kres["orbit_count"]),
                 ("every_orbit_hit_by_embedding", True, False)):
             if not kres[name]:
-                report["mismatches"].append(
-                    {"check": "klyachko", "n": args.n, "instance": name,
-                     "expected": expected, "got": got})
+                report["mismatches"].append(springer.mismatch(
+                    "klyachko", args.n, name, expected, got))
     report["pass"] = not report["mismatches"]
     return _json(report), 0 if report["pass"] else 1
 

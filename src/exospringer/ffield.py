@@ -265,7 +265,7 @@ class FpMatrix:
 
     def __init__(self, entries, p):
         check_modulus(p)
-        rows = tuple(tuple(int(x) % p for x in row) for row in entries)
+        rows = tuple(tuple(index(x) % p for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
         ncols = len(rows[0])
@@ -434,7 +434,7 @@ class Subspace:
 
     def __init__(self, ambient_dim, vectors, p):
         check_modulus(p)
-        vecs = [[int(x) % p for x in v] for v in vectors]
+        vecs = [[index(x) % p for x in v] for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length != ambient dim")
         self._set_span(ambient_dim, vecs, p)

@@ -19,14 +19,15 @@ tables, one rim-hook removal (_rim_hooks) per (lam, t) shared by every
 rho whose first part is t, and sn_character is a lookup into it.
 _splittings is the one enumeration of a class's splittings.
 wn_character_row states the formula irrep by irrep through
-induce_product, which serves only it (the definition the tests check
-against); the cached table, _character_table_rows, evaluates the same
-sum by Kronecker substitution: each class's splittings become digits of
-a few big integers shared by every irrep (mu, nu) with |mu| = m, and
-each row is one integer whose signed digits are its values, in
-wn_classes(n) order.  graded_fiber_module fills all its degrees in one
-pass.  The branching and graded-module inner products (_dot_rows) are
-packed the same way.  _pack_digits and _read_digits convert between a
+induce_product (the definition the tests check against); the cached
+table, _character_table_rows, evaluates the same sum by Kronecker
+substitution: each class's splittings become digits of a few big
+integers shared by every irrep (mu, nu) with |mu| = m, and each row is
+one integer whose signed digits are its values, in wn_classes(n) order.
+graded_fiber_module induces each of its degrees by induce_product too.
+restrict_branching and graded_fiber_module both decompose through
+_multiplicities: one packed inner product per row (_dot_rows) and an
+exact divmod by |W_n|.  _pack_digits and _read_digits convert between a
 packed integer and its digits in C (struct) at 1, 2, 4 and 8 bytes per
 digit, and digit by digit beyond.
 """
@@ -35,7 +36,6 @@ import functools
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from operator import mul
 
@@ -427,35 +427,40 @@ def _dot_rows(rows, table):
             for a in rows]
 
 
-def restrict_branching(n):
-    """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1).
+def _multiplicities(weighted, n, what):
+    """The exact multiplicities <f_k, chi> = sum_c |c| f_k(c) chi(c) / |W_n|,
+    one dict irrep -> multiplicity per row weighted[k] = [|c| f_k(c) for c
+    in wn_classes(n)], irreps in bipartitions_of(n) order: one _dot_rows
+    against the character table, then a divmod by |W_n|.  A remainder
+    raises AssertionError naming <what(k), chi^irrep>."""
+    table = _character_table_rows(n)
+    order = wn_order(n)
+    out = []
+    for k, dots in enumerate(_dot_rows(weighted, table.values())):
+        row = {}
+        for irrep, dot in zip(table, dots):
+            row[irrep], rem = divmod(dot, order)
+            if rem:
+                raise AssertionError("<%s, chi^%s> is not an integer"
+                                     % (what(k), irrep))
+        out.append(row)
+    return out
 
-    Each entry is sum_c |c| Res chi(c) chi'(c) / |W_{n-1}|, an exact
-    integer dot product over class-ordered rows, all of them formed by
-    _dot_rows; a non-zero remainder raises AssertionError.
-    """
+
+def restrict_branching(n):
+    """Branching matrix B[label][label'] = <Res chi, chi'> (all 0 or 1),
+    by _multiplicities over W_{n-1}: each row of W_n's table is fused down
+    and weighted by the W_{n-1} class sizes in one pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
     column = _columns(n)
-    down_classes = wn_classes(n - 1)
-    fusion = [column[fuse_class_up(c.signature)] for c in down_classes]
-    sizes = [c.size for c in down_classes]
-    order = wn_order(n - 1)
-    down = _character_table_rows(n - 1)
+    fusion = [(c.size, column[fuse_class_up(c.signature)])
+              for c in wn_classes(n - 1)]
     up = _character_table_rows(n)
-    weighted = [[size * values[j] for size, j in zip(sizes, fusion)]
-                for values in up.values()]
-    out = {}
-    for irrep, dots in zip(up, _dot_rows(weighted, down.values())):
-        row = {}
-        for other, dot in zip(down, dots):
-            mult, rem = divmod(dot, order)
-            if rem:
-                raise AssertionError("<Res chi^%s, chi^%s> is not an integer"
-                                     % (irrep, other))
-            row[other] = mult
-        out[irrep] = row
-    return out
+    irreps = list(up)
+    weighted = [[size * values[j] for size, j in fusion] for values in up.values()]
+    return dict(zip(irreps, _multiplicities(
+        weighted, n - 1, lambda k: "Res chi^%s" % irreps[k])))
 
 
 def _subset_weight_poly(alpha, beta):
@@ -488,36 +493,27 @@ def graded_fiber_module(n, m, rho1, rho2):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    rho1 = tuple(rho1)
-    rho2 = tuple(rho2)
+    rho1, rho2 = tuple(rho1), tuple(rho2)
     if sum(rho1) != m or sum(rho2) != n - m:
         raise ValueError("|rho1| must be m and |rho2| must be n - m")
-    table = _character_table_rows(n)
-    classes = wn_classes(n)
-    order = wn_order(n)
-    # weighted[k][c] = |c| * (induced degree-2k value on c), for every k
-    # at once: _subset_weight_poly(a2, b2) has one coefficient per degree
-    weighted = [[0] * len(classes) for _ in range(n - m + 1)]
-    for c, cls in enumerate(classes):
-        for size, alpha, beta in _splittings(cls.signature):
-            if size != m:
-                continue
-            for (a1, a2, wa), (b1, b2, wb) in product(alpha, beta):
-                term = (cls.size * wa * wb
-                        * sn_character(rho1, _merge_sorted(a1, b1))
-                        * sn_character(rho2, _merge_sorted(a2, b2)))
-                for row, coeff in zip(weighted, _subset_weight_poly(a2, b2)):
-                    row[c] += term * coeff
+
+    def left(a1, b1):
+        return sn_character(rho1, _merge_sorted(a1, b1))
+
+    weighted = []   # per degree 2k: |c| times the induced value on c
+    for k in range(n - m + 1):
+        def right(a2, b2, k=k):
+            return (_subset_weight_poly(a2, b2)[k]
+                    * sn_character(rho2, _merge_sorted(a2, b2)))
+
+        values = induce_product(n, m, left, right)
+        weighted.append([c.size * values[c.signature] for c in wn_classes(n)])
     degrees = {}
-    for k, dots in enumerate(_dot_rows(weighted, table.values())):
-        mults = {}
-        for irrep, dot in zip(table, dots):
-            val = Fraction(dot, order)
-            if val.denominator != 1 or val < 0:
-                raise AssertionError("multiplicity of %s in degree %d is %s"
-                                     % (irrep, 2 * k, val))
-            mult = int(val)
-            if mult:
-                mults[irrep] = mult
-        degrees[2 * k] = mults
+    for k, row in enumerate(_multiplicities(
+            weighted, n, lambda k: "degree %d piece" % (2 * k))):
+        for irrep, mult in row.items():
+            if mult < 0:
+                raise AssertionError("multiplicity of %s in degree %d is %d"
+                                     % (irrep, 2 * k, mult))
+        degrees[2 * k] = {irrep: mult for irrep, mult in row.items() if mult}
     return degrees

@@ -10,7 +10,9 @@ orbit's representation restricts to exactly the sum over its
 removable-node predecessors) is imposed, and the resulting assignment
 problem is solved by exhaustion.  Uniqueness failures raise instead of
 being silently resolved.  The per-rank checks (verify_restriction,
-d_difference_check, sum_squares_check) return lists of mismatch reports.
+d_difference_check, sum_squares_check) return lists of mismatch reports,
+each built by mismatch, which also builds every record of the CLI's
+verify suites.
 """
 
 from . import bicomb, hyperoct
@@ -135,6 +137,12 @@ def determine_correspondence(n_max):
     return solution
 
 
+def mismatch(check, n, instance, expected, got):
+    """One mismatch record of a verify report."""
+    return {"check": check, "n": n, "instance": instance,
+            "expected": expected, "got": got}
+
+
 def verify_restriction(n):
     """Compare the character-side branching against removable nodes.
 
@@ -151,9 +159,8 @@ def verify_restriction(n):
             got = matrix[label][other]
             expected = 1 if other in removal_set else 0
             if got != expected:
-                report.append({"check": "restriction", "n": n,
-                               "instance": "%s -> %s" % (label, other),
-                               "expected": expected, "got": got})
+                report.append(mismatch("restriction", n, "%s -> %s"
+                                       % (label, other), expected, got))
     return report
 
 
@@ -168,9 +175,8 @@ def d_difference_check(n):
             expected = 2 * row - 2 if comp == 1 else 2 * row - 1
             got = d_here - fiber_dim_d(child, n - 1)
             if got != expected:
-                report.append({"check": "d-difference", "n": n,
-                               "instance": "%s remove comp %d row %d" % (label, comp, row),
-                               "expected": expected, "got": got})
+                report.append(mismatch("d-difference", n, "%s remove comp %d row %d"
+                                       % (label, comp, row), expected, got))
     return report
 
 
@@ -180,5 +186,5 @@ def sum_squares_check(n):
     total = sum(hyperoct.irrep_dim(label) ** 2 for label in bipartitions_of(n))
     if total == hyperoct.wn_order(n):
         return []
-    return [{"check": "sum-squares", "n": n, "instance": "sum of squared dims",
-             "expected": hyperoct.wn_order(n), "got": total}]
+    return [mismatch("sum-squares", n, "sum of squared dims",
+                     hyperoct.wn_order(n), total)]

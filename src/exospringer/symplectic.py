@@ -11,6 +11,7 @@ builds representatives for.  `adjoint_eigenbasis` gives both.
 """
 
 from itertools import accumulate, groupby
+from operator import index
 
 from . import bicomb
 from .ffield import FpMatrix, check_modulus, json_fields, power_is_zero
@@ -206,7 +207,7 @@ class ExoticPair:
     def __init__(self, space, x, v, flavor):
         if flavor not in ("lie", "group"):
             raise ValueError("flavor must be 'lie' or 'group'")
-        v = tuple(int(c) % space.p for c in v)
+        v = tuple(index(c) % space.p for c in v)
         if len(v) != space.dim:
             raise ValueError("vector length != 2n")
         self._set(space, x, v, flavor)

@@ -346,3 +346,11 @@ def one_class_function(n):
 def test_other_size_checks_raise_rank_mismatch(call):
     with pytest.raises(RankMismatchError):
         call()
+
+
+@pytest.mark.parametrize("bad", [1.5, "2"])
+def test_bipartition_refuses_a_part_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError):
+        Bipartition((2, 1), (bad,))
+    with pytest.raises(TypeError):
+        Bipartition((bad,), ())

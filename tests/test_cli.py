@@ -242,6 +242,21 @@ def test_springer_with_census_counts(capsys):
     assert rows["-|1"]["census_count"] == 1
 
 
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3)])
+def test_springer_tsv_adds_the_census_counts_as_a_seventh_column(capsys, n, p):
+    argv = ("springer", "--n", str(n), "--census-p", str(p), "--format")
+    code, out = run(capsys, *argv, "json")
+    assert code == 0
+    want = {r["label"]: r["census_count"] for r in json.loads(out)["rows"]}
+    code, out = run(capsys, *argv, "tsv")
+    assert code == 0
+    header, *lines = [line.split("\t") for line in out.splitlines()]
+    assert header == ["label", "dim", "d", "irrep", "irrep_dim", "covers",
+                      "census_count"]
+    assert {line[0]: int(line[6]) for line in lines} == want
+    assert len(lines) == len(want) and all(len(line) == 7 for line in lines)
+
+
 def test_hasse_dot(capsys):
     code, out = run(capsys, "hasse", "--n", "2", "--format", "dot")
     assert code == 0
@@ -794,3 +809,16 @@ def test_classify_refuses_a_flavor_in_the_wrong_case(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: flavor must be 'lie' or 'group'\n"
+
+
+def test_report_schema_pins_the_mismatch_record():
+    from jsonschema import ValidationError
+    from exospringer.springer import mismatch
+    record = mismatch("restriction", 2, "1|1 -> 1|-", 1, 0)
+    report = {"suite": "restriction", "n": 2, "mismatches": [record],
+              "pass": False}
+    validate(report, "verify_report.schema.json")
+    for broken in ({**record, "extra": 1}, {**record, "check": "restrict"}):
+        with pytest.raises(ValidationError):
+            validate({**report, "mismatches": [broken]},
+                     "verify_report.schema.json")

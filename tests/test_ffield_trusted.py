@@ -200,3 +200,15 @@ def test_public_constructors_still_validate(p):
         FpMatrix.identity(0, p)
     with pytest.raises(ValueError):
         Subspace(2, [(1, 2, 3)], p)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2"])
+def test_fpmatrix_refuses_an_entry_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError):
+        FpMatrix([[1, bad]], 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2"])
+def test_subspace_refuses_a_coordinate_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError):
+        Subspace(2, [[bad, 2]], 3)

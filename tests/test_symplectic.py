@@ -476,3 +476,9 @@ def test_normal_form_check_survives_python_O():
                          env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")))
     assert out.returncode == 0, out.stderr
     assert out.stdout == "1 %r\n" % (expected,)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2"])
+def test_exotic_pair_refuses_a_vector_entry_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError):
+        ExoticPair(SymplecticSpace(1, 3), zeros(2, 2, 3), (bad, 0), "lie")
