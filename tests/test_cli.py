@@ -770,23 +770,22 @@ def test_verify_d_diff_reports_each_removal_of_a_shifted_d(monkeypatch,
     assert {m["check"] for m in report["mismatches"]} == {"d-difference"}
 
 
-@pytest.mark.parametrize("row, message", [
-    ({"1|-": 1, "-|1": 1}, "axiom 2|- -> 2|- conflicts with branching at rank 2"),
-    (None, "rank 2 admits no bijections")])
+@pytest.mark.parametrize("label, below, message", [
+    ("2|-", ("1|-", "-|1"), "axiom 2|- -> 2|- conflicts with branching at rank 2"),
+    ("1|1", ("1|-",), "rank 2 admits no bijections")])
 def test_verify_determine_reports_an_ambiguous_assignment(monkeypatch, capsys,
-                                                          row, message):
+                                                          label, below, message):
     # 2|- restricting to both rank-1 labels breaks its axiom; 1|1
     # restricting to 1|- alone leaves the orbit 1|1 no candidate irrep
     from exospringer import hyperoct
-    from exospringer.bicomb import parse_bipartition
+    from exospringer.bicomb import bipartitions_of, parse_bipartition
     restrict = hyperoct.restrict_branching
-    label = parse_bipartition("2|-" if row else "1|1")
 
     def broken(n):
         matrix = restrict(n)
         if n == 2:
-            matrix[label] = {parse_bipartition(k): v for k, v in
-                             (row or {"1|-": 1, "-|1": 0}).items()}
+            matrix[parse_bipartition(label)] = {
+                other: int(str(other) in below) for other in bipartitions_of(1)}
         return matrix
 
     monkeypatch.setattr(hyperoct, "restrict_branching", broken)
