@@ -16,6 +16,8 @@ from itertools import accumulate, zip_longest
 from math import factorial, prod
 from operator import index
 
+from .ffield import Frozen
+
 
 class RankMismatchError(ValueError):
     pass
@@ -88,33 +90,26 @@ def standard_tableau_count(parts):
     return count
 
 
-class Bipartition:
-    """Ordered pair of partitions; the universal label of this package."""
+class Bipartition(Frozen):
+    """Ordered pair of partitions; the universal label of this package.
+
+    `_trusted(first, second)` wraps two valid partitions: tuples of
+    positive ints, weakly decreasing.  Labels built inside the package
+    take that path, as their parts are valid by construction
+    (`partitions_of`, a removed corner, a merged-in part 1);
+    `Bipartition(...)` and `parse_bipartition` check outside input.
+    """
 
     __slots__ = ("first", "second", "_hash")
 
     def __init__(self, first, second):
         self._set(check_partition(first), check_partition(second))
 
-    @classmethod
-    def _trusted(cls, first, second):
-        """Wrap two valid partitions: tuples of positive ints, weakly
-        decreasing.  Labels built inside the package take this path, as
-        their parts are valid by construction (`partitions_of`, a removed
-        corner, a merged-in part 1); `Bipartition(...)` and
-        `parse_bipartition` check outside input."""
-        bp = object.__new__(cls)
-        bp._set(first, second)
-        return bp
-
     def _set(self, first, second):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
         # labels key the census's dicts, one lookup per labelled line
         object.__setattr__(self, "_hash", hash((first, second)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bipartition is immutable")
 
     @property
     def n(self):

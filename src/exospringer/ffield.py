@@ -11,11 +11,12 @@ Inputs are validated once, at the API edge.  The public constructors
 the shape.  The primality test is a deterministic Miller-Rabin; at
 p = 2^31 - 1 it is the dearest of the checks (about 0.1 ms, against
 1 us at p = 7).  Results are trusted inside: every operation's output is
-reduced by construction, so it is built with the private `_trusted`
-constructors (and `FpMatrix._identity`), which skip all three checks.
-Library code that builds an already-reduced matrix or span over a
-modulus it has checked uses them too, so a symplectic space tests its
-p once and none of the matrices it makes.
+reduced by construction, so it is built with `Frozen._trusted` (or
+`FpMatrix._identity`), which skips all three checks; `Frozen` is the one
+immutable base of the package's value types.  Library code that builds
+an already-reduced matrix or span over a modulus it has checked uses
+`_trusted` too, so a symplectic space tests its p once and none of the
+matrices it makes.
 
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
 rows; a kernel is one `_rref_rows`, kept as semi-echelon (pivot, row)
@@ -27,6 +28,23 @@ and `FpMatrix.power` take their factors from one squaring chain,
 """
 
 from operator import index, mul
+
+
+class Frozen:
+    """Base of a value type: validated at the API edge, trusted inside,
+    never mutated.  A subclass stores its slots in `_set`, which its
+    checking `__init__` calls, and so does `_trusted`, with no check."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @classmethod
+    def _trusted(cls, *values):
+        obj = object.__new__(cls)
+        obj._set(*values)
+        return obj
 
 
 class NonSquareError(ValueError):
@@ -251,15 +269,10 @@ def power_is_zero(rows, k, p, minus_one=False):
     return not any(sum(map(mul, row, col)) % p for row in a for col in bt)
 
 
-def _set_matrix(m, rows, p):
-    object.__setattr__(m, "p", p)
-    object.__setattr__(m, "rows", len(rows))
-    object.__setattr__(m, "cols", len(rows[0]))
-    object.__setattr__(m, "entries", rows)
-
-
-class FpMatrix:
-    """Immutable dense matrix over F_p (row-major tuple of tuples)."""
+class FpMatrix(Frozen):
+    """Immutable dense matrix over F_p (row-major tuple of tuples);
+    `_trusted(rows, p)` takes a non-empty tuple of equal-length tuples
+    of ints in [0, p), over a checked modulus p."""
 
     __slots__ = ("p", "rows", "cols", "entries")
 
@@ -271,18 +284,13 @@ class FpMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        _set_matrix(self, rows, p)
+        self._set(rows, p)
 
-    @classmethod
-    def _trusted(cls, rows, p):
-        """Wrap rows that are already valid: a non-empty tuple of
-        equal-length tuples of ints in [0, p), over a checked modulus p."""
-        m = object.__new__(cls)
-        _set_matrix(m, rows, p)
-        return m
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpMatrix is immutable")
+    def _set(self, rows, p):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]))
+        object.__setattr__(self, "entries", rows)
 
     # -- constructors ------------------------------------------------
 
@@ -423,11 +431,12 @@ def _unflatten(flat, rows, cols):
     return tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
-class Subspace:
+class Subspace(Frozen):
     """Subspace of F_p^n, stored as a canonical reduced-echelon basis.
 
     Basis vectors are rows of an rref matrix, so two equal subspaces
-    always produce identical objects.
+    always produce identical objects.  `_trusted(ambient_dim, vectors, p)`
+    spans sequences of ambient_dim ints in [0, p), over a checked p.
     """
 
     __slots__ = ("ambient_dim", "basis", "p", "_pivots")
@@ -437,26 +446,15 @@ class Subspace:
         vecs = [[index(x) % p for x in v] for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length != ambient dim")
-        self._set_span(ambient_dim, vecs, p)
+        self._set(ambient_dim, vecs, p)
 
-    @classmethod
-    def _trusted(cls, ambient_dim, vectors, p):
-        """The span of vectors that are already valid: sequences of
-        ambient_dim ints in [0, p), over a checked modulus p."""
-        w = object.__new__(cls)
-        w._set_span(ambient_dim, vectors, p)
-        return w
-
-    def _set_span(self, ambient_dim, vectors, p):
+    def _set(self, ambient_dim, vectors, p):
         red, pivots = _rref_rows([list(v) for v in vectors if any(v)],
                                  ambient_dim, p)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(map(tuple, red[:len(pivots)])))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_pivots", pivots)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self):

@@ -40,7 +40,7 @@ from math import comb, factorial
 from operator import mul
 
 from .bicomb import Bipartition, RankMismatchError, bipartitions_of, \
-    check_rank, partitions_of, standard_tableau_count
+    check_partition, check_rank, partitions_of, standard_tableau_count
 
 
 def wn_order(n):
@@ -165,6 +165,9 @@ def sn_character(lam, rho):
     if sum(lam) != sum(rho):
         raise RankMismatchError("|%r| != |%r|" % (lam, rho))
     column, rows = sn_table(sum(rho))
+    for name, arg, keys in (("lam", lam, rows), ("rho", rho, column)):
+        if arg not in keys:
+            raise ValueError("%s = %r is not a partition" % (name, arg))
     return rows[lam][column[rho]]
 
 
@@ -493,7 +496,7 @@ def graded_fiber_module(n, m, rho1, rho2):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    rho1, rho2 = tuple(rho1), tuple(rho2)
+    rho1, rho2 = check_partition(rho1), check_partition(rho2)
     if sum(rho1) != m or sum(rho2) != n - m:
         raise ValueError("|rho1| must be m and |rho2| must be n - m")
 

@@ -14,7 +14,7 @@ from itertools import accumulate, groupby
 from operator import index
 
 from . import bicomb
-from .ffield import FpMatrix, check_modulus, json_fields, power_is_zero
+from .ffield import FpMatrix, Frozen, check_modulus, json_fields, power_is_zero
 
 
 class NotInGIotaThetaError(ValueError):
@@ -25,7 +25,7 @@ class NotInAError(ValueError):
     pass
 
 
-class SymplecticSpace:
+class SymplecticSpace(Frozen):
     """Dimension-2n symplectic space over F_p with the block form J."""
 
     __slots__ = ("n", "p", "J", "_signed_perm", "_one")
@@ -48,9 +48,6 @@ class SymplecticSpace:
             next((r, 1 if c == 1 else -1) for r, c in enumerate(col) if c)
             for col in zip(*self.J.entries)))
         object.__setattr__(self, "_one", FpMatrix._identity(2 * n, p))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymplecticSpace is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticSpace)
@@ -195,11 +192,14 @@ class SymplecticSpace:
                              % (self.dim, self.dim, self.p))
 
 
-class ExoticPair:
+class ExoticPair(Frozen):
     """A self-adjoint matrix together with a vector.
 
     flavor 'lie':   x nilpotent self-adjoint (a point of the exotic cone)
     flavor 'group': x unipotent self-adjoint
+
+    `_trusted(space, x, v, flavor)` wraps a valid pair: v a tuple of 2n
+    ints in [0, p), x on the cone.
     """
 
     __slots__ = ("space", "x", "v", "flavor")
@@ -213,19 +213,9 @@ class ExoticPair:
         self._set(space, x, v, flavor)
         self.validate()
 
-    @classmethod
-    def _trusted(cls, space, x, v, flavor):
-        """Wrap a valid pair: v a tuple of 2n ints in [0, p), x on the cone."""
-        pair = object.__new__(cls)
-        pair._set(space, x, v, flavor)
-        return pair
-
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExoticPair is immutable")
 
     def validate(self):
         """x self-adjoint, then x^n = 0 (lie) or (x - 1)^n = 0 (group),

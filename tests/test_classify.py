@@ -213,7 +213,7 @@ def test_labelers_invert_nothing_and_reduce_each_kernel_power_once(monkeypatch):
 
     monkeypatch.setattr(ffield, "_rref_rows", counted)
     monkeypatch.setattr(FpMatrix, "inverse", refuse)
-    monkeypatch.setattr(ffield.Subspace, "_set_span", refuse)
+    monkeypatch.setattr(ffield.Subspace, "_set", refuse)
     for x in xs:
         exotic_labeler(x)
     assert len(rrefs) == sum(indices)

@@ -2,7 +2,8 @@
 
 Every operation builds its result without validation; each result must
 equal the same entries pushed through the public constructor, which
-reduces mod p and checks the modulus and the shape.
+reduces mod p and checks the modulus and the shape.  The same holds for
+the other value types that share `Frozen._trusted`.
 """
 
 from math import isqrt
@@ -10,8 +11,12 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exospringer import bicomb, ffield
+from exospringer.bicomb import Bipartition, bipartitions_of
+from exospringer.census import enumerate_exotic_nilcone
 from exospringer.ffield import (FpMatrix, Subspace, check_modulus,
                                 commutant_basis, induced_action, is_odd_prime)
+from exospringer.symplectic import ExoticPair
 
 LARGE_P = 2**31 - 1
 PRIMES = (3, 5, 7, LARGE_P)
@@ -117,6 +122,34 @@ def test_trusted_span_equals_public_span(data):
         assert trusted == public and hash(trusted) == hash(public)
         assert trusted._pivots == public._pivots
         assert all(isinstance(v, tuple) for v in trusted.basis)
+
+
+TRUSTED_CASES = {
+    "Bipartition": lambda: (Bipartition, [
+        (b.first, b.second) for n in range(5) for b in bipartitions_of(n)]),
+    "ExoticPair": lambda: (ExoticPair, [
+        (q.space, q.x, q.v, q.flavor) for flavor in ("lie", "group")
+        for q in enumerate_exotic_nilcone(1, 3, flavor)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRUSTED_CASES))
+def test_trusted_value_equals_validated_value(kind, monkeypatch):
+    cls, cases = TRUSTED_CASES[kind]()
+    validated = [cls(*args) for args in cases]
+
+    def refuse(*args):
+        raise AssertionError("_trusted ran a check")
+
+    monkeypatch.setattr(bicomb, "check_partition", refuse)
+    monkeypatch.setattr(ExoticPair, "validate", refuse)
+    monkeypatch.setattr(ffield, "check_modulus", refuse)
+    with pytest.raises(AssertionError):     # the validated path does check
+        cls(*cases[0])
+    for args, value in zip(cases, validated):
+        trusted = cls._trusted(*args)
+        assert type(trusted) is cls
+        assert trusted == value and hash(trusted) == hash(value)
 
 
 def test_modulus_check_rejects_bad_moduli_after_a_good_one():

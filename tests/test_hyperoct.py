@@ -104,6 +104,8 @@ def test_sn_character_examples():
     assert sn_character((2, 1), (3,)) == -1
     with pytest.raises(RankMismatchError):
         sn_character((2,), (1,))
+    with pytest.raises(ValueError, match=r"lam = \(1, 2\) is not a partition"):
+        sn_character((1, 2), (2, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -587,3 +589,8 @@ def test_graded_fiber_errors():
         graded_fiber_module(2, 3, (1, 1, 1), ())
     with pytest.raises(ValueError):
         graded_fiber_module(2, 1, (2,), ())
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        graded_fiber_module(3, 3, (1, 2), ())
+    # a zero part is dropped, as everywhere a partition is read
+    assert graded_fiber_module(3, 2, (2, 0), (1,)) == \
+        graded_fiber_module(3, 2, (2,), (1,))

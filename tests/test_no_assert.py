@@ -12,3 +12,39 @@ def test_library_checks_are_raises_not_asserts():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _nodes(tree):
+    """(dotted name of the innermost enclosing class or def, node) for
+    every node; a def or class is named with itself."""
+    stack = [("", tree)]
+    while stack:
+        owner, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = owner + "." + child.name if owner else child.name
+            yield name, child
+            stack.append((name, child))
+
+
+def _is_object_new(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object")
+
+
+def test_only_frozen_guards_and_builds_unchecked_values():
+    # every value type inherits ffield.Frozen's immutability guard and
+    # trusted constructor; none writes its own copy of either
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _nodes(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("__setattr__", "_trusted")):
+                found.append("%s:%s" % (path.stem, owner))
+            elif _is_object_new(node):
+                found.append("%s:%s calls object.__new__" % (path.stem, owner))
+    assert sorted(found) == ["ffield:Frozen.__setattr__", "ffield:Frozen._trusted",
+                             "ffield:Frozen._trusted calls object.__new__"]

@@ -229,8 +229,9 @@ VALUES = {
 
 @pytest.mark.parametrize("kind", sorted(VALUES))
 def test_value_types_refuse_attribute_assignment(kind):
-    # each type's own __setattr__ guard refuses a slot it has as well as a
-    # new name, and the value is left as it was
+    # the guard every type inherits from ffield.Frozen refuses a slot it
+    # has as well as a new name, names the type, and leaves the value as
+    # it was
     value, slot = VALUES[kind]()
     before = getattr(value, slot)
     for name in (slot, "extra"):
