@@ -101,6 +101,7 @@ class Bipartition(Frozen):
     """
 
     __slots__ = ("first", "second", "_hash")
+    _set_args = ("first", "second")
 
     def __init__(self, first, second):
         self._set(check_partition(first), check_partition(second))

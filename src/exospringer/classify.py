@@ -12,18 +12,22 @@ from `jordan_chains`, and in that basis W = sum_j t^(b_j) M_j, with the
 b_j read off the valuations of P^-1 v on each chain (Achar-Henderson,
 Orbit closures in the enhanced nilpotent cone, Adv. Math. 2008).
 
-Stabilizer dimensions are kernels of explicit linear systems on the
-symplectic Lie algebra.  For self-adjoint x the bracket [h, x] is
-self-adjoint too, so h x = x h is read on its 2n^2 - n self-adjoint
-coordinates only.  The unknowns are h's coordinates on the units
-E_ij + c E_kl of `adjoint_units(-1)` (and, under a line condition
-h<w> in <w>, one scalar t with h w = t w), and each column is read off
-the rows and columns of x that its at most two terms touch, with no sp
-basis matrix built, kept sparse and ranked by `sparse_rank`.  The
-geometric (algebraic-group) dimensions are recovered on the nose for
-odd p (checked across several primes in the tests).
+Stabilizer dimensions are kernels of linear systems on the symplectic
+Lie algebra over F_p; they equal the geometric dimensions for odd p
+(checked across several primes in the tests).  `stabilizer_dim` works in
+the same chain basis.  With S = J h, h is in sp_2n iff S is symmetric;
+for self-adjoint x (x^T J = J x), h x = x h iff S x = x^T S, i.e. iff
+S N is symmetric, for x = N or 1 + N; and h v = 0 iff S v = 0.  The
+congruence S' = P^T S P turns these into S' N' symmetric and S' v' = 0,
+for the chain shift N' = P^-1 N P and v' = P^-1 v, so the system reads
+no entry of x.  The line condition h w in <w> of
+`parabolic_stabilizer_dim` reads J in the original basis, so it keeps
+the x-basis system of `_stabilizer_columns` (h's coordinates on the
+units of `adjoint_units(-1)`, [h, x] read on its 2n^2 - n self-adjoint
+coordinates), which is also the tests' oracle for the chain-basis one.
 """
 
+from itertools import accumulate, combinations_with_replacement
 from operator import mul
 
 from .bicomb import Bipartition
@@ -79,11 +83,15 @@ def exotic_labeler(n_mat, by_valuations=None):
     several matrices, as one census pass does, passes one dict to every
     labeller; without one, the labeller keeps its own.
     """
-    blocks = jordan_chains(n_mat)
-    lengths = tuple(map(len, blocks))
-    m, p = n_mat.rows, n_mat.p
     if by_valuations is None:
         by_valuations = {}
+    return _chain_labeler(jordan_chains(n_mat), n_mat.p, by_valuations)
+
+
+def _chain_labeler(blocks, p, by_valuations):
+    """`exotic_labeler`'s v -> label on the chains `blocks` of N."""
+    lengths = tuple(map(len, blocks))
+    m = sum(lengths)
 
     def label_of(v):
         if len(v) != m:
@@ -186,10 +194,51 @@ def _stabilizer_columns(space, x, v, line=None):
 
 def stabilizer_dim(pair, include_v):
     """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}; pair.x is
-    self-adjoint, as every validated pair's is."""
-    columns = _stabilizer_columns(pair.space, pair.x,
-                                  pair.v if include_v else None)
-    return _kernel_dim(pair.space, columns)
+    self-adjoint, as every validated pair's is.  Solved in the chain basis
+    of the nilpotent part, as the module docstring derives."""
+    return _chain_stabilizer_dim(jordan_chains(pair.nilpotent_part()),
+                                 pair.v if include_v else None, pair.space.p)
+
+
+def label_and_stabilizer_dim(pair):
+    """(`exotic_type(pair)`, `stabilizer_dim(pair, include_v=True)`), both
+    read off one `jordan_chains` of the nilpotent part."""
+    blocks = jordan_chains(pair.nilpotent_part())
+    p = pair.space.p
+    return (_chain_labeler(blocks, p, {})(pair.v),
+            _chain_stabilizer_dim(blocks, pair.v, p))
+
+
+def _chain_stabilizer_dim(blocks, v, p):
+    """dim {S' symmetric : S' N' symmetric (, S' v' = 0)}, for `blocks`
+    the rows of P^-1 from `jordan_chains`, N' = P^-1 N P and v' = P^-1 v.
+
+    Coordinate a is N^k u for row k of a chain, so N' sends it to a + 1,
+    or to 0 at the chain's end, and (S' N')_ab = S'_(a, b+1).  The
+    unknowns S'_ab, a <= b, are numbered 0 .. m(m+1)/2 - 1.  One row per
+    a < b reads S'_(a, b+1) - S'_(b, a+1), at most two distinct unknowns,
+    and the m rows of S' v' (with v) follow; one `sparse_rank` ranks all.
+    """
+    m = sum(map(len, blocks))
+    ends = {end - 1 for end in accumulate(map(len, blocks))}
+    unknown = [[0] * m for _ in range(m)]
+    for k, (a, b) in enumerate(combinations_with_replacement(range(m), 2)):
+        unknown[a][b] = unknown[b][a] = k
+    rows = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            row = {}
+            if b not in ends:
+                row[unknown[a][b + 1]] = 1
+            if a not in ends:
+                row[unknown[b][a + 1]] = p - 1
+            rows.append(row)
+    if v is not None:
+        coords = [(b, c) for b, c in enumerate(
+            sum(map(mul, row, v)) % p for chain in blocks for row in chain)
+            if c]
+        rows += [{unknown[a][b]: c for b, c in coords} for a in range(m)]
+    return m * (m + 1) // 2 - sparse_rank(rows, p)
 
 
 def cyclic_dim(pair):

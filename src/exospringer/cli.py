@@ -257,12 +257,12 @@ def cmd_classify(args):
         raise ValueError("classify --input %s is not JSON: %s"
                          % (args.input, exc)) from None
     pair = ExoticPair.from_json(obj)
-    label = classify.exotic_type(pair)
+    label, stab_dim = classify.label_and_stabilizer_dim(pair)
     n = pair.space.n
     return _json({"label": format_bipartition(label),
                   "dim_orbit": bicomb.orbit_dim(label, n),
                   "d": bicomb.fiber_dim_d(label, n),
-                  "stab_dim": classify.stabilizer_dim(pair, include_v=True)}), 0
+                  "stab_dim": stab_dim}), 0
 
 
 def cmd_repr(args):

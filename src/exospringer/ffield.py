@@ -33,12 +33,18 @@ from operator import index, mul
 class Frozen:
     """Base of a value type: validated at the API edge, trusted inside,
     never mutated.  A subclass stores its slots in `_set`, which its
-    checking `__init__` calls, and so does `_trusted`, with no check."""
+    checking `__init__` calls, and so does `_trusted`, with no check.
+    `_set_args` names the attributes that hold `_set`'s arguments, so
+    that copy and pickle rebuild a value through `_trusted` rather than
+    by setting its slots, which `__setattr__` refuses."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return self._trusted, tuple(getattr(self, a) for a in self._set_args)
 
     @classmethod
     def _trusted(cls, *values):
@@ -275,6 +281,7 @@ class FpMatrix(Frozen):
     of ints in [0, p), over a checked modulus p."""
 
     __slots__ = ("p", "rows", "cols", "entries")
+    _set_args = ("entries", "p")
 
     def __init__(self, entries, p):
         check_modulus(p)
@@ -440,6 +447,7 @@ class Subspace(Frozen):
     """
 
     __slots__ = ("ambient_dim", "basis", "p", "_pivots")
+    _set_args = ("ambient_dim", "basis", "p")
 
     def __init__(self, ambient_dim, vectors, p):
         check_modulus(p)

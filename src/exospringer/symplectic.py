@@ -56,6 +56,10 @@ class SymplecticSpace(Frozen):
     def __hash__(self):
         return hash((self.n, self.p))
 
+    def __reduce__(self):
+        # no trusted path: a copy is built, and checked, from (n, p)
+        return SymplecticSpace, (self.n, self.p)
+
     def __repr__(self):
         return "SymplecticSpace(n=%d, p=%d)" % (self.n, self.p)
 
@@ -202,7 +206,7 @@ class ExoticPair(Frozen):
     ints in [0, p), x on the cone.
     """
 
-    __slots__ = ("space", "x", "v", "flavor")
+    __slots__ = _set_args = ("space", "x", "v", "flavor")
 
     def __init__(self, space, x, v, flavor):
         if flavor not in ("lie", "group"):

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ from exospringer import classify, ffield
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
 from exospringer.classify import (
-    NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler, exotic_type,
+    NotDoubledError, _kernel_dim, _stabilizer_columns, cyclic_dim,
+    enhanced_type, exotic_labeler, exotic_type, label_and_stabilizer_dim,
     parabolic_stabilizer_dim, stabilizer_dim)
-from exospringer.census import _cone_xs, seeded_basis_change
+from exospringer.census import _cone_xs, _line_reps, seeded_basis_change
 from exospringer.ffield import (FpMatrix, NotNilpotentError, jordan_chains,
                                 nilpotent_jordan_type, power_is_zero)
 from exospringer.symplectic import (ExoticPair, NormalFormData, SymplecticSpace,
@@ -521,7 +523,6 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
     # are the dense rows at the leading 1s of the self-adjoint basis, and
     # they cut out the same kernel as the full dense system; the rows are
     # built from the adjoint units, the dense ones from the basis matrices
-    from exospringer.classify import _kernel_dim, _stabilizer_columns
     for n in (1, 2, 3, 4):
         space = SymplecticSpace(n, p)
         dim = space.dim
@@ -557,11 +558,64 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
                     dense_kernel_dim(space, basis, x, v, w)
 
 
+def x_basis_stabilizer_dim(pair, include_v):
+    # the system `parabolic_stabilizer_dim` keeps: h's coordinates on the
+    # sp_2n units, with h x = x h read off the entries of x
+    space = pair.space
+    return _kernel_dim(space, _stabilizer_columns(
+        space, pair.x, pair.v if include_v else None))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+def test_chain_basis_stabilizer_dims_equal_the_x_basis_system(p):
+    # every label of n <= 4, moved by a seeded symplectic g, in both
+    # flavors (x - 1 of a moved unipotent is on the lie cone), with its
+    # normal-form v and with a random v, and with and without v
+    rng = random.Random(p)
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, p)
+        for seed, label in enumerate(bipartitions_of(n)):
+            nf = normal_form_pair(label, space)
+            g = seeded_basis_change(space, seed)
+            y = g * nf.pair.x * space.adjoint(g)
+            random_v = tuple(rng.randrange(p) for _ in range(space.dim))
+            for flavor, x in (("group", y), ("lie", y - space._one)):
+                for v in (g.apply(nf.pair.v), random_v):
+                    pair = ExoticPair(space, x, v, flavor)
+                    dims = [stabilizer_dim(pair, include_v)
+                            for include_v in (False, True)]
+                    assert dims == [x_basis_stabilizer_dim(pair, include_v)
+                                    for include_v in (False, True)]
+                    assert label_and_stabilizer_dim(pair) == \
+                        (exotic_type(pair), dims[1])
+
+
+@pytest.mark.parametrize("n, p", ((1, 3), (2, 3)))
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_chain_basis_stabilizer_dims_on_every_census_point(n, p, flavor):
+    # the points the census labels: every cone x, with v = 0 and one v per
+    # line (h (c v) = 0 iff h v = 0, so a line has one stabilizer); the
+    # chains of each x are built once, as `label_and_stabilizer_dim` does
+    space = SymplecticSpace(n, p)
+    vectors = _line_reps(space)
+    for _, x in _cone_xs(space, flavor):
+        pair = ExoticPair._trusted(space, x, vectors[0], flavor)
+        assert stabilizer_dim(pair, include_v=False) == \
+            x_basis_stabilizer_dim(pair, include_v=False)
+        blocks = jordan_chains(pair.nilpotent_part())
+        for v in vectors:
+            pair = ExoticPair._trusted(space, x, v, flavor)
+            assert classify._chain_stabilizer_dim(blocks, v, p) == \
+                x_basis_stabilizer_dim(pair, include_v=True)
+
+
 def test_stabilizer_dim_cost(monkeypatch):
-    # n = 4: one system of 2n^2 + n sparse columns over 2n^2 - n commutator
-    # coordinates and 2n v coordinates, built from the adjoint units with
-    # no sp basis matrix, and ranked by one sparse elimination with no
-    # reduced echelon form
+    # n = 4: one `jordan_chains` of the nilpotent part and one system in its
+    # chain basis, ranked by one sparse elimination: n(2n + 1) = 36
+    # unknowns S'_ab (a <= b), 28 commutation rows (one per a < b) of at
+    # most two entries +-1, then 8 rows for S' v' = 0.  It reads no entry
+    # of x: no x-basis system, no sp_2n unit or basis matrix, and no
+    # reduced echelon form but the kernels the chains are built from
     n, p = 4, 5
     space = SymplecticSpace(n, p)
     label = Bipartition((2, 1), (1,))
@@ -569,41 +623,48 @@ def test_stabilizer_dim_cost(monkeypatch):
     g = seeded_basis_change(space, 3)
     pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
                       nf.pair.flavor)
-    systems, ranked, rref_calls, bases = [], [], [], []
-    stabilizer_columns, rref_rows = classify._stabilizer_columns, ffield._rref_rows
+    chains, ranked, rref_calls, inside = [], [], [], []
+    jordan, rref_rows = classify.jordan_chains, ffield._rref_rows
     sparse_rank = classify.sparse_rank
-    eigenbasis = SymplecticSpace.adjoint_eigenbasis
 
-    def recorded(*args, **kwargs):
-        columns = stabilizer_columns(*args, **kwargs)
-        systems.append((len(columns), {r for col in columns for r in col}))
-        return columns
+    def chained(n_mat):
+        chains.append(n_mat)
+        inside.append(n_mat)
+        try:
+            return jordan(n_mat)
+        finally:
+            inside.pop()
 
-    def rank_counted(columns, p):
-        ranked.append(len(columns))
-        return sparse_rank(columns, p)
+    def rank_counted(rows, p):
+        ranked.append([dict(row) for row in rows])
+        return sparse_rank(rows, p)
 
     def counted(*args):
-        rref_calls.append(1)
+        rref_calls.append(bool(inside))
         return rref_rows(*args)
 
-    def listed(self, sign):
-        bases.append(sign)
-        return eigenbasis(self, sign)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stabilizer read x in its own basis")
 
-    monkeypatch.setattr(classify, "_stabilizer_columns", recorded)
+    monkeypatch.setattr(classify, "jordan_chains", chained)
     monkeypatch.setattr(classify, "sparse_rank", rank_counted)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
-    monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", listed)
+    monkeypatch.setattr(classify, "_stabilizer_columns", refuse)
+    monkeypatch.setattr(SymplecticSpace, "adjoint_units", refuse)
+    monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", refuse)
     assert stabilizer_dim(pair, include_v=True) == \
         2 * n * n + n - orbit_dim(label, n)
-    [(unknowns, conditions)] = systems
-    assert unknowns == 2 * n * n + n == 36
-    assert conditions <= set(range(2 * n * n - n + 2 * n)) == set(range(28 + 8))
-    assert conditions & set(range(28)) and conditions - set(range(28))
-    assert ranked == [36]
-    assert rref_calls == []
-    assert bases == []
+    assert chains == [pair.nilpotent_part()]
+    [rows] = ranked
+    assert len(rows) == 28 + 8
+    assert {k for row in rows for k in row} <= set(range(2 * n * n + n))
+    # a difference S'_(a, succ b) - S'_(b, succ a), or one of its terms;
+    # the sum instead gives the same dimension on every case tried, so
+    # no dimension test can see the sign
+    assert all(sorted(row.values()) in ([], [1], [p - 1], [1, p - 1])
+               for row in rows[:28])
+    assert any(rows[:28]) and any(rows[28:])
+    assert rref_calls and all(rref_calls)
 
 
 def test_halve_doubled_refuses_undoubled_parts():

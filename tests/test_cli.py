@@ -106,6 +106,40 @@ def test_classify_checks_the_modulus_once_per_validated_object(
     assert tested == [p, p]
 
 
+def test_classify_builds_the_jordan_chains_once_per_call(monkeypatch, capsys):
+    # the label and the stabilizer dimension are both read off one chain
+    # basis of the nilpotent part
+    from exospringer import classify, ffield
+    from exospringer.bicomb import parse_bipartition
+    from exospringer.census import seeded_basis_change
+    from exospringer.symplectic import ExoticPair, SymplecticSpace, \
+        normal_form_pair
+    built = []
+    jordan_chains = ffield.jordan_chains
+
+    def counted(n_mat):
+        built.append(n_mat)
+        return jordan_chains(n_mat)
+
+    monkeypatch.setattr(ffield, "jordan_chains", counted)
+    monkeypatch.setattr(classify, "jordan_chains", counted)
+    space = SymplecticSpace(3, 5)
+    for calls, (label, flavor) in enumerate(
+            (("2|1", "group"), ("1|1,1", "lie"), ("-|3", "group")), start=1):
+        nf = normal_form_pair(parse_bipartition(label), space)
+        g = seeded_basis_change(space, calls)
+        x = g * nf.pair.x * space.adjoint(g)
+        pair = ExoticPair(space, x if flavor == "group" else x - space._one,
+                          g.apply(nf.pair.v), flavor)
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(json.dumps(pair.to_json())))
+        code, out = run(capsys, "classify", "--input", "-")
+        assert code == 0
+        assert json.loads(out)["label"] == label
+        assert len(built) == calls
+        assert built[-1] == pair.nilpotent_part()
+
+
 def test_verify_sum_squares(capsys):
     code, out = run(capsys, "verify", "--suite", "sum-squares", "--n", "8")
     assert code == 0
