@@ -11,7 +11,8 @@ before any enumeration, instead of silently grinding.
 Points are integer codes: base-p digits, a vector's coordinates or a
 self-adjoint x's entries at the leading (i, j) of `adjoint_units(1)`.
 `_linear_rows` enumerates every F_p^k in code order, so a point's code
-is its position, made once.  Each generator of Sp acts on codes as two
+is its position, made once; `_entry_rows` holds each entry of x, one
+row per entry, at every code.  Each generator of Sp acts on codes as two
 permutation tables, built per call by linearity.  Orbits are union-find
 classes of point ints k p^(2n) + v-code, k the position of x on the locus.
 
@@ -22,11 +23,20 @@ every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  A seed moves these line vectors only:
 x -> g x g^-1 permutes the cone, so the points (x, g v) are the points
 (g x g^-1, g v) in another order.  The orbit check reuses the labels.
-The cone is found with `power_is_zero`, the nilpotence test that
-`ExoticPair.validate` uses too: on x's rows, with no matrix built per x,
-and stopping at the first nonzero entry of x^n (or (x - 1)^n).  A group
+The cone scan first reads the trace of every code, one sum of the
+diagonal entry rows: a nilpotent x has trace 0 and a unipotent one 2n,
+so only the p^(d-1) codes of that hyperplane (of p^d, d = 2n^2 - n) are
+built as matrices.  `power_is_zero`, the nilpotence test that
+`ExoticPair.validate` uses too, decides each of them on x's rows,
+stopping at the first nonzero entry of x^n (or (x - 1)^n).  A group
 point x is labelled through x - 1, as `ExoticPair.nilpotent_part` does:
 the scan has shown what `log_map` would check.
+
+The Klyachko locus, the invertible self-adjoint x, is read at every
+code at once too.  x* = x means x^T J = J x, so J x is skew, and
+det J = 1, so det x = Pf(J x)^2: `_pfaffian_rows` expands Pf(J x) over
+the entry rows, and the locus is where it is nonzero.  No x is built
+or ranked on that path; the tests keep the rank as its oracle.
 
 Every transvection, a generator or a factor of the seeded basis change,
 is one rank-one update, `_times_transvection`, checked symplectic in
@@ -35,6 +45,7 @@ closed form; `_action_tables` checks each generator by membership too.
 
 import random
 from collections import Counter
+from itertools import compress
 from operator import mul
 
 from . import classify
@@ -187,8 +198,9 @@ def _linear_rows(columns, p):
     one input digit at a time, with no product per code."""
     rows = [[0] for _ in columns[0]]
     for column in columns:
-        rows = [[(y + d * a) % p for d in range(p) for y in row]
-                for row, a in zip(rows, column)]
+        # a = 0 repeats the row p times (its entries are already reduced)
+        rows = [[(y + d * a) % p for d in range(p) for y in row] if a
+                else row * p for row, a in zip(rows, column)]
     return rows
 
 
@@ -225,11 +237,46 @@ def _action_tables(space, generators):
     return tables
 
 
+def _entry_rows(space):
+    """Row k holds entry k (row-major) of the self-adjoint x at every code."""
+    return _linear_rows([sum(b.entries, ()) for b in space.adjoint_eigenbasis(1)],
+                        space.p)
+
+
 def iter_self_adjoint(space):
     """Every self-adjoint matrix, in code order."""
-    dim, p, basis = space.dim, space.p, space.adjoint_eigenbasis(1)
-    for flat in zip(*_linear_rows([sum(b.entries, ()) for b in basis], p)):
+    dim, p = space.dim, space.p
+    for flat in zip(*_entry_rows(space)):
         yield FpMatrix._trusted(_unflatten(flat, dim, dim), p)
+
+
+def _pfaffian_rows(space):
+    """Pf(J x) at every self-adjoint code.  J x is skew for self-adjoint x,
+    and det J = 1, so det x = Pf(J x)^2: x is invertible exactly where
+    this is nonzero.  Row pi(b) of J x is s_b times row b of x
+    (`space._signed_perm`), so J x is read off x's `_entry_rows`, and Pf
+    is expanded along the first index i:
+    Pf(A) = sum over the k-th other index j of (-1)^k A_ij Pf(A without i, j)."""
+    dim, p = space.dim, space.p
+    rows = _entry_rows(space)
+    jx = {}                 # (pi(b), j) -> (s_b, the code row of x_bj)
+    for b, (pb, s) in enumerate(space._signed_perm):
+        for j in range(dim):
+            jx[pb, j] = s, rows[b * dim + j]
+
+    def pf(index):
+        if not index:
+            return [1] * len(rows[0])
+        first, rest = index[0], index[1:]
+        total = [0] * len(rows[0])
+        for k, j in enumerate(rest):
+            s, row = jx[first, j]
+            sign = -s if k % 2 else s
+            minor = pf(rest[:k] + rest[k + 1:])
+            total = [(t + sign * a * m) % p for t, a, m in zip(total, row, minor)]
+        return total
+
+    return pf(tuple(range(dim)))
 
 
 def _is_nilpotent(x):
@@ -250,9 +297,18 @@ def iter_vectors(space):
 
 def _cone_xs(space, flavor):
     """(code, x) for the self-adjoint x, in code order, that lie on the
-    cone of the flavor: nilpotent for 'lie', unipotent for 'group'."""
+    cone of the flavor: nilpotent for 'lie', unipotent for 'group'.  Only
+    the codes of trace 0 (or 2n) are built, and `power_is_zero` decides them."""
+    dim, p = space.dim, space.p
     keep = _is_nilpotent if flavor == "lie" else _is_unipotent
-    for code, x in enumerate(iter_self_adjoint(space)):
+    target = 0 if flavor == "lie" else dim % p
+    rows = _entry_rows(space)
+    on_plane = [sum(t) % p == target
+                for t in zip(*rows[::dim + 1])]   # the diagonal rows
+    codes = compress(range(len(on_plane)), on_plane)
+    flats = zip(*[list(compress(row, on_plane)) for row in rows])
+    for code, flat in zip(codes, flats):
+        x = FpMatrix._trusted(_unflatten(flat, dim, dim), p)
         if keep(x):
             yield code, x
 
@@ -441,15 +497,16 @@ def stabilizer_census(pair):
 
 
 def klyachko_census(n, p):
-    """Count H-orbits on the invertible self-adjoint locus.
+    """Count H-orbits on the invertible self-adjoint locus, the codes
+    where Pf(J x) is nonzero (`_pfaffian_rows`).
 
     The orbit count must equal the number of GL_n(F_p) conjugacy
     classes, and every orbit must contain an embedded diag(x, x^T).
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
-    codes = [code for code, x in enumerate(iter_self_adjoint(space))
-             if x.is_invertible()]
+    pfaffians = _pfaffian_rows(space)
+    codes = list(compress(range(len(pfaffians)), pfaffians))
     roots = _generator_classes(space, codes, 1, "invertible self-adjoint locus")
     root_of = dict(zip(codes, roots))
     orbit_count = len(set(roots))

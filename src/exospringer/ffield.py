@@ -569,6 +569,9 @@ def jordan_chains(n_mat):
     and no P is formed.  Tops are found top-down: those of length s are
     the vectors of ker T^s independent of ker T^(s-1) and of the longer
     chains' vectors there, each reduced once into one semi-echelon span.
+    The chains of length >= s number dim ker T^s - dim ker T^(s-1), so a
+    step that needs no new top is skipped, and the scan of ker T^s stops
+    at its last top.
     """
     if not n_mat.is_square():
         raise NonSquareError("jordan chains of non-square matrix")
@@ -577,11 +580,16 @@ def jordan_chains(n_mat):
     kernels = [[]] + _power_kernels(t)
     chains = []
     for s in range(len(kernels) - 1, 0, -1):
+        wanted = len(kernels[s]) - len(kernels[s - 1])
+        if len(chains) == wanted:
+            continue
         span = list(kernels[s - 1])
         # T^(l-s) w of each longer chain, of length l, lies in ker T^s
         for c in chains:
             _echelon_add(span, c[len(c) - s], p)
         for _, w in kernels[s]:
+            if len(chains) == wanted:
+                break
             if _echelon_add(span, w, p):
                 chain = [tuple(w)]
                 for _ in range(s - 1):

@@ -503,11 +503,14 @@ def graded_fiber_module(n, m, rho1, rho2):
     def left(a1, b1):
         return sn_character(rho1, _merge_sorted(a1, b1))
 
+    polys = {}      # (a2, b2) -> its _subset_weight_poly, shared by the degrees
     weighted = []   # per degree 2k: |c| times the induced value on c
     for k in range(n - m + 1):
         def right(a2, b2, k=k):
-            return (_subset_weight_poly(a2, b2)[k]
-                    * sn_character(rho2, _merge_sorted(a2, b2)))
+            poly = polys.get((a2, b2))
+            if poly is None:
+                poly = polys[a2, b2] = _subset_weight_poly(a2, b2)
+            return poly[k] * sn_character(rho2, _merge_sorted(a2, b2))
 
         values = induce_product(n, m, left, right)
         weighted.append([c.size * values[c.signature] for c in wn_classes(n)])

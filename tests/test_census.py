@@ -555,21 +555,93 @@ def test_group_order_check_survives_python_O(monkeypatch):
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
-def test_cone_tests_match_is_nilpotent_on_self_adjoint_x(n, p):
+def test_cone_tests_match_is_nilpotent_on_self_adjoint_x(monkeypatch, n, p):
     # x^n = 0 and (x - 1)^n = 0 decide the cone because a self-adjoint
     # nilpotent has doubled Jordan type; the oracle is x^2n = 0, which
     # decides nilpotence for every 2n x 2n matrix
     space = SymplecticSpace(n, p)
     one = FpMatrix.identity(2 * n, p)
-    kept = {"lie": 0, "group": 0}
-    for x in iter_self_adjoint(space):
+    full = {"lie": [], "group": []}      # the scan that decides every x
+    for code, x in enumerate(iter_self_adjoint(space)):
         nilpotent = x.power(2 * n).is_zero()
         unipotent = (x - one).power(2 * n).is_zero()
         assert census_mod._is_nilpotent(x) == nilpotent
         assert census_mod._is_unipotent(x) == unipotent
-        kept["lie"] += nilpotent
-        kept["group"] += unipotent
-    assert kept == {"lie": p ** (2 * n * n - 2 * n), "group": p ** (2 * n * n - 2 * n)}
+        full["lie"] += [(code, x)] * nilpotent
+        full["group"] += [(code, x)] * unipotent
+    assert {flavor: len(xs) for flavor, xs in full.items()} == \
+        {"lie": p ** (2 * n * n - 2 * n), "group": p ** (2 * n * n - 2 * n)}
+    # the cone scan keeps the same (code, x), deciding only the x on the
+    # trace hyperplane (trace 0 or 2n): p^(d-1) of the p^d, d = 2n^2 - n
+    for flavor, name, trace in (("lie", "_is_nilpotent", 0),
+                                ("group", "_is_unipotent", 2 * n % p)):
+        decided = []
+        keep = getattr(census_mod, name)
+        monkeypatch.setattr(census_mod, name,
+                            lambda x, keep=keep: decided.append(x) or keep(x))
+        assert list(census_mod._cone_xs(space, flavor)) == full[flavor]
+        assert len(decided) == len(set(decided)) == p ** (2 * n * n - n - 1)
+        assert all(sum(x.entries[i][i] for i in range(2 * n)) % p == trace
+                   for x in decided)
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_the_pfaffian_locus_is_the_invertible_locus(n, p):
+    # Pf(J x) != 0 exactly where x has full rank, code by code
+    space = SymplecticSpace(n, p)
+    pfaffians = census_mod._pfaffian_rows(space)
+    xs = list(iter_self_adjoint(space))
+    assert len(pfaffians) == len(xs) == p ** (2 * n * n - n)
+    assert [bool(f) for f in pfaffians] == [x.rank() == 2 * n for x in xs]
+
+
+def test_the_pfaffian_squares_to_the_determinant():
+    sympy = pytest.importorskip("sympy")
+    space = SymplecticSpace(2, 3)
+    pfaffians = census_mod._pfaffian_rows(space)
+    for f, x in zip(pfaffians, iter_self_adjoint(space), strict=True):
+        assert f * f % 3 == sympy.Matrix(x.entries).det() % 3
+
+
+def linear_rows_digit_by_digit(columns, p):
+    # `_linear_rows` before a zero coefficient got its own path
+    rows = [[0] for _ in columns[0]]
+    for column in columns:
+        rows = [[(y + d * a) % p for d in range(p) for y in row]
+                for row, a in zip(rows, column)]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_rows_repeat_a_row_at_a_zero_coefficient(data):
+    p = data.draw(st.sampled_from((3, 5, 7)))
+    width = data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    columns = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                 min_size=1, max_size=4))
+    assert census_mod._linear_rows(columns, p) == \
+        linear_rows_digit_by_digit(columns, p)
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_klyachko_ranks_only_the_gl_scan_and_the_embeddings(monkeypatch, n, p):
+    # one rank per n x n matrix of the GL_n scan and one per embedding
+    # check; the locus itself is read off Pf(J x), so no 2n x 2n x is ranked
+    ranked = []
+    rank, sparse = FpMatrix.rank, ffield.sparse_rank
+    monkeypatch.setattr(FpMatrix, "rank",
+                        lambda m: ranked.append(m.rows) or rank(m))
+    sparse_calls = []
+    monkeypatch.setattr(ffield, "sparse_rank",
+                        lambda rows, q: sparse_calls.append(1) or sparse(rows, q))
+    result = klyachko_census(n, p)
+    gl_order = 1
+    for i in range(n):
+        gl_order *= p ** n - p ** i
+    assert result["count_matches"] and result["every_orbit_hit_by_embedding"]
+    assert set(ranked) == {n}
+    assert len(sparse_calls) == len(ranked) <= p ** (n * n) + gl_order
 
 
 @pytest.fixture

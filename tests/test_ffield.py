@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix, random_invertible, zeros
+from exospringer import ffield
+from exospringer.census import _cone_xs
 from exospringer.ffield import (
     FpMatrix, NonSquareError, NotNilpotentError, NotStableError, Subspace,
     _rref_rows, commutant_basis, induced_action, inv_mod, jordan_chains,
     nilpotent_jordan_type, is_odd_prime, power_is_zero, sparse_rank)
+from exospringer.symplectic import SymplecticSpace
 
 
 def field_arith(a, b, op, p):
@@ -315,6 +318,45 @@ def test_jordan_chains_conjugate_random_nilpotents_to_chain_form(data):
     p_inv = FpMatrix(sum(blocks, ()), p)
     assert lengths == tuple(sorted(sizes, reverse=True))
     assert p_inv * n_mat * p_inv.inverse() == chain_form(lengths, p)
+
+
+@pytest.mark.parametrize("lengths", ((3, 1, 1), (2, 2, 1, 1), (3, 2, 1),
+                                     (4, 2, 2, 1), (3, 3, 1), (1, 1, 1)))
+@pytest.mark.parametrize("p", (3, 5))
+def test_jordan_chains_of_mixed_lengths(rng, lengths, p):
+    # steps with no new top (between lengths 4 and 2, or 3 and 1) are
+    # skipped, and each scan stops at its last top; the chains still
+    # conjugate N to its chain form
+    for _ in range(3):
+        g = random_invertible(rng, sum(lengths), p)
+        n_mat = g * chain_form(lengths, p) * g.inverse()
+        blocks = jordan_chains(n_mat)
+        assert tuple(map(len, blocks)) == lengths
+        p_inv = FpMatrix(sum(blocks, ()), p)
+        assert p_inv * n_mat * p_inv.inverse() == chain_form(lengths, p)
+
+
+def test_jordan_chains_reduce_at_most_four_vectors_per_cone_x(monkeypatch):
+    # the 81 nilpotent self-adjoint x at (2, 3): x = 0, of type (1^4), needs
+    # its 4 tops; every other x, of type (2, 2), needs 2 tops of ker T^2
+    # and no step 1.  Scanning all of ker T^2 and redoing step 1 took 8.
+    calls = []
+    echelon_add = ffield._echelon_add
+
+    def counted(*args):
+        calls.append(1)
+        return echelon_add(*args)
+
+    monkeypatch.setattr(ffield, "_echelon_add", counted)
+    per_x = []
+    for _, x in _cone_xs(SymplecticSpace(2, 3), "lie"):
+        del calls[:]
+        lengths = tuple(map(len, jordan_chains(x)))
+        per_x.append(len(calls))
+        assert len(calls) <= 4
+        assert lengths in ((1, 1, 1, 1), (2, 2))
+    assert len(per_x) == 81
+    assert sum(per_x) == 198
 
 
 @st.composite

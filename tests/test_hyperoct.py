@@ -298,6 +298,31 @@ def test_graded_fiber_module_matches_one_induction_per_degree():
                         graded_by_degree(n, m, rho1, rho2)
 
 
+@pytest.mark.parametrize("n, m, rho1, rho2", ((4, 1, (1,), (2, 1)),
+                                              (5, 0, (), (3, 2)),
+                                              (3, 3, (2, 1), ())))
+def test_graded_fiber_module_weighs_each_splitting_once(monkeypatch, n, m,
+                                                        rho1, rho2):
+    # one _subset_weight_poly per distinct (a2, b2), shared by all n - m + 1
+    # degrees, where each degree's induction used to evaluate it again
+    calls = []
+    weight_poly = hyperoct._subset_weight_poly
+
+    def counted(a2, b2):
+        calls.append((a2, b2))
+        return weight_poly(a2, b2)
+
+    expected = graded_by_degree(n, m, rho1, rho2)
+    monkeypatch.setattr(hyperoct, "_subset_weight_poly", counted)
+    assert graded_fiber_module(n, m, rho1, rho2) == expected
+    assert calls and len(calls) == len(set(calls))
+    # every (a2, b2) of a splitting of size m is weighed
+    assert set(calls) == {(a2, b2) for c in wn_classes(n)
+                          for size, alpha, beta in hyperoct._splittings(c.signature)
+                          if size == m
+                          for _, a2, _ in alpha for _, b2, _ in beta}
+
+
 def test_sum_of_squares():
     for n in range(1, 9):
         assert sum(irrep_dim(b) ** 2 for b in bipartitions_of(n)) == wn_order(n)
