@@ -23,6 +23,13 @@ every c != 0, so each line is labelled once, at its smallest-code
 vector, and counted p - 1 times.  A seed moves these line vectors only:
 x -> g x g^-1 permutes the cone, so the points (x, g v) are the points
 (g x g^-1, g v) in another order.  The orbit check reuses the labels.
+The line vectors are packed once per pass, coordinate i of the k-th
+vector as byte k of one int (`classify.packed_labeler`), so each row of
+a cone x's chain basis meets every vector in one big-int sum, whose
+bytes are the dot products: at most 2n (p - 1)^2 = 64 < 256 at (2, 5),
+so none carries.  The nonzero bytes, kept at each chain's first nonzero
+row, make one pattern byte per vector (2n <= 8 rows), and the label
+depends only on (chain lengths, pattern): one pass-level dict names it.
 The cone scan first reads the trace of every code, one sum of the
 diagonal entry rows: a nilpotent x has trace 0 and a unipotent one 2n,
 so only the p^(d-1) codes of that hyperplane (of p^d, d = 2n^2 - n) are
@@ -38,6 +45,11 @@ det J = 1, so det x = Pf(J x)^2: `_pfaffian_rows` expands Pf(J x) over
 the entry rows, and the locus is where it is nonzero.  No x is built
 or ranked on that path; the tests keep the rank as its oracle.
 
+The Klyachko embedding of g in GL_n is diag(g, g^T), linear in g, so
+`_klyachko_table` reads every embedded code off one `_linear_table` over
+GL_n's p^(n^2) codes, from n^2 + 1 checked `klyachko_embed` calls; a
+singular g lands off the locus.
+
 Every transvection, a generator or a factor of the seeded basis change,
 is one rank-one update, `_times_transvection`, checked symplectic in
 closed form; `_action_tables` checks each generator by membership too.
@@ -49,7 +61,6 @@ from itertools import compress
 from operator import mul
 
 from . import classify
-from .bicomb import format_bipartition
 from .ffield import FpMatrix, _unflatten, power_is_zero
 from .symplectic import ExoticPair, SymplecticSpace
 
@@ -350,35 +361,40 @@ def _census_chunk(space, flavor, basis_seed, check_orbits):
     cone x in code order with 0 and one v per line, moved to g v by a
     seeded g when basis_seed is set.  check_orbits adds the cone's x-codes
     in scan order and each point's label at k p^(2n) + v-code, k the
-    position of its x; else None.  (The name is kept for perfbench.)"""
+    position of its x; else None.  (The name is kept for perfbench.)
+
+    One `classify.packed_labeler` packs the line vectors once, one byte
+    per vector (2n (p - 1)^2 < 256 holds at every gated size), and gives
+    each cone x one pattern byte per vector, its first nonzero chain rows,
+    with a label per pattern.  Counts go by pattern: only v = 0 has
+    pattern 0 and weighs 1, every other line weighs p - 1.  A label's
+    representative is the first vector of its first pattern in scan order.
+    """
     p, size = space.p, space.p ** space.dim
     vs = _line_reps(space)
     if basis_seed:
         g = seeded_basis_change(space, basis_seed)
         vs = [g.apply(v) for v in vs]   # g is linear: lines go to lines
-    # v with the codes of c.v, c != 0; their number is v's weight
-    lines = [(v, {_vector_code([c * a % p for a in v], p) for c in range(1, p)})
-             for v in vs]
-    counts, reps, names = {}, {}, {}  # names: Bipartition -> its label
-    by_valuations = {}  # shared by every labeller of the pass
+    label_lines = classify.packed_labeler(vs, p)
+    counts, reps = {}, {}
     codes, labels = [], []  # filled under check_orbits only
+    if check_orbits:        # the line of each v-code: c.v, c != 0, is on v's
+        line_of = [0] * size
+        for j, v in enumerate(vs):
+            for c in range(1, p):
+                line_of[_vector_code([c * a % p for a in v], p)] = j
     for code, x in _cone_xs(space, flavor):
         # the scan showed x self-adjoint with (x - 1)^n = 0, so x - 1 is
         # `log_map(x)`, as in `ExoticPair.nilpotent_part`
-        labeler = classify.exotic_labeler(
-            x if flavor == "lie" else x - space._one, by_valuations)
-        if check_orbits:            # x's row is the last `size` labels
+        patterns, label = label_lines(x if flavor == "lie" else x - space._one)
+        for pattern, k in Counter(patterns).items():   # in scan order
+            name = label[pattern]
+            counts[name] = counts.get(name, 0) + (p - 1 if pattern else 1) * k
+            if name not in reps:
+                reps[name] = (x, vs[patterns.index(pattern)])
+        if check_orbits:
             codes.append(code)
-            labels += [None] * size
-        for v, v_codes in lines:
-            bp = labeler(v)
-            label = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
-            counts[label] = counts.get(label, 0) + len(v_codes)
-            if label not in reps:
-                reps[label] = (x, v)
-            if check_orbits:
-                for v_code in v_codes:
-                    labels[v_code - size] = label
+            labels += [label[patterns[j]] for j in line_of]
     return counts, reps, (codes, labels) if check_orbits else None
 
 
@@ -501,7 +517,8 @@ def klyachko_census(n, p):
     where Pf(J x) is nonzero (`_pfaffian_rows`).
 
     The orbit count must equal the number of GL_n(F_p) conjugacy
-    classes, and every orbit must contain an embedded diag(x, x^T).
+    classes, and every orbit must contain an embedded diag(x, x^T),
+    read off `_klyachko_table`.
     """
     _gate(n, p)
     space = SymplecticSpace(n, p)
@@ -510,8 +527,7 @@ def klyachko_census(n, p):
     roots = _generator_classes(space, codes, 1, "invertible self-adjoint locus")
     root_of = dict(zip(codes, roots))
     orbit_count = len(set(roots))
-    covered = {root_of[_encode(space, space.klyachko_embed(space.embed_gl(g)))]
-               for g in _iter_gl(n, p)}
+    covered = {root_of[code] for code in _klyachko_table(space) if pfaffians[code]}
 
     return {
         "n": n, "p": p,
@@ -523,8 +539,24 @@ def klyachko_census(n, p):
     }
 
 
-def _iter_gl(n, p):
-    for flat in _all_vectors(n * n, p):
-        m = FpMatrix._trusted(_unflatten(flat, n, n), p)
-        if m.is_invertible():
-            yield m
+def _klyachko_table(space):
+    """The code of `klyachko_embed(embed_gl(g))` for every n x n g, in the
+    code order of g's row-major entries.  The embedding a -> a a*,
+    a = diag(g, 1), is diag(g, g^T), linear in g, so column (i, j) is the
+    image of 1 + E_ij minus the image of 1, each through `klyachko_embed`
+    (1 + E_ii is invertible too, as p is odd).  A singular g has a
+    singular image, so its code lies off the Pf locus."""
+    n, p = space.n, space.p
+
+    def image(g):
+        return _adjoint_coordinates(space, space.klyachko_embed(space.embed_gl(
+            FpMatrix._trusted(_unflatten(g, n, n), p))))
+
+    one = [int(i == j) for i in range(n) for j in range(n)]
+    base = image(one)
+    columns = []
+    for k in range(n * n):
+        unit = list(one)
+        unit[k] += 1
+        columns.append([(a - b) % p for a, b in zip(image(unit), base)])
+    return _linear_table(columns, p)

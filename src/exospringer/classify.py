@@ -5,12 +5,14 @@ W of (commutant of N) applied to v is N-stable; the pair of Jordan
 types of N on W and on ambient/W is the orbit label.  `enhanced_type`
 computes it so, and is the definition and test oracle.  An exotic pair
 is classified through the ambient GL version, whose label is always
-the doubled bipartition, and halved.  Every exotic label, one pair at
-a time or a whole census, is read by `exotic_labeler`, which forms no
-span: it takes the rows of P^-1 for a Jordan chain basis P of N once,
-from `jordan_chains`, and in that basis W = sum_j t^(b_j) M_j, with the
-b_j read off the valuations of P^-1 v on each chain (Achar-Henderson,
-Orbit closures in the enhanced nilpotent cone, Adv. Math. 2008).
+the doubled bipartition, and halved.  Every exotic label is read off
+chain valuations, with no span formed: the rows of P^-1 for a Jordan
+chain basis P of N come once from `jordan_chains`, and in that basis
+W = sum_j t^(b_j) M_j, with the b_j read off the valuations of P^-1 v
+on each chain (Achar-Henderson, Orbit closures in the enhanced nilpotent
+cone, Adv. Math. 2008).  `exotic_labeler` reads one pair at a time,
+`packed_labeler` every line vector of a census at once; both halve
+through `_halved_label`.
 
 Stabilizer dimensions are kernels of linear systems on the symplectic
 Lie algebra over F_p; they equal the geometric dimensions for odd p
@@ -30,7 +32,7 @@ coordinates), which is also the tests' oracle for the chain-basis one.
 from itertools import accumulate, combinations_with_replacement
 from operator import mul
 
-from .bicomb import Bipartition
+from .bicomb import Bipartition, format_bipartition
 from .ffield import (Subspace, commutant_basis, induced_action, jordan_chains,
                      nilpotent_jordan_type, sparse_rank)
 
@@ -69,29 +71,26 @@ def exotic_type(pair):
     return exotic_labeler(pair.nilpotent_part())(pair.v)
 
 
-def exotic_labeler(n_mat, by_valuations=None):
+def exotic_labeler(n_mat):
     """v -> exotic label, with `jordan_chains(n_mat)` built once.
 
-    The one path to an exotic label: the census classifies one
-    nilpotent matrix against every vector, `exotic_type` against one.
-    In the chain basis the span W of (commutant of N) . v is the sum of
-    t^(b_j) M_j over the Jordan blocks M_j = F_p[t]/t^(l_j), and b_j
-    depends on v only through the block lengths l_j and the valuations
-    a_j of its block coordinates (the index of the first nonzero one, l_j
-    if none), so labels are cached in by_valuations per (lengths,
-    valuations) key and halved once per key.  A caller that labels for
-    several matrices, as one census pass does, passes one dict to every
-    labeller; without one, the labeller keeps its own.
+    The single-pair path to an exotic label, for `exotic_type` and the
+    classify CLI; a census labels every line vector of a cone x at once
+    with `packed_labeler`.  In the chain basis the span W of
+    (commutant of N) . v is the sum of t^(b_j) M_j over the Jordan blocks
+    M_j = F_p[t]/t^(l_j), and b_j depends on v only through the block
+    lengths l_j and the valuations a_j of its block coordinates (the index
+    of the first nonzero one, l_j if none), so the labeller caches its
+    labels per valuation tuple and halves once per tuple.
     """
-    if by_valuations is None:
-        by_valuations = {}
-    return _chain_labeler(jordan_chains(n_mat), n_mat.p, by_valuations)
+    return _chain_labeler(jordan_chains(n_mat), n_mat.p)
 
 
-def _chain_labeler(blocks, p, by_valuations):
+def _chain_labeler(blocks, p):
     """`exotic_labeler`'s v -> label on the chains `blocks` of N."""
     lengths = tuple(map(len, blocks))
     m = sum(lengths)
+    by_valuations = {}
 
     def label_of(v):
         if len(v) != m:
@@ -104,17 +103,80 @@ def _chain_labeler(blocks, p, by_valuations):
             else:
                 k = len(rows)
             valuations.append(k)
-        key = (lengths, tuple(valuations))
-        label = by_valuations.get(key)
+        valuations = tuple(valuations)
+        label = by_valuations.get(valuations)
         if label is None:
-            first, second = _valuation_label(lengths, valuations)
-            # halving keeps the parts positive and weakly decreasing
-            label = Bipartition._trusted(halve_doubled(first),
-                                         halve_doubled(second))
-            by_valuations[key] = label
+            label = by_valuations[valuations] = _halved_label(lengths, valuations)
         return label
 
     return label_of
+
+
+def packed_labeler(vectors, p):
+    """n_mat -> (patterns, labels): `exotic_labeler` on every vector of
+    `vectors` at once, for one nilpotent N per call; a census makes one
+    per pass, for its line vectors.
+
+    Coordinate i of the k-th vector is byte k of packed[i], so for a row r
+    of P^-1 (`jordan_chains`) the int sum_i r_i packed[i] holds r . v_k
+    as its byte k.  Entries lie in [0, p), so each byte is at most
+    2n (p - 1)^2 and none carries when that is below 256: AssertionError
+    otherwise, before anything is packed.  One translate turns a row's
+    bytes into 0/1, and byte k of `patterns` sets bit j for each row j
+    that is the first nonzero row of its chain on v_k, at the chain's
+    start plus the valuation a_j; 2n <= 8 rows fit a byte.  So the label
+    depends only on (lengths, pattern); `labels` maps each pattern of the
+    call to its label string, derived once per such key over every call.
+    Only the zero vector has pattern 0.
+    """
+    dim = len(vectors[0])
+    if dim > 8 or dim * (p - 1) ** 2 >= 256:
+        raise AssertionError(
+            "packed labels need 2n <= 8 and 2n (p - 1)^2 < 256 "
+            "(got 2n = %d, p = %d)" % (dim, p))
+    count = len(vectors)
+    packed = [int.from_bytes(bytes(column), "little") for column in zip(*vectors)]
+    nonzero = bytes(b % p != 0 for b in range(256))
+    names = {}          # (lengths, pattern) -> label string
+
+    def labels_of(n_mat):
+        if n_mat.rows != dim:
+            raise ValueError("vector length mismatch")
+        blocks = jordan_chains(n_mat)
+        pattern, bit = 0, 0
+        for chain in blocks:
+            seen = 0        # the vectors with a nonzero row higher in the chain
+            for row in chain:
+                dots = sum(map(mul, row, packed)).to_bytes(count, "little")
+                hits = int.from_bytes(dots.translate(nonzero), "little")
+                pattern |= (hits & ~seen) << bit
+                seen |= hits
+                bit += 1
+        patterns = pattern.to_bytes(count, "little")
+        lengths = tuple(map(len, blocks))
+        labels = {}
+        for q in set(patterns):
+            label = names.get((lengths, q))
+            if label is None:
+                valuations, start = [], 0
+                for length in lengths:      # at most one bit per chain
+                    run = q >> start & (1 << length) - 1
+                    valuations.append(run.bit_length() - 1 if run else length)
+                    start += length
+                label = names[lengths, q] = format_bipartition(
+                    _halved_label(lengths, valuations))
+            labels[q] = label
+        return patterns, labels
+
+    return labels_of
+
+
+def _halved_label(lengths, valuations):
+    """The exotic label of chain valuations: `_valuation_label`'s
+    doubled GL label, halved."""
+    first, second = _valuation_label(lengths, valuations)
+    # halving keeps the parts positive and weakly decreasing
+    return Bipartition._trusted(halve_doubled(first), halve_doubled(second))
 
 
 def _valuation_label(lengths, valuations):
@@ -205,7 +267,7 @@ def label_and_stabilizer_dim(pair):
     read off one `jordan_chains` of the nilpotent part."""
     blocks = jordan_chains(pair.nilpotent_part())
     p = pair.space.p
-    return (_chain_labeler(blocks, p, {})(pair.v),
+    return (_chain_labeler(blocks, p)(pair.v),
             _chain_stabilizer_dim(blocks, pair.v, p))
 
 

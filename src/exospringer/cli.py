@@ -256,6 +256,9 @@ def cmd_classify(args):
     except json.JSONDecodeError as exc:
         raise ValueError("classify --input %s is not JSON: %s"
                          % (args.input, exc)) from None
+    except RecursionError:
+        raise ValueError("classify --input %s is nested too deeply"
+                         % args.input) from None
     pair = ExoticPair.from_json(obj)
     label, stab_dim = classify.label_and_stabilizer_dim(pair)
     n = pair.space.n

@@ -181,23 +181,31 @@ def test_census_counts_invariant_under_basis_change(rng):
             orbit_census(2, 3).label_counts
 
 
+def packed_labels(part, vectors, p):
+    # the label string of each vector against part, through the census's
+    # batch entry, looked up per call as the census does
+    patterns, label = classify.packed_labeler(vectors, p)(part)
+    return [label[q] for q in patterns]
+
+
 def moved_label_mismatches(n, p, flavor):
     # the cone points P = (x, v) whose label differs from that of g.P =
     # (g x g^-1, g v), for g each generating transvection of Sp (so that no
     # mismatch means every label is Sp-invariant) and one seeded basis
-    # change; labels come from classify.exotic_labeler, looked up per call
-    # as the census does, on x (lie) or x - 1 (group)
+    # change; labels come from classify.packed_labeler, as in the census,
+    # on x (lie) or x - 1 (group)
     space = SymplecticSpace(n, p)
     moves = sp_generators(space) + [census_mod.seeded_basis_change(space, 7)]
     vectors = list(census_mod.iter_vectors(space))
     mismatches = []
     for _, x in census_mod._cone_xs(space, flavor):
         part = x if flavor == "lie" else x - space._one
-        label = classify.exotic_labeler(part)
+        labels = packed_labels(part, vectors, p)
         for g in moves:
-            moved = classify.exotic_labeler(g * part * space.adjoint(g))
-            mismatches += [(x, v, g) for v in vectors
-                           if moved(g.apply(v)) != label(v)]
+            moved = packed_labels(g * part * space.adjoint(g),
+                                  [g.apply(v) for v in vectors], p)
+            mismatches += [(x, v, g) for v, a, b in zip(vectors, labels, moved)
+                           if a != b]
     return mismatches
 
 
@@ -209,22 +217,26 @@ def test_labels_are_invariant_point_by_point(n, flavor):
 
 def test_only_the_pointwise_check_catches_a_basis_dependent_labeler(
         monkeypatch):
-    # a labeller that is constant on lines but reads a coordinate of x: an
-    # x with a zero first row keeps its labels, any other x labels every v
-    # as it labels 0
-    labeler = classify.exotic_labeler
+    # a batch labeller that is constant on lines but reads a coordinate of
+    # x: an x with a zero first row keeps its labels, any other x labels
+    # every v as it labels 0 (the first vector), each v keeping its pattern
+    # and so its weight
+    packed_labeler = classify.packed_labeler
 
-    def basis_dependent(n_mat, by_valuations=None):
-        label = labeler(n_mat, by_valuations)
-        if not any(n_mat.entries[0]):
-            return label
-        zero = (0,) * n_mat.rows
-        return lambda v: label(zero)
+    def basis_dependent(vectors, p):
+        labels_of = packed_labeler(vectors, p)
+
+        def labels(n_mat):
+            patterns, label = labels_of(n_mat)
+            if any(n_mat.entries[0]):
+                label = dict.fromkeys(label, label[patterns[0]])
+            return patterns, label
+        return labels
 
     flavors = ("lie", "group")
     right = {flavor: orbit_census(2, 3, flavor).label_counts
              for flavor in flavors}
-    monkeypatch.setattr(classify, "exotic_labeler", basis_dependent)
+    monkeypatch.setattr(classify, "packed_labeler", basis_dependent)
     for flavor in flavors:
         counts = orbit_census(2, 3, flavor).label_counts
         assert counts != right[flavor]
@@ -404,24 +416,25 @@ def test_census_matches_labelling_every_point(n, p, seed):
 
 
 def test_census_labels_each_line_once(monkeypatch):
-    # one labeller call per x for v = 0 and one per line through 0, and
-    # the orbit check reuses those labels instead of labelling again
+    # one batch call per x labels v = 0 and one vector per line through 0,
+    # and the orbit check reuses those labels instead of labelling again
     calls = []
-    labeler = classify.exotic_labeler
+    packed_labeler = classify.packed_labeler
 
-    def counting_labeler(n_mat, by_valuations=None):
-        label_of = labeler(n_mat, by_valuations)
+    def counting_labeler(vectors, p):
+        labels_of = packed_labeler(vectors, p)
 
-        def counted(v):
-            calls.append(v)
-            return label_of(v)
+        def counted(n_mat):
+            patterns, label = labels_of(n_mat)
+            calls.append(len(patterns))
+            return patterns, label
         return counted
 
-    monkeypatch.setattr(classify, "exotic_labeler", counting_labeler)
+    monkeypatch.setattr(classify, "packed_labeler", counting_labeler)
     n, p = 1, 3
     result = orbit_census(n, p, check_orbits=True)
     nilpotent_x = 1                                 # x = 0 only at n = 1
-    assert len(calls) == nilpotent_x * (1 + (p ** (2 * n) - 1) // (p - 1)) == 5
+    assert calls == [nilpotent_x * (1 + (p ** (2 * n) - 1) // (p - 1))] == [5]
     assert result.label_counts == {"-|1": 1, "1|-": 8}
     assert all(chk["transitive"] and chk["orbit_stabilizer_ok"]
                for chk in result.orbit_checks)
@@ -429,8 +442,9 @@ def test_census_labels_each_line_once(monkeypatch):
 
 @pytest.mark.parametrize("flavor", ("lie", "group"))
 def test_census_derives_each_valuation_label_once(monkeypatch, flavor):
-    # one census pass shares its (lengths, valuations) -> label dict across
-    # every cone x, so each distinct key is derived once, not once per x
+    # one census pass shares its (lengths, pattern) -> label dict across
+    # every cone x, and a pattern keeps one bit per live chain, so each
+    # distinct (lengths, valuations) key is derived once, not once per x
     keys = []
     valuation_label = classify._valuation_label
 
@@ -441,13 +455,50 @@ def test_census_derives_each_valuation_label_once(monkeypatch, flavor):
     monkeypatch.setattr(classify, "_valuation_label", recorded)
     shared = orbit_census(2, 3, flavor).label_counts
     assert keys and len(keys) == len(set(keys))
-    # the same counts as with one private dict per labeller
-    labeler = classify.exotic_labeler
-    monkeypatch.setattr(classify, "exotic_labeler",
-                        lambda n_mat, by_valuations=None: labeler(n_mat))
+    # the same counts with one private dict per cone x
+    packed_labeler = classify.packed_labeler
+    monkeypatch.setattr(classify, "packed_labeler",
+                        lambda vectors, p: lambda n_mat:
+                        packed_labeler(vectors, p)(n_mat))
     del keys[:]
     assert orbit_census(2, 3, flavor).label_counts == shared
     assert len(keys) > len(set(keys))
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
+@pytest.mark.parametrize("flavor", ("lie", "group"))
+def test_packed_labels_equal_the_pointwise_labeler(n, p, flavor):
+    # every cone x against the line vectors of seeds 0 and 7: the packed
+    # label of each vector is exotic_labeler's, one pair at a time
+    space = SymplecticSpace(n, p)
+    g = census_mod.seeded_basis_change(space, 7)
+    line_vectors = [census_mod._line_reps(space)]
+    line_vectors.append([g.apply(v) for v in line_vectors[0]])
+    batches = [classify.packed_labeler(vs, p) for vs in line_vectors]
+    names = {}
+    for _, x in census_mod._cone_xs(space, flavor):
+        part = x if flavor == "lie" else x - space._one
+        label_of = classify.exotic_labeler(part)
+        for vs, labels_of in zip(line_vectors, batches):
+            patterns, label = labels_of(part)
+            assert len(patterns) == len(vs)
+            for v, q in zip(vs, patterns):
+                bp = label_of(v)
+                name = names.get(bp) or names.setdefault(bp, format_bipartition(bp))
+                assert label[q] == name
+                assert (q == 0) == (not any(v))     # only v = 0 has pattern 0
+
+
+@pytest.mark.parametrize("dim, p", [(4, 11), (10, 3)])
+def test_packed_labels_refuse_a_size_the_bytes_cannot_hold(dim, p):
+    # at (2, 11) a dot product can reach 4 * 10^2 >= 256, which carries
+    # into the next vector's byte; at n = 5 there are 10 > 8 rows per
+    # pattern byte.  The entries 300 cannot be packed into a byte either,
+    # so the refusal comes before any packing
+    with pytest.raises(AssertionError,
+                       match=r"2n <= 8 and 2n \(p - 1\)\^2 < 256 "
+                             r"\(got 2n = %d, p = %d\)" % (dim, p)):
+        classify.packed_labeler([(300,) * dim], p)
 
 
 def test_a_seeded_census_multiplies_no_cone_matrix(matmul_calls):
@@ -626,8 +677,9 @@ def test_linear_rows_repeat_a_row_at_a_zero_coefficient(data):
 
 @pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
 def test_klyachko_ranks_only_the_gl_scan_and_the_embeddings(monkeypatch, n, p):
-    # one rank per n x n matrix of the GL_n scan and one per embedding
-    # check; the locus itself is read off Pf(J x), so no 2n x 2n x is ranked
+    # only the n^2 + 1 klyachko_embed calls that give the embedding table's
+    # columns rank their n x n block; the locus itself is read off Pf(J x),
+    # so no 2n x 2n x is ranked, and no g of GL_n is ranked on its own
     ranked = []
     rank, sparse = FpMatrix.rank, ffield.sparse_rank
     monkeypatch.setattr(FpMatrix, "rank",
@@ -636,12 +688,35 @@ def test_klyachko_ranks_only_the_gl_scan_and_the_embeddings(monkeypatch, n, p):
     monkeypatch.setattr(ffield, "sparse_rank",
                         lambda rows, q: sparse_calls.append(1) or sparse(rows, q))
     result = klyachko_census(n, p)
+    assert result["count_matches"] and result["every_orbit_hit_by_embedding"]
+    assert set(ranked) == {n}
+    assert len(sparse_calls) == len(ranked) == n * n + 1
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_the_klyachko_table_is_the_embedding_of_every_g(n, p):
+    # the linear table against the embedding itself: at the code of each
+    # n x n g (its row-major entries as base-p digits), the code of
+    # klyachko_embed(embed_gl(g)) when g is invertible, and a code off the
+    # Pf locus when it is singular
+    space = SymplecticSpace(n, p)
+    table = census_mod._klyachko_table(space)
+    pfaffians = census_mod._pfaffian_rows(space)
+    assert len(table) == p ** (n * n)
+    invertible = 0
+    for flat in itertools.product(range(p), repeat=n * n):
+        g = FpMatrix([flat[i * n:(i + 1) * n] for i in range(n)], p)
+        code = table[census_mod._vector_code(flat, p)]
+        if g.is_invertible():
+            invertible += 1
+            assert code == census_mod._encode(
+                space, space.klyachko_embed(space.embed_gl(g)))
+        else:
+            assert not pfaffians[code]
     gl_order = 1
     for i in range(n):
         gl_order *= p ** n - p ** i
-    assert result["count_matches"] and result["every_orbit_hit_by_embedding"]
-    assert set(ranked) == {n}
-    assert len(sparse_calls) == len(ranked) <= p ** (n * n) + gl_order
+    assert invertible == gl_order
 
 
 @pytest.fixture

@@ -516,6 +516,27 @@ def test_classify_input_that_is_not_json_is_named(tmp_path, capsys):
                                    % path)
 
 
+@pytest.mark.parametrize("source", ("stdin", "file"))
+def test_classify_input_nested_too_deeply_is_named(monkeypatch, tmp_path,
+                                                   capsys, source):
+    # json.loads raises RecursionError, not JSONDecodeError, on lists
+    # nested 100,000 deep: a named usage error, not a traceback
+    text = "[" * 100000 + "]" * 100000
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        where = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        where = str(path)
+    code = main(["classify", "--input", where])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "error: classify --input %s is nested too deeply\n" % where
+
+
 @pytest.mark.parametrize("label_args", (["--label", "-|3"], ["--label=-|3"]))
 def test_repr_label_with_an_empty_first_component(capsys, label_args):
     from exospringer import classify

@@ -8,10 +8,13 @@ its cache finder; it edits nothing under perfbench/.
 
 import importlib.util
 import inspect
+import io
+import json
 import pathlib
 import sys
 
 import exospringer
+from exospringer import cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +58,34 @@ def test_the_package_caches_only_the_layers_the_harness_expects(monkeypatch):
         for name in {"tracer", "workloads"} - before:
             sys.modules.pop(name, None)
     assert {layer for layer, _ in caches} == {"bicomb", "hyperoct"}
+
+
+def test_a_traced_census_klyachko_and_classify_run_completes(monkeypatch,
+                                                            capsys):
+    # `--trace 1` swaps every target for a wrapper, and `exotic_labeler`'s
+    # closure for a plain function; a library path that leans on the
+    # unwrapped object (an attribute of that closure, say) raises only
+    # under the trace.  Run one small item of each traced path, then undo
+    tracer = _tracer()
+    targets = tracer.originals()
+    bound = sorted(tracer.unwrapped_aliases(targets))
+    stack = tracer.SpanStack()
+    uninstall = tracer.install(stack)
+    try:
+        assert tracer.unwrapped_aliases(targets) == []
+        assert cli.main(["verify", "--suite", "census", "--n", "1", "--p", "3",
+                         "--check-orbits"]) == 0
+        assert cli.main(["verify", "--suite", "klyachko", "--n", "1",
+                         "--p", "3"]) == 0
+        capsys.readouterr()
+        assert cli.main(["repr", "--n", "2", "--label", "1|1", "--p", "3"]) == 0
+        pair = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pair))
+        assert cli.main(["classify", "--input", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "1|1"
+    finally:
+        uninstall()
+    assert sorted(tracer.unwrapped_aliases(targets)) == bound
+    assert stack.count["cli.main"] == 4
+    assert stack.count["census.scan"] == 1
+    assert stack.count["census.klyachko"] == 1
