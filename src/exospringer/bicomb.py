@@ -138,6 +138,10 @@ class Bipartition(Frozen):
 
 
 def parse_bipartition(text):
+    """The bipartition written `text`: two components split by "|", each
+    "-", empty, or comma-separated ASCII parts [1-9][0-9]*.  Any other
+    part, such as "0", "+1", "1_0" or a non-ASCII digit, which int()
+    would read, gets the grammar error."""
     grammar = "bipartition must look like '2,1|1', got %r" % (text,)
     parts = text.strip().split("|")
     if len(parts) != 2:
@@ -147,10 +151,10 @@ def parse_bipartition(text):
         s = s.strip()
         if s in ("-", ""):
             return ()
-        try:
-            return tuple(int(x) for x in s.split(","))
-        except ValueError:
-            raise ValueError(grammar) from None
+        words = s.split(",")
+        if not all(w.isascii() and w.isdigit() and w[0] != "0" for w in words):
+            raise ValueError(grammar)
+        return tuple(map(int, words))
 
     return Bipartition(one(parts[0]), one(parts[1]))
 

@@ -51,14 +51,17 @@ GL_n's p^(n^2) codes, from n^2 + 1 checked `klyachko_embed` calls; a
 singular g lands off the locus.
 
 Every transvection, a generator or a factor of the seeded basis change,
-is one rank-one update, `_times_transvection`, checked symplectic in
-closed form; `_action_tables` checks each generator by membership too.
+is one rank-one update of a list of rows, `_transvect`, checked
+symplectic in closed form; `_times_transvection` applies it to a copy of
+a matrix's rows, and the seeded word to one list of rows in place.
+`_action_tables` checks each generator by membership too, and the seeded
+word is checked once more by membership as a whole.
 """
 
 import random
 from collections import Counter
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from . import classify
 from .ffield import FpMatrix, _unflatten, power_is_zero
@@ -109,14 +112,14 @@ def gl_class_count(n, p):
     raise SizeGateError("class count implemented for n <= 2 only")
 
 
-def _times_transvection(space, g, u):
-    """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
-    update g + (g u)(J u)^T, with T never built: only the columns where
-    J u is nonzero change.  T* = 1 - u (J u)^T, so
-    T* T = 1 - ((J u).u) u (J u)^T and T is symplectic iff (J u).u = 0:
-    checked, with AssertionError otherwise.  No dense product is formed:
-    J u is u moved by J's signed permutation, and g u reads only the
-    columns of g where u is nonzero (two at most on the frame)."""
+def _transvect(space, rows, u):
+    """Right-multiply the matrix with these rows, lists, in place by the
+    transvection T = 1 + u (J u)^T: row r becomes r + (r.u)(J u)^T, so
+    only the columns where J u is nonzero change, and T is never built.
+    T* = 1 - u (J u)^T, so T* T = 1 - ((J u).u) u (J u)^T and T is
+    symplectic iff (J u).u = 0: checked, with AssertionError otherwise.
+    J u is u moved by J's signed permutation, and the r.u are one pass
+    per nonzero entry of u (two at most on the frame)."""
     p = space.p
     ju = [0] * len(u)
     for (pb, s), c in zip(space._signed_perm, u):
@@ -124,17 +127,23 @@ def _times_transvection(space, g, u):
     if sum(map(mul, ju, u)) % p:
         raise AssertionError("transvection along %r is not symplectic" % (u,))
     touched = [(k, b) for k, b in enumerate(ju) if b]
-    support = [(k, a) for k, a in enumerate(u) if a]
-    rows = []
-    for row in g.entries:
-        c = sum(row[k] * a for k, a in support) % p
-        if c:
-            row = list(row)
+    dots = [0] * len(rows)
+    for k, a in enumerate(u):
+        if a:
+            dots = [d + a * row[k] for d, row in zip(dots, rows)]
+    for row, d in zip(rows, dots):
+        if d % p:
             for k, b in touched:
-                row[k] = (row[k] + c * b) % p
-            row = tuple(row)
-        rows.append(row)
-    return FpMatrix._trusted(tuple(rows), p)
+                row[k] = (row[k] + d * b) % p
+
+
+def _times_transvection(space, g, u):
+    """g T for the transvection T = 1 + u (J u)^T along u, as the rank-one
+    update g + (g u)(J u)^T of `_transvect`, which checks that T is
+    symplectic."""
+    rows = [list(row) for row in g.entries]
+    _transvect(space, rows, u)
+    return FpMatrix._trusted(tuple(map(tuple, rows)), space.p)
 
 
 def transvection(space, u):
@@ -146,13 +155,10 @@ def transvection(space, u):
 def _sp_frame(space):
     """e_i, f_i and e_i + f_j: the directions of the generating transvections."""
     n = space.n
-    frame = [space.e(i) for i in range(1, n + 1)]
-    frame += [space.f(i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ei, fj = space.e(i), space.f(j)
-            frame.append(tuple((a + b) % space.p for a, b in zip(ei, fj)))
-    return frame
+    units = [space.e(i) for i in range(1, 2 * n + 1)]     # e_1..e_n, f_1..f_n
+    # e_i and f_j have disjoint supports, so e_i + f_j needs no reduction
+    return units + [tuple(map(add, units[i], units[n + j]))
+                    for i in range(n) for j in range(n)]
 
 
 def sp_generators(space):
@@ -344,13 +350,15 @@ def enumerate_exotic_nilcone(n, p, flavor="lie"):
 
 def seeded_basis_change(space, seed):
     """A reproducible symplectic element: a seeded word of 12 generating
-    transvections, multiplied in as rank-one updates; the word is
-    checked to be symplectic once, at the end."""
+    transvections, multiplied into one list of rows by `_transvect`, which
+    checks each factor; the word is checked to be symplectic once more,
+    by membership, at the end."""
     rng = random.Random(seed)
     frame = _sp_frame(space)
-    g = space._one
+    rows = [list(row) for row in space._one.entries]
     for _ in range(12):
-        g = _times_transvection(space, g, rng.choice(frame))
+        _transvect(space, rows, rng.choice(frame))
+    g = FpMatrix._trusted(tuple(map(tuple, rows)), space.p)
     if not space.membership(g, "H_group"):
         raise AssertionError("seeded basis change %d is not symplectic" % seed)
     return g

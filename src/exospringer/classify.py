@@ -22,14 +22,17 @@ for self-adjoint x (x^T J = J x), h x = x h iff S x = x^T S, i.e. iff
 S N is symmetric, for x = N or 1 + N; and h v = 0 iff S v = 0.  The
 congruence S' = P^T S P turns these into S' N' symmetric and S' v' = 0,
 for the chain shift N' = P^-1 N P and v' = P^-1 v, so the system reads
-no entry of x.  The line condition h w in <w> of
+no entry of x.  S' N' symmetric makes each block of S' between two
+chains a Hankel matrix, zero past the shorter chain's length, so the
+centralizer part is solved in closed form, sum over chain pairs i <= j
+of min(l_i, l_j), and only the m rows of S' v' = 0 are ranked
+(`_chain_stabilizer_dim`).  The line condition h w in <w> of
 `parabolic_stabilizer_dim` reads J in the original basis, so it keeps
 the x-basis system of `_stabilizer_columns` (h's coordinates on the
 units of `adjoint_units(-1)`, [h, x] read on its 2n^2 - n self-adjoint
 coordinates), which is also the tests' oracle for the chain-basis one.
 """
 
-from itertools import accumulate, combinations_with_replacement
 from operator import mul
 
 from .bicomb import Bipartition, format_bipartition
@@ -275,32 +278,38 @@ def _chain_stabilizer_dim(blocks, v, p):
     """dim {S' symmetric : S' N' symmetric (, S' v' = 0)}, for `blocks`
     the rows of P^-1 from `jordan_chains`, N' = P^-1 N P and v' = P^-1 v.
 
-    Coordinate a is N^k u for row k of a chain, so N' sends it to a + 1,
-    or to 0 at the chain's end, and (S' N')_ab = S'_(a, b+1).  The
-    unknowns S'_ab, a <= b, are numbered 0 .. m(m+1)/2 - 1.  One row per
-    a < b reads S'_(a, b+1) - S'_(b, a+1), at most two distinct unknowns,
-    and the m rows of S' v' (with v) follow; one `sparse_rank` ranks all.
+    Coordinate (i, r) is N^r u_i, row r of chain i, so N' sends it to
+    (i, r + 1), or to 0 at the chain's end, and (S' N')_ab = S'_(a, b+1).
+    On the block B_ij of S' (rows on chain i, columns on chain j), S' N'
+    symmetric reads B_ij(r, c + 1) = B_ij(r + 1, c), with entries past a
+    chain's end read as 0: B_ij is constant on each anti-diagonal
+    r + c = s, and zero for s >= min(l_i, l_j).  So the unknowns are one
+    t_(i,j,s) per i <= j and s < min(l_i, l_j), and without v the
+    dimension is their number.  With v, row (i, r) of S' v' = 0 is the
+    sum over j and c < min(l_i, l_j) - r of v'_(j,c) t_({i,j}, r + c);
+    one `sparse_rank` ranks these m rows.
     """
-    m = sum(map(len, blocks))
-    ends = {end - 1 for end in accumulate(map(len, blocks))}
-    unknown = [[0] * m for _ in range(m)]
-    for k, (a, b) in enumerate(combinations_with_replacement(range(m), 2)):
-        unknown[a][b] = unknown[b][a] = k
+    lengths = tuple(map(len, blocks))
+    first = {}              # (i, j) -> the number of t_(i,j,0), either order
+    count = 0
+    for i, li in enumerate(lengths):
+        for j in range(i, len(lengths)):
+            first[i, j] = first[j, i] = count
+            count += min(li, lengths[j])
+    if v is None:
+        return count
+    coords = [[sum(map(mul, row, v)) % p for row in chain] for chain in blocks]
     rows = []
-    for a in range(m):
-        for b in range(a + 1, m):
+    for i, li in enumerate(lengths):
+        for r in range(li):
             row = {}
-            if b not in ends:
-                row[unknown[a][b + 1]] = 1
-            if a not in ends:
-                row[unknown[b][a + 1]] = p - 1
+            for j, (lj, vj) in enumerate(zip(lengths, coords)):
+                at = first[i, j] + r
+                for c in range(min(li, lj) - r):
+                    if vj[c]:
+                        row[at + c] = vj[c]
             rows.append(row)
-    if v is not None:
-        coords = [(b, c) for b, c in enumerate(
-            sum(map(mul, row, v)) % p for chain in blocks for row in chain)
-            if c]
-        rows += [{unknown[a][b]: c for b, c in coords} for a in range(m)]
-    return m * (m + 1) // 2 - sparse_rank(rows, p)
+    return count - sparse_rank(rows, p)
 
 
 def cyclic_dim(pair):

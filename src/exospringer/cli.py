@@ -21,7 +21,7 @@ import sys
 
 from . import bicomb, census, classify, hyperoct, springer
 from .bicomb import bipartitions_of, format_bipartition, parse_bipartition
-from .ffield import check_modulus
+from .ffield import check_modulus, json_fields
 from .symplectic import ExoticPair, SymplecticSpace, normal_form_pair
 
 
@@ -36,6 +36,10 @@ SYMBOLIC_MAX_N = {
 # repr's ceiling by the same rule; its normal-form checks and its JSON
 # output cost about n^2.
 REPR_MAX_N = 850
+# classify's ceiling by the same rule, on repr's normal form of n|- (at
+# p = 3 and 2^31 - 1, and moved by a seeded g), whose nilpotent part has
+# the largest index, n; checked on the JSON's n before any matrix is built.
+CLASSIFY_MAX_N = 72
 
 
 def _gate(args):
@@ -259,9 +263,14 @@ def cmd_classify(args):
     except RecursionError:
         raise ValueError("classify --input %s is nested too deeply"
                          % args.input) from None
+    # json_fields reads n first, as `ExoticPair.from_json` does, so a bad
+    # n gets the same error; a large one is refused before any matrix
+    [n] = json_fields(obj, {"n": int}, "exotic pair")
+    if n > CLASSIFY_MAX_N:
+        raise ValueError("classify is gated to n <= %d (got n=%d)"
+                         % (CLASSIFY_MAX_N, n))
     pair = ExoticPair.from_json(obj)
     label, stab_dim = classify.label_and_stabilizer_dim(pair)
-    n = pair.space.n
     return _json({"label": format_bipartition(label),
                   "dim_orbit": bicomb.orbit_dim(label, n),
                   "d": bicomb.fiber_dim_d(label, n),

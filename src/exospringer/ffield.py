@@ -24,7 +24,10 @@ pairs, and `_reduce` is the one loop that reduces a vector against them.
 Only `kernel_basis` makes a kernel canonical; no library path inverts.
 Nilpotence is decided by one test on row tuples, `power_is_zero`.  It
 and `FpMatrix.power` take their factors from one squaring chain,
-`_power_factors`.
+`_power_factors`.  The kernels of the powers of a nilpotent N, which
+`jordan_chains` and `nilpotent_jordan_type` read, form no power:
+`_power_kernels` takes each one off the reduced rows of the one before,
+times N.
 """
 
 from operator import index, mul
@@ -141,10 +144,12 @@ def json_fields(obj, fields, what):
 
 
 def _rref_rows(rows, ncols, p):
-    """Reduce a list of row lists, entries in [0, p), to reduced row echelon form.
+    """Reduce a list of rows, entries in [0, p), to reduced row echelon form.
 
-    Works in place and returns (rows, pivot column indices); the first
-    len(pivots) rows are the nonzero ones.
+    Works in place on the list and returns (rows, pivot column indices);
+    the first len(pivots) rows are the nonzero ones.  A row it changes is
+    replaced by a new list, so the rows themselves, lists or tuples, are
+    never written.
     """
     nrows = len(rows)
     pivots = []
@@ -169,9 +174,14 @@ def _rref_rows(rows, ncols, p):
 
 def _kernel_rows(rows, ncols, p):
     """{v : M v = 0} for the matrix M with these rows, by one `_rref_rows`,
-    as [(c, v)] over the free columns c: v is 1 at c and 0 at every other
-    free column, so the list is semi-echelon (see `_reduce`)."""
-    red, pivots = _rref_rows([list(row) for row in rows], ncols, p)
+    as `_rref_kernel` reads it."""
+    return _rref_kernel(*_rref_rows(list(rows), ncols, p), ncols, p)
+
+
+def _rref_kernel(red, pivots, ncols, p):
+    """{v : M v = 0} for the matrix M with reduced rows `red` and these
+    pivots, as [(c, v)] over the free columns c: v is 1 at c and 0 at
+    every other free column, so the list is semi-echelon (see `_reduce`)."""
     kernel = [(c, [0] * ncols) for c in range(ncols) if c not in pivots]
     for c, v in kernel:
         v[c] = 1
@@ -510,23 +520,30 @@ def commutant_basis(y):
 
 
 def _power_kernels(n_mat):
-    """The `_kernel_rows` of N, N^2, ..., N^k for a nilpotent N of index k.
+    """The `_kernel_rows` of N, N^2, ..., N^k for a nilpotent N of index k,
+    with no power of N formed.
 
-    The kernels of the powers never shrink, and once two in a row are
-    equal they stay equal, so a kernel that stops growing short of F_p^m
-    means N is not nilpotent.
+    The row space of N^(s+1) is that of N^s times N, so it is spanned by
+    the r_s nonzero reduced rows of N^s times N: each step is one product
+    of an r_s x m block by N and one `_rref_rows` of it, whose free
+    columns give the kernel.  A reduced echelon form is canonical for its
+    row space, so every kernel is the one the power itself would give.
+    The kernels never shrink, and once two in a row are equal they stay
+    equal, so a kernel that stops growing short of F_p^m means N is not
+    nilpotent.
     """
     m, p = n_mat.rows, n_mat.p
     kernels = []
-    power = n_mat
+    rows = n_mat.entries
     while True:
-        kernel = _kernel_rows(power.entries, m, p)
+        red, pivots = _rref_rows(list(rows), m, p)
+        kernel = _rref_kernel(red, pivots, m, p)
         if len(kernel) == (len(kernels[-1]) if kernels else 0):
             raise NotNilpotentError("matrix is not nilpotent")
         kernels.append(kernel)
         if len(kernel) == m:
             return kernels
-        power = power * n_mat
+        rows = _product_rows(red[:len(pivots)], n_mat.entries, p)
 
 
 def nilpotent_jordan_type(n_mat):
@@ -566,9 +583,12 @@ def jordan_chains(n_mat):
     Row k of a block reads v's coordinate on N^k u, so the rows satisfy
     r_k N = r_(k-1) and r_0 N = 0: reversed, they are a Jordan chain
     w, T w, ..., T^(l-1) w of T = N^T.  So the chains are built for T,
-    and no P is formed.  Tops are found top-down: those of length s are
-    the vectors of ker T^s independent of ker T^(s-1) and of the longer
-    chains' vectors there, each reduced once into one semi-echelon span.
+    and no P is formed.  The kernels of the powers of T come from
+    `_power_kernels`, one product of reduced rows by T and one reduction
+    per power, with no power of T formed.  Tops are found top-down: those
+    of length s are the vectors of ker T^s independent of ker T^(s-1) and
+    of the longer chains' vectors there, each reduced once into one
+    semi-echelon span.
     The chains of length >= s number dim ker T^s - dim ker T^(s-1), so a
     step that needs no new top is skipped, and the scan of ker T^s stops
     at its last top.

@@ -34,13 +34,16 @@ class SymplecticSpace(Frozen):
         if n < 1:
             raise ValueError("n must be >= 1")
         check_modulus(p)
+        self._set(n, p)
+
+    def _set(self, n, p):
         entries = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             entries[i][n + i] = 1
             entries[n + i][i] = p - 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-        # p is checked above, so J and 1 are built trusted
+        # p is checked, so J and 1 are built trusted
         object.__setattr__(self, "J", FpMatrix._trusted(
             tuple(map(tuple, entries)), p))
         # column b of J is s_b e_pi(b): _signed_perm[b] = (pi(b), s_b)
@@ -269,7 +272,10 @@ class ExoticPair(Frozen):
         if not x.rows == x.cols == len(v) == 2 * n:
             raise ValueError("exotic pair JSON n = %d does not fit a %dx%d x "
                              "and a length-%d v" % (n, x.rows, x.cols, len(v)))
-        return cls(SymplecticSpace(n, p), x, tuple(v), flavor)
+        # x's modulus is checked, and a matrix is never empty, so n >= 1;
+        # a p other than x's is checked, then refused by `validate`
+        space = (SymplecticSpace._trusted if p == x.p else SymplecticSpace)(n, p)
+        return cls(space, x, tuple(v), flavor)
 
 
 class NormalFormData:

@@ -276,6 +276,20 @@ def test_string_grammar():
         parse_bipartition("1,2|-")      # not weakly decreasing
 
 
+def test_every_written_label_parses_back():
+    # every label `format_bipartition` writes, and the README's forms: "-"
+    # or an empty string for an empty component, parts of several digits
+    for n in range(7):
+        for b in bipartitions_of(n):
+            assert parse_bipartition(format_bipartition(b)) == b
+    assert parse_bipartition("-|3") == parse_bipartition("|3") == \
+        Bipartition((), (3,))
+    assert parse_bipartition("12,10|-") == Bipartition((12, 10), ())
+    for text in ("0|-", "01|-", "1,|-", "1_0|-", "+1|-", "1|-0", "\uff11|-"):
+        with pytest.raises(ValueError, match="bipartition must look like"):
+            parse_bipartition(text)
+
+
 def test_the_public_constructors_still_validate():
     # only the labeller's trusted path skips the partition checks
     for first, second in (((1, 2), ()), ((), (1, 2)), ((2, -1), ())):

@@ -910,6 +910,39 @@ def test_seeded_basis_change_is_the_word_in_all_generators(n, p, seed):
         random_sp_element(random.Random(seed), space, word_len=12)
 
 
+def old_sp_frame(space):
+    # `census._sp_frame` as it was: e_i, f_i, then e_i + f_j, each reduced
+    n = space.n
+    frame = [space.e(i) for i in range(1, n + 1)]
+    frame += [space.f(i) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            ei, fj = space.e(i), space.f(j)
+            frame.append(tuple((a + b) % space.p for a, b in zip(ei, fj)))
+    return frame
+
+
+def transvection_word(space, seed):
+    # `seeded_basis_change` as it was: the same draws, each factor a new
+    # matrix from `_times_transvection`
+    rng = random.Random(seed)
+    frame = old_sp_frame(space)
+    g = space._one
+    for _ in range(12):
+        g = census_mod._times_transvection(space, g, rng.choice(frame))
+    return g
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+def test_seeded_basis_change_is_the_transvection_word(p):
+    for n in (1, 2, 3, 4):
+        space = SymplecticSpace(n, p)
+        assert census_mod._sp_frame(space) == old_sp_frame(space)
+        for seed in range(50):
+            assert census_mod.seeded_basis_change(space, seed) == \
+                transvection_word(space, seed)
+
+
 def test_seeded_basis_change_builds_no_transvection_and_checks_once(monkeypatch):
     # the word is 12 rank-one updates, each factor checked in closed
     # form; only the product is checked by membership.  No factor makes a

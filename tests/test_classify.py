@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import pathlib
 import random
@@ -6,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_sp_element, zeros
+from conftest import random_invertible, random_matrix, random_sp_element, zeros
 from exospringer import classify, ffield
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
@@ -151,13 +153,31 @@ def test_nilpotent_part_is_the_checked_log_map(rng, nilpotent_part_is_log_map):
         len(bipartitions_of(n)) for n in (1, 2, 3, 4))
 
 
+def dense_power_kernels(n_mat):
+    # the kernels of N, N^2, ..., as `ffield._power_kernels` built them
+    # before it read each one off the reduced rows of the one before: each
+    # power formed by a dense product and reduced from scratch
+    m, p = n_mat.rows, n_mat.p
+    kernels = []
+    power = n_mat
+    while True:
+        kernel = ffield._kernel_rows(power.entries, m, p)
+        if len(kernel) == (len(kernels[-1]) if kernels else 0):
+            raise NotNilpotentError("matrix is not nilpotent")
+        kernels.append(kernel)
+        if len(kernel) == m:
+            return kernels
+        power = power * n_mat
+
+
 def subspace_rebuilding_jordan_chains(n_mat):
-    # reference builder: the chains of N^T, reversed, with the span a
-    # Subspace, built and row-reduced again at each new vector
+    # reference builder: the chains of N^T, reversed, with the dense-power
+    # kernels and the span a Subspace, built and row-reduced again at each
+    # new vector
     t = n_mat.transpose()
     m, p = t.rows, t.p
     kernels = [[tuple(v) for _, v in kernel]
-               for kernel in ffield._power_kernels(t)]
+               for kernel in dense_power_kernels(t)]
     chains = []
     for s in range(len(kernels), 0, -1):
         below = tuple(kernels[s - 2]) if s > 1 else ()
@@ -184,6 +204,9 @@ def test_jordan_chains_match_the_subspace_rebuilding_builder(rng, p):
             for k in range(3):
                 g = random_sp_element(rng, space) if k else space._one
                 moved = g * x * space.adjoint(g)
+                for mat in (moved, moved.transpose()):
+                    assert ffield._power_kernels(mat) == \
+                        dense_power_kernels(mat)
                 blocks = jordan_chains(moved)
                 assert blocks == subspace_rebuilding_jordan_chains(moved)
                 assert tuple(map(len, blocks)) == nilpotent_jordan_type(moved)
@@ -193,6 +216,26 @@ def test_jordan_chains_match_the_subspace_rebuilding_builder(rng, p):
                                for r in rows]
                     assert times_x == [(0,) * moved.rows] + list(rows[:-1])
                 assert FpMatrix(sum(blocks, ()), p).is_invertible()
+
+
+@pytest.mark.parametrize("p", (3, 5, 2**31 - 1))
+def test_power_kernels_match_the_dense_powers_on_any_matrix(rng, p):
+    # random strictly upper triangular matrices conjugated by a random
+    # invertible matrix (nilpotent, with no symmetry of the cone), and
+    # random matrices that are not nilpotent, which both refuse
+    for m in (1, 2, 3, 5, 7):
+        for _ in range(6):
+            upper = FpMatrix([[rng.randrange(p) if j > i else 0
+                               for j in range(m)] for i in range(m)], p)
+            q = random_invertible(rng, m, p)
+            nilpotent = q * upper * q.inverse()
+            assert ffield._power_kernels(nilpotent) == \
+                dense_power_kernels(nilpotent)
+            other = random_matrix(rng, m, m, p)
+            if not power_is_zero(other.entries, m, p):
+                for kernels in (ffield._power_kernels, dense_power_kernels):
+                    with pytest.raises(NotNilpotentError):
+                        kernels(other)
 
 
 def test_labelers_invert_nothing_and_reduce_each_kernel_power_once(monkeypatch):
@@ -566,6 +609,53 @@ def x_basis_stabilizer_dim(pair, include_v):
         space, pair.x, pair.v if include_v else None))
 
 
+def commutation_row_stabilizer_dim(blocks, v, p):
+    # `classify._chain_stabilizer_dim` before it read S' as Hankel blocks:
+    # the m(m+1)/2 unknowns S'_ab (a <= b), one row S'_(a, b+1) - S'_(b, a+1)
+    # per a < b (no term at a chain's end), and the m rows of S' v'
+    m = sum(map(len, blocks))
+    ends = {end - 1 for end in itertools.accumulate(map(len, blocks))}
+    unknown = [[0] * m for _ in range(m)]
+    for k, (a, b) in enumerate(
+            itertools.combinations_with_replacement(range(m), 2)):
+        unknown[a][b] = unknown[b][a] = k
+    rows = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            row = {}
+            if b not in ends:
+                row[unknown[a][b + 1]] = 1
+            if a not in ends:
+                row[unknown[b][a + 1]] = p - 1
+            rows.append(row)
+    if v is not None:
+        coords = [(b, c) for b, c in enumerate(
+            sum(map(operator.mul, row, v)) % p
+            for chain in blocks for row in chain) if c]
+        rows += [{unknown[a][b]: c for b, c in coords} for a in range(m)]
+    return m * (m + 1) // 2 - ffield.sparse_rank(rows, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=12)
+       .filter(lambda lengths: sum(lengths) <= 12),
+       st.sampled_from((3, 5, 7, 2**31 - 1)), st.data())
+def test_hankel_count_equals_the_commutation_row_rank(lengths, p, data):
+    # P = 1, so the chain rows are unit vectors and v' = v; chains in any
+    # order of lengths, and a v' with many zero entries
+    m = sum(lengths)
+    units = iter([tuple(int(i == j) for j in range(m)) for i in range(m)])
+    blocks = tuple(tuple(next(units) for _ in range(l)) for l in lengths)
+    v = tuple(data.draw(st.lists(st.just(0) | st.integers(0, p - 1),
+                                 min_size=m, max_size=m)))
+    assert classify._chain_stabilizer_dim(blocks, None, p) == \
+        commutation_row_stabilizer_dim(blocks, None, p) == \
+        sum(min(a, b) for a, b in itertools.combinations_with_replacement(
+            lengths, 2))
+    assert classify._chain_stabilizer_dim(blocks, v, p) == \
+        commutation_row_stabilizer_dim(blocks, v, p)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
 def test_chain_basis_stabilizer_dims_equal_the_x_basis_system(p):
     # every label of n <= 4, moved by a seeded symplectic g, in both
@@ -586,6 +676,9 @@ def test_chain_basis_stabilizer_dims_equal_the_x_basis_system(p):
                             for include_v in (False, True)]
                     assert dims == [x_basis_stabilizer_dim(pair, include_v)
                                     for include_v in (False, True)]
+                    blocks = jordan_chains(pair.nilpotent_part())
+                    assert dims == [commutation_row_stabilizer_dim(
+                        blocks, w, p) for w in (None, v)]
                     assert label_and_stabilizer_dim(pair) == \
                         (exotic_type(pair), dims[1])
 
@@ -610,22 +703,25 @@ def test_chain_basis_stabilizer_dims_on_every_census_point(n, p, flavor):
 
 
 def test_stabilizer_dim_cost(monkeypatch):
-    # n = 4: one `jordan_chains` of the nilpotent part and one system in its
-    # chain basis, ranked by one sparse elimination: n(2n + 1) = 36
-    # unknowns S'_ab (a <= b), 28 commutation rows (one per a < b) of at
-    # most two entries +-1, then 8 rows for S' v' = 0.  It reads no entry
-    # of x: no x-basis system, no sp_2n unit or basis matrix, and no
-    # reduced echelon form but the kernels the chains are built from
+    # n = 4: one `jordan_chains` of the nilpotent part, whose Jordan type
+    # (3, 3, 1, 1) gives the Hankel blocks of S' sum min(l_i, l_j) = 16
+    # unknowns t_(i,j,s), and the m = 8 rows of S' v' = 0 over them, ranked
+    # by one sparse elimination; without v no rank at all.  It reads no
+    # entry of x: no x-basis system, no sp_2n unit or basis matrix, no
+    # reduced echelon form but the kernels the chains are built from, and
+    # no product in the chains of more than the r < m reduced rows of a
+    # kernel step
     n, p = 4, 5
+    m = 2 * n
     space = SymplecticSpace(n, p)
     label = Bipartition((2, 1), (1,))
     nf = normal_form_pair(label, space)
     g = seeded_basis_change(space, 3)
     pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
                       nf.pair.flavor)
-    chains, ranked, rref_calls, inside = [], [], [], []
+    chains, ranked, rref_calls, products, inside = [], [], [], [], []
     jordan, rref_rows = classify.jordan_chains, ffield._rref_rows
-    sparse_rank = classify.sparse_rank
+    product_rows, sparse_rank = ffield._product_rows, classify.sparse_rank
 
     def chained(n_mat):
         chains.append(n_mat)
@@ -643,28 +739,32 @@ def test_stabilizer_dim_cost(monkeypatch):
         rref_calls.append(bool(inside))
         return rref_rows(*args)
 
+    def product_counted(a, b, p):
+        products.append((bool(inside), len(a)))
+        return product_rows(a, b, p)
+
     def refuse(*args, **kwargs):
         raise AssertionError("the stabilizer read x in its own basis")
 
     monkeypatch.setattr(classify, "jordan_chains", chained)
     monkeypatch.setattr(classify, "sparse_rank", rank_counted)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
+    monkeypatch.setattr(ffield, "_product_rows", product_counted)
     monkeypatch.setattr(classify, "_stabilizer_columns", refuse)
     monkeypatch.setattr(SymplecticSpace, "adjoint_units", refuse)
     monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", refuse)
+    assert stabilizer_dim(pair, include_v=False) == 16
+    assert ranked == []
+    chains.clear()
     assert stabilizer_dim(pair, include_v=True) == \
         2 * n * n + n - orbit_dim(label, n)
     assert chains == [pair.nilpotent_part()]
     [rows] = ranked
-    assert len(rows) == 28 + 8
-    assert {k for row in rows for k in row} <= set(range(2 * n * n + n))
-    # a difference S'_(a, succ b) - S'_(b, succ a), or one of its terms;
-    # the sum instead gives the same dimension on every case tried, so
-    # no dimension test can see the sign
-    assert all(sorted(row.values()) in ([], [1], [p - 1], [1, p - 1])
-               for row in rows[:28])
-    assert any(rows[:28]) and any(rows[28:])
+    assert len(rows) == m
+    assert {k for row in rows for k in row} <= set(range(16))
+    assert any(rows) and all(0 < a < p for row in rows for a in row.values())
     assert rref_calls and all(rref_calls)
+    assert products and all(inside and r < m for inside, r in products)
 
 
 def test_halve_doubled_refuses_undoubled_parts():

@@ -78,8 +78,8 @@ def test_repr_classify_roundtrip(tmp_path, capsys):
 def test_classify_checks_the_modulus_once_per_validated_object(
         monkeypatch, capsys):
     # at p = 2^31 - 1 a primality test is the dearest check on the classify
-    # path: one for the matrix JSON, one for the space, none for the
-    # trusted matrices built from them
+    # path: one for the matrix JSON, whose modulus the space shares, and
+    # none for the space or the trusted matrices built from them
     from exospringer import ffield
     from exospringer.bicomb import parse_bipartition
     from exospringer.census import seeded_basis_change
@@ -103,7 +103,7 @@ def test_classify_checks_the_modulus_once_per_validated_object(
     code, out = run(capsys, "classify", "--input", "-")
     assert code == 0
     assert json.loads(out)["label"] == "2,1|1"
-    assert tested == [p, p]
+    assert tested == [p]
 
 
 def test_classify_builds_the_jordan_chains_once_per_call(monkeypatch, capsys):
@@ -557,6 +557,18 @@ def test_repr_label_with_a_non_integer_part_gets_the_grammar(capsys):
                             "got '2|x'\n")
 
 
+@pytest.mark.parametrize("label", ("1_0|-", "+1|-", "1|-0", "1|0", "\uff11|-"))
+def test_repr_label_outside_the_grammar_gets_the_grammar(capsys, label):
+    # int() reads each of these parts ("1_0" as 10, "+1", "-0" and "0",
+    # and a full-width digit); the grammar takes only [1-9][0-9]*
+    code = main(["repr", "--n", "1", "--label", label, "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bipartition must look like '2,1|1', "
+                            "got %r\n" % label)
+
+
 def test_huge_prime_modulus_is_a_quick_usage_error(capsys):
     # 2^61 - 1 is prime; it must be refused for its size, not trial-divided
     _, out = run(capsys, "repr", "--n", "1", "--label", "1|-", "--p", "3")
@@ -739,6 +751,44 @@ def test_repr_is_gated_before_the_normal_form(monkeypatch, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: repr is gated to n <= %d (got n=%d)\n" \
         % (ceiling, ceiling + 1)
+
+
+def test_classify_is_gated_before_the_pair_is_built(monkeypatch, capsys):
+    # the gate reads n alone: past the ceiling no matrix, space or pair is
+    # built, and at the ceiling the pair is
+    from exospringer.ffield import FpMatrix
+
+    def reached(*args):
+        raise RuntimeError("reached past the gate")
+
+    class Pair:
+        from_json = staticmethod(reached)
+
+    monkeypatch.setattr(FpMatrix, "from_json", classmethod(reached))
+    monkeypatch.setattr(cli, "ExoticPair", Pair)
+    ceiling = cli.CLASSIFY_MAX_N
+
+    def classify(n):
+        obj = {"n": n, "p": 3, "flavor": "lie", "x": {}, "v": []}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        return main(["classify", "--input", "-"])
+
+    with pytest.raises(RuntimeError):
+        classify(ceiling)
+    t0 = time.perf_counter()
+    code = classify(ceiling + 1)
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: classify is gated to n <= %d (got n=%d)\n" \
+        % (ceiling, ceiling + 1)
+    for obj, error in (([], "exotic pair JSON must be an object"),
+                       ({"p": 3}, "exotic pair JSON is missing field 'n'"),
+                       ({"n": "9"}, "exotic pair JSON field 'n' must be an "
+                                    "integer")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        assert main(["classify", "--input", "-"]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % error
 
 
 def run_broken_census(monkeypatch, capsys, break_counts):

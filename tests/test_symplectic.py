@@ -1,11 +1,12 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
 from conftest import random_matrix, random_invertible, random_sp_element, zeros
-from exospringer import symplectic
+from exospringer import ffield, symplectic
 from exospringer.bicomb import Bipartition, RankMismatchError, bipartitions_of, \
     parse_bipartition
 from exospringer.census import transvection
@@ -431,6 +432,29 @@ def test_exotic_pair_json_checks_shapes_before_building_the_space(monkeypatch):
                     (1, good["x"], [0, 0, 0, 0]), (1, big_x, [0, 0])):
         with pytest.raises(ValueError, match="n = %d does not fit" % n):
             ExoticPair.from_json(dict(good, n=n, x=x, v=v))
+
+
+def test_exotic_pair_json_checks_each_modulus_once(monkeypatch):
+    # x's modulus is checked by the matrix JSON; the space is built on the
+    # trusted path when the pair's p is x's, and checked when it is not,
+    # so a bad p still gets its own error and another prime the size error
+    pair = ExoticPair(SymplecticSpace(1, 3), zeros(2, 2, 3), (0, 0), "lie")
+    good = pair.to_json()
+    tested = []
+    is_odd_prime = ffield.is_odd_prime
+
+    def counted(q):
+        tested.append(q)
+        return is_odd_prime(q)
+
+    monkeypatch.setattr(ffield, "is_odd_prime", counted)
+    assert ExoticPair.from_json(good) == pair
+    assert tested == [3]
+    for p, error in ((9, "modulus must be an odd prime, got 9"),
+                     (2**61 - 1, "modulus too large: %d" % (2**61 - 1)),
+                     (5, "expected a 2x2 matrix over F_5")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(error)):
+            ExoticPair.from_json(dict(good, p=p))
 
 
 def test_exotic_pair_validation():
