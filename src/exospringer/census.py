@@ -237,11 +237,12 @@ def _linear_table(columns, p):
     return table
 
 
-def _action_tables(space, generators):
+def _action_tables(space, generators, vectors):
     """(x-table, v-table) per generator g, built per call by linearity:
     the code of g x g^-1 for each self-adjoint code x, and of g v for each
-    vector code v.  Each g is checked to be symplectic, g* g = 1, so that
-    g^-1 = g*; AssertionError otherwise."""
+    vector code v, or, without `vectors`, for v = 0 alone (code 0).  Each
+    g is checked to be symplectic, g* g = 1, so that g^-1 = g*;
+    AssertionError otherwise."""
     p, basis = space.p, space.adjoint_eigenbasis(1)
     tables = []
     for g in generators:
@@ -250,7 +251,8 @@ def _action_tables(space, generators):
         gi = space.adjoint(g)
         x_columns = [_adjoint_coordinates(space, g * b * gi) for b in basis]
         tables.append((_linear_table(x_columns, p),
-                       _linear_table(list(zip(*g.entries)), p)))
+                       _linear_table(list(zip(*g.entries)), p) if vectors
+                       else [0]))
     return tables
 
 
@@ -470,12 +472,13 @@ def _generator_classes(space, codes, size, what):
     runs once per (generator, x)."""
     position = {code: k for k, code in enumerate(codes)}
     uf = UnionFind(len(codes) * size)
-    for x_table, v_table in _action_tables(space, sp_generators(space)):
+    for x_table, v_table in _action_tables(space, sp_generators(space),
+                                           size > 1):
         for k, code in enumerate(codes):
             moved = position.get(x_table[code])
             if moved is None:
                 raise AssertionError("a generator moved a point off the %s" % what)
-            for point, image in enumerate(v_table[:size], k * size):
+            for point, image in enumerate(v_table, k * size):
                 uf.union(point, moved * size + image)
     return [uf.find(point) for point in range(len(codes) * size)]
 

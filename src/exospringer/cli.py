@@ -1,12 +1,16 @@
 """Command line entry point.
 
 Subcommands: orbits, hasse, chartable, springer, branch, classify,
-repr, verify.  Each handler returns (stdout text, exit status) and
-writes nothing; `main` writes the text once, so an error leaves stdout
-empty.  Exit status: 0 success, 1 check failure (with a JSON mismatch
-report), 2 usage error: argparse's message for a bad command line, and
-after parsing one `error: ...` line on stderr for a ValueError or
-OSError, which bad outside input raises; any other error propagates.
+repr, verify, each one entry of COMMANDS.  `main` parses a command line
+that starts with a known command with that command's parser alone, as
+the full parser's subparsers action would, and builds the full parser
+only for any other command line.  Each handler returns (stdout text,
+exit status) and writes nothing; `main` writes the text once, so an
+error leaves stdout empty.  Exit status: 0 success, 1 check failure
+(with a JSON mismatch report), 2 usage error: argparse's message for a
+bad command line, and after parsing one `error: ...` line on stderr
+for a ValueError or OSError, which bad outside input raises; any other
+error propagates.
 Output is byte-deterministic for fixed inputs; verify reports carry no
 timings.  JSON output has the same bytes as json.dumps(obj, indent=2,
 sort_keys=True): `_json` writes the indented layout and the ints, and
@@ -112,24 +116,25 @@ def _add_verify(sub):
                           "lines (--check-orbits tests invariance)")
 
 
-def build_parser(command=None):
-    """The CLI parser with every subcommand, or with only `command`'s.
-
-    A narrowed parser's usage line still lists every subcommand, so it
-    prints the same help and errors as the full one.
-    """
-    listed = None
-    if command is not None:
-        listed = "{%s}" % ",".join(COMMANDS)
+def build_parser():
+    """The CLI parser with every subcommand; `_parse` builds it only for a
+    command line that no one command's parser reads to its end."""
     ap = argparse.ArgumentParser(
         prog="exospringer",
         description="Orbit tables, hyperoctahedral characters and "
                     "finite-field censuses for the exotic nilpotent cone.")
-    subs = ap.add_subparsers(dest="command", required=True, metavar=listed)
+    subs = ap.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, _) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(subs.add_parser(name, help=text))
+        add_arguments(subs.add_parser(name, help=text))
     return ap
+
+
+def _command_parser(name):
+    """`name`'s parser alone: the one `build_parser` gives that subcommand,
+    with its prog, 'exospringer <name>'."""
+    sub = argparse.ArgumentParser(prog="exospringer " + name)
+    COMMANDS[name][1](sub)
+    return sub
 
 
 # json's C encoder, which `indent` turns off in json.dumps
@@ -383,10 +388,24 @@ def _join_label(argv):
     return out
 
 
+def _parse(argv):
+    """The Namespace of argv, as the full parser reads it.  Its subparsers
+    action hands the arguments after a command name to that command's
+    parser, `parse_known_args(rest, None)`, and sets `command`; so a
+    known command is parsed that way here.  The full parser is built only
+    when there is no known command or arguments are left over, and it
+    gives argparse's own error."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(_join_label(argv))
+    args = _parse(_join_label(argv))
     try:
         _gate(args)
         text, status = COMMANDS[args.command][2](args)

@@ -68,26 +68,32 @@ class NotStableError(ValueError):
     pass
 
 
-# Miller-Rabin with the twelve primes up to 37 as bases is exact below
-# 318,665,857,834,031,151,167,461, the least strong pseudoprime to all
-# of them (Jiang and Deng, Math. Comp. 2014).
+# (psi_k, k): Miller-Rabin with the first k primes as bases is exact
+# below psi_k, the least strong pseudoprime to all of them (Pomerance,
+# Selfridge and Wagstaff, Math. Comp. 1980; Jaeschke, Math. Comp. 1993;
+# Jiang and Deng, Math. Comp. 2014).  psi_8 = psi_7 and psi_11 = psi_10 =
+# psi_9, so 8, 10 and 11 bases decide nothing more.  Each n < psi_k is
+# tested with the shortest such prefix, every base of which is below n.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
+_MR_PSI = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+           (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+           (3825123056546413051, 9), (318665857834031151167461, 12))
 
 
 def is_odd_prime(p):
     if p < 3 or p % 2 == 0:
         return False
     n = index(p)                    # refuses non-integers such as 3.0
-    if n >= _MR_EXACT_BELOW:
+    for psi, k in _MR_PSI:
+        if n < psi:
+            break
+    else:
         raise ValueError("primality of %d is not decided exactly" % n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        if a == n:
-            return True
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -2,7 +2,8 @@
 `perfbench/workloads.py`, so renaming or deleting a flag they pass, such as
 the hidden `--jobs` of `verify`, breaks `perfbench/run.py` without any other
 test failing.  This builds every workload's items and parses each item's
-argv with the CLI's own parser; it edits nothing under perfbench/.
+argv with the CLI's full parser and with the command's own parser, which
+`cli.main` uses; it edits nothing under perfbench/.
 """
 
 import importlib.util
@@ -38,10 +39,14 @@ def test_every_benchmark_argv_parses():
     parser = cli.build_parser()
     for argv in argvs:
         try:
-            parser.parse_args(list(argv))
+            full = parser.parse_args(list(argv))
         except SystemExit:
             pytest.fail("the benchmark runs `exospringer %s`, which the CLI "
                         "rejects" % " ".join(argv))
+        # main parses each of them with the command's own parser alone
+        own, rest = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+        own.command = argv[0]
+        assert (own, rest) == (full, []), argv
 
 
 # One cold process runs every `symbolic` argv and counts the partition

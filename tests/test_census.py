@@ -805,7 +805,7 @@ def test_generators_are_checked_by_membership_in_the_action_tables(monkeypatch):
         del checked[:]
         gens = sp_generators(space)
         assert checked == []
-        census_mod._action_tables(space, gens)
+        census_mod._action_tables(space, gens, True)
         assert checked.count("H_group") == len(gens)
 
 
@@ -818,8 +818,11 @@ def test_action_tables_match_conjugation(n, p):
     vs = list(census_mod.iter_vectors(space))
     assert [census_mod._encode(space, x) for x in xs] == list(range(len(xs)))
     gens = sp_generators(space)
-    tables = census_mod._action_tables(space, gens)
+    tables = census_mod._action_tables(space, gens, True)
     assert len(tables) == len(gens)
+    # without vectors, the same x-tables, and v-tables of the zero vector
+    assert census_mod._action_tables(space, gens, False) == [
+        (x_table, [0]) for x_table, _ in tables]
     for g, (x_table, v_table) in zip(gens, tables):
         gi = g.inverse()
         assert sorted(x_table) == list(range(len(xs)))
@@ -852,7 +855,7 @@ def test_action_tables_refuse_a_generator_off_the_self_adjoint_space():
     assert not all(space.membership(shear * b * shear.inverse(), "g_minus_theta")
                    for b in space.adjoint_eigenbasis(1))
     with pytest.raises(AssertionError, match="is not symplectic"):
-        census_mod._action_tables(space, sp_generators(space) + [shear])
+        census_mod._action_tables(space, sp_generators(space) + [shear], True)
 
 
 def test_each_orbit_pass_builds_the_tables_once(monkeypatch):

@@ -6,7 +6,7 @@ reduces mod p and checks the modulus and the shape.  The same holds for
 the other value types that share `Frozen._trusted`.
 """
 
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,7 +187,7 @@ def _by_trial_division(n):
 
 def test_primality_test_agrees_with_trial_division():
     assert all(is_odd_prime(n) == _by_trial_division(n)
-               for n in range(-5, 20000))
+               for n in range(-5, 10**5))
     # strong pseudoprimes to base 2, Carmichael numbers, and the least
     # strong pseudoprime to bases 2, 3, 5 and 7
     for n in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001,
@@ -211,6 +211,34 @@ def test_primality_test_is_exact_far_past_the_modulus_bound():
         with pytest.raises(ValueError, match="not decided exactly"):
             is_odd_prime(n)
     assert not is_odd_prime(psi12 + 1)             # even: no test needed
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or n - 1 in [pow(x, 2**r, n) for r in range(s)]
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, as a
+# product of its prime factors
+PSI = {1: (23, 89), 2: (829, 1657), 3: (2251, 11251), 4: (151, 751, 28351),
+       5: (6763, 10627, 29947), 6: (1303, 16927, 157543),
+       7: (10670053, 32010157), 8: (10670053, 32010157),
+       9: (149491, 747451, 34233211), 10: (149491, 747451, 34233211),
+       11: (149491, 747451, 34233211)}
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_each_psi_k_is_refused(k):
+    # psi_k passes the first k bases, so it is refused only if the test
+    # takes more of them from psi_k on
+    psi = prod(PSI[k])
+    assert all(_strong_probable_prime(psi, a) for a in ffield._MR_BASES[:k])
+    assert not is_odd_prime(psi)
+    # the largest bound at which the test still takes k bases or fewer
+    assert max(bound for bound, used in ffield._MR_PSI if used <= k) <= psi
 
 
 @given(st.integers(2**31 - 2**16, 2**31 + 2**16))
