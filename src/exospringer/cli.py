@@ -15,8 +15,8 @@ Output is byte-deterministic for fixed inputs; verify reports carry no
 timings.  JSON output has the same bytes as json.dumps(obj, indent=2,
 sort_keys=True): `_json` writes the indented layout and the ints, and
 json's C encoder every key and other scalar.  Outside input is
-validated here, at the edge; the per-rank verify suites (RANK_SUITES)
-each return a list of mismatch reports.
+validated here, at the edge.  Each verify suite is one entry of
+VERIFY_SUITES: its --n range, the suite flags it reads and its run.
 """
 
 import argparse
@@ -29,14 +29,11 @@ from .ffield import check_modulus, json_fields
 from .symplectic import ExoticPair, SymplecticSpace, normal_form_pair
 
 
-# The largest --n of each symbolic command: the largest n whose cold run
-# took under 5 s in every measurement (2-vCPU VM, Python 3.11.7); one
-# rank more takes 1.3-3.6x as long.  The census suites have census's gate.
-SYMBOLIC_MAX_N = {
-    "orbits": 24, "hasse": 15, "chartable": 14, "springer": 15, "branch": 11,
-    "verify --suite restriction": 11, "verify --suite determine": 11,
-    "verify --suite d-diff": 18, "verify --suite sum-squares": 21,
-}
+# The largest --n of each symbolic command (a verify suite's is in its
+# VERIFY_SUITES entry): the largest n whose cold run took under 5 s in
+# every measurement (2-vCPU VM, Python 3.11.7); n + 1 took 1.3-3.6x as long.
+SYMBOLIC_MAX_N = {"orbits": 24, "hasse": 15, "chartable": 14, "springer": 15,
+                  "branch": 11}
 # repr's ceiling by the same rule; its normal-form checks and its JSON
 # output cost about n^2.
 REPR_MAX_N = 850
@@ -48,18 +45,31 @@ CLASSIFY_MAX_N = 72
 
 def _gate(args):
     """Refuse an --n past the command's ceiling, before any table is built."""
-    name = args.command
+    name, ceiling = args.command, SYMBOLIC_MAX_N.get(args.command)
     if name == "verify":
-        name += " --suite " + args.suite
-    ceiling = SYMBOLIC_MAX_N.get(name)
+        name = "verify --suite %s" % args.suite
+        ceiling = VERIFY_SUITES[args.suite][1]
     if ceiling is not None and args.n > ceiling:
         raise ValueError("%s is gated to n <= %d (got n=%d)"
                          % (name, ceiling, args.n))
 
 
+def _int(text):
+    """int(text) for an optional '-' and ASCII digits; int() alone also
+    reads full-width digits, '_' and spaces.  Named int, so that argparse
+    refuses anything else as it refuses a bad int: 'invalid int value'."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"
+
+
 def _rank(text):
     """The --n value: every subcommand needs rank n >= 1."""
-    n = int(text)
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
     return n
@@ -73,7 +83,7 @@ def _add_common(sub, fmt=None):
 
 def _add_springer(sub):
     _add_common(sub, fmt=("json", "tsv"))
-    sub.add_argument("--census-p", type=int, default=None,
+    sub.add_argument("--census-p", type=_int, default=None,
                      help="join exact point counts over F_p (census gates apply)")
 
 
@@ -84,33 +94,25 @@ def _add_classify(sub):
 
 def _add_repr(sub):
     _add_common(sub)
-    sub.add_argument("--p", type=int, default=3)
+    sub.add_argument("--p", type=_int, default=3)
     sub.add_argument("--label", required=True, help="bipartition, e.g. '2,1|1'")
 
 
-# suite -> (lowest rank, the springer check run on each rank up to --n)
-RANK_SUITES = {"restriction": (1, "verify_restriction"),
-               "d-diff": (2, "d_difference_check"),
-               "sum-squares": (1, "sum_squares_check")}
-
-
-# verify's flags that some suites never read: dest -> (the suites, default)
-SUITE_FLAGS = {"p": (("census", "klyachko"), 3), "flavor": (("census",), "lie"),
-               "check_orbits": (("census",), False), "seed": (("census",), 0)}
+# verify's flags that only some suites read: dest -> default
+SUITE_FLAGS = {"p": 3, "flavor": "lie", "check_orbits": False, "seed": 0}
 
 
 def _add_verify(sub):
-    sub.add_argument("--suite", required=True,
-                     choices=(*RANK_SUITES, "determine", "census", "klyachko"))
+    sub.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     sub.add_argument("--n", type=_rank, required=True)
-    sub.add_argument("--p", type=int, default=None)
+    sub.add_argument("--p", type=_int, default=None)
     sub.add_argument("--flavor", choices=("lie", "group"), default=None)
     # Serial only: perfbench/workloads.py passes --jobs 1 to every census
     # item, so the flag stays, hidden, until the benchmark stops passing it.
     sub.add_argument("--jobs", type=int, choices=(1,), default=1,
                      help=argparse.SUPPRESS)
     sub.add_argument("--check-orbits", action="store_true", default=None)
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_int, default=None,
                      help="census only: move each line's vector by a seeded "
                           "symplectic g; equal counts show labels constant on "
                           "lines (--check-orbits tests invariance)")
@@ -294,68 +296,78 @@ def cmd_repr(args):
     return _json(normal_form_pair(label, space).pair.to_json()), 0
 
 
-def _fill_suite_flags(args):
-    """Default each unset SUITE_FLAGS flag; refuse one its suite never reads."""
-    unread = []
-    for dest, (suites, default) in SUITE_FLAGS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.suite not in suites:
-            unread.append("--" + dest.replace("_", "-"))
-    if unread:
-        raise ValueError("verify --suite %s does not read %s"
-                         % (args.suite, ", ".join(unread)))
+def _each_rank(check):
+    """A suite's run of springer's `check` on each rank from its lowest to
+    --n, looked up at call time so that a replaced check is the one run."""
+    return lambda args, low: ({}, [record for n in range(low, args.n + 1)
+                                   for record in getattr(springer, check)(n)])
+
+
+def _determine(args, low):
+    try:
+        springer.determine_correspondence(args.n)
+    except springer.AmbiguousAssignmentError as exc:
+        return {}, [springer.mismatch("determine", args.n, "bijection",
+                                      "unique identity", str(exc))]
+    return {}, []
+
+
+def _census(args, low):
+    result = census.orbit_census(args.n, args.p, args.flavor,
+                                 args.check_orbits, args.seed)
+    # cone x V has p^(2n^2) points: p^(2n^2 - 2n) cone x, p^(2n) vectors
+    labels = sorted(map(format_bipartition, bipartitions_of(args.n)))
+    records = [springer.mismatch("census", args.n, instance, expected, got)
+               for instance, expected, got in (
+                   ("labels", labels, sorted(result.label_counts)),
+                   ("total points", args.p ** (2 * args.n ** 2),
+                    sum(result.label_counts.values())))
+               if got != expected]
+    records += [springer.mismatch("census-orbit", args.n,
+                                  "%s %s" % (chk["label"], name), True, chk)
+                for chk in result.orbit_checks
+                for name in ("orbit_stabilizer_ok", "transitive")
+                if not chk[name]]
+    return {"p": args.p, "census": result.to_json()}, records
+
+
+def _klyachko(args, low):
+    kres = census.klyachko_census(args.n, args.p)
+    return {"p": args.p, "klyachko": kres}, [
+        springer.mismatch("klyachko", args.n, name, expected, got)
+        for name, expected, got in (
+            ("count_matches", kres["gl_class_count"], kres["orbit_count"]),
+            ("every_orbit_hit_by_embedding", True, False)) if not kres[name]]
+
+
+# Each verify suite once, in --suite order: name -> (lowest --n, ceiling
+# or None where census gates it, the SUITE_FLAGS it reads, run(args,
+# lowest n) -> (report fields, mismatch records)).
+VERIFY_SUITES = {
+    "restriction": (1, 11, (), _each_rank("verify_restriction")),
+    "d-diff": (2, 18, (), _each_rank("d_difference_check")),
+    "sum-squares": (1, 21, (), _each_rank("sum_squares_check")),
+    "determine": (1, 11, (), _determine),
+    "census": (1, None, ("p", "flavor", "check_orbits", "seed"), _census),
+    "klyachko": (1, None, ("p",), _klyachko),
+}
 
 
 def cmd_verify(args):
-    _fill_suite_flags(args)
-    report = {"suite": args.suite, "n": args.n, "mismatches": []}
-    if args.suite in RANK_SUITES:
-        low, check = RANK_SUITES[args.suite]
-        if args.n < low:
-            raise ValueError("verify --suite %s needs --n >= %d" % (args.suite, low))
-        for n in range(low, args.n + 1):
-            # looked up at call time, so a replaced check is the one run
-            report["mismatches"] += getattr(springer, check)(n)
-    elif args.suite == "determine":
-        try:
-            springer.determine_correspondence(args.n)
-        except springer.AmbiguousAssignmentError as exc:
-            report["mismatches"].append(springer.mismatch(
-                "determine", args.n, "bijection", "unique identity", str(exc)))
-    elif args.suite == "census":
-        report["p"] = args.p
-        result = census.orbit_census(
-            args.n, args.p, flavor=args.flavor,
-            check_orbits=args.check_orbits, basis_seed=args.seed)
-        report["census"] = result.to_json()
-        # cone x V has p^(2n^2) points: p^(2n^2 - 2n) cone x, p^(2n) vectors
-        labels = sorted(map(format_bipartition, bipartitions_of(args.n)))
-        for instance, expected, got in (
-                ("labels", labels, sorted(result.label_counts)),
-                ("total points", args.p ** (2 * args.n ** 2),
-                 sum(result.label_counts.values()))):
-            if got != expected:
-                report["mismatches"].append(springer.mismatch(
-                    "census", args.n, instance, expected, got))
-        for chk in result.orbit_checks:
-            for name in ("orbit_stabilizer_ok", "transitive"):
-                if not chk[name]:
-                    report["mismatches"].append(springer.mismatch(
-                        "census-orbit", args.n, "%s %s" % (chk["label"], name),
-                        True, chk))
-    elif args.suite == "klyachko":
-        report["p"] = args.p
-        kres = census.klyachko_census(args.n, args.p)
-        report["klyachko"] = kres
-        for name, expected, got in (
-                ("count_matches", kres["gl_class_count"], kres["orbit_count"]),
-                ("every_orbit_hit_by_embedding", True, False)):
-            if not kres[name]:
-                report["mismatches"].append(springer.mismatch(
-                    "klyachko", args.n, name, expected, got))
-    report["pass"] = not report["mismatches"]
-    return _json(report), 0 if report["pass"] else 1
+    low, _, reads, run = VERIFY_SUITES[args.suite]
+    unread = ", ".join("--" + dest.replace("_", "-") for dest in SUITE_FLAGS
+                       if dest not in reads and getattr(args, dest) is not None)
+    if unread:
+        raise ValueError("verify --suite %s does not read %s"
+                         % (args.suite, unread))
+    for dest, default in SUITE_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    if args.n < low:
+        raise ValueError("verify --suite %s needs --n >= %d" % (args.suite, low))
+    fields, mismatches = run(args, low)
+    return _json({"suite": args.suite, "n": args.n, "mismatches": mismatches,
+                  "pass": not mismatches, **fields}), 1 if mismatches else 0
 
 
 # Each subcommand once, in help order: name -> (help, add arguments, handler).

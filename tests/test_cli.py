@@ -21,10 +21,12 @@ def run(capsys, *argv):
     return code, captured.out
 
 
-def validate(obj, schema_name):
+def validate(obj, schema_name, schema=None):
+    """Validate obj against docs/<schema_name>, or against `schema` (an
+    edited copy of it) where one is given."""
     from jsonschema import validators
     from referencing import Registry, Resource
-    schema = json.loads((DOCS / schema_name).read_text())
+    schema = schema or json.loads((DOCS / schema_name).read_text())
     registry = Registry()
     for f in DOCS.glob("*.schema.json"):
         resource = Resource.from_contents(json.loads(f.read_text()))
@@ -377,6 +379,40 @@ def test_usage_errors(capsys):
               "--jobs", "2"])
     assert exc.value.code == 2
     assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
+    # integer flags take an optional '-' and ASCII digits, nothing else
+    # that int() reads: full-width digits, '_', a sign '+' or spaces
+    verify = ["verify", "--suite", "census", "--n", "1"]
+    for argv, message in (
+            (["orbits", "--n", "x"], "argument --n: invalid _rank value: 'x'"),
+            (["orbits", "--n", "\uff13"],
+             "argument --n: invalid _rank value: '\uff13'"),
+            (["orbits", "--n", "1_0"], "argument --n: invalid _rank value: '1_0'"),
+            (["orbits", "--n", " 2"], "argument --n: invalid _rank value: ' 2'"),
+            (["repr", "--n", "1", "--label", "1|-", "--p", "x"],
+             "argument --p: invalid int value: 'x'"),
+            (["repr", "--n", "1", "--label", "1|-", "--p", "\uff13"],
+             "argument --p: invalid int value: '\uff13'"),
+            (verify + ["--p", "1_1"], "argument --p: invalid int value: '1_1'"),
+            (["springer", "--n", "2", "--census-p", "+3"],
+             "argument --census-p: invalid int value: '+3'"),
+            (verify + ["--seed", "\uff11"],
+             "argument --seed: invalid int value: '\uff11'"),
+            (verify + ["--seed=-1_0"],
+             "argument --seed: invalid int value: '-1_0'"),
+            (["verify", "--suite", "bogus", "--n", "1"],
+             "argument --suite: invalid choice: 'bogus' (choose from "
+             "'restriction', 'd-diff', 'sum-squares', 'determine', 'census', "
+             "'klyachko')")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "exospringer %s: error: %s" % (argv[0], message), argv
+    # a leading '-' is still read as a sign
+    code, out = run(capsys, *verify, "--seed", "-3")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,14 +731,56 @@ def test_symbolic_commands_are_gated_before_any_table(monkeypatch, capsys):
     assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().err == \
         "error: chartable is gated to n <= 14 (got n=40)\n"
-    for name, ceiling in cli.SYMBOLIC_MAX_N.items():
-        argv = name.split() + ["--n", str(ceiling + 1)]
-        code = main(argv)
+    # every ceiling: each command's, and each verify suite's but census's
+    gated = [([name], ceiling) for name, ceiling in cli.SYMBOLIC_MAX_N.items()]
+    gated += [(["verify", "--suite", suite], ceiling)
+              for suite, (_, ceiling, _, _) in cli.VERIFY_SUITES.items()
+              if ceiling is not None]
+    assert len(gated) == 9
+    for command, ceiling in gated:
+        code = main(command + ["--n", str(ceiling + 1)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "n <= %d (got n=%d)" % (ceiling, ceiling + 1) in captured.err
+        assert captured.err == "error: %s is gated to n <= %d (got n=%d)\n" \
+            % (" ".join(command), ceiling, ceiling + 1)
     # every size the benchmark runs stays under its ceiling
-    assert min(cli.SYMBOLIC_MAX_N.values()) >= 8
+    assert min(ceiling for _, ceiling in gated) >= 8
+
+
+def test_a_suite_added_to_the_table_needs_nothing_else(monkeypatch, capsys):
+    # floor 2, ceiling 3, reads --p: one entry, and no other edit
+    calls = []
+
+    def run_extra(args, low):
+        calls.append((args.n, low, args.p))
+        return {"p": args.p}, []
+
+    monkeypatch.setitem(cli.VERIFY_SUITES, "extra", (2, 3, ("p",), run_extra))
+    help_text = outcome(capsys, main, ["verify", "--help"])[1]
+    assert "{restriction,d-diff,sum-squares,determine,census,klyachko,extra}" \
+        in help_text
+    code, out = run(capsys, "verify", "--suite", "extra", "--n", "3")
+    report = json.loads(out)
+    assert code == 0 and calls == [(3, 2, 3)]
+    assert report == {"suite": "extra", "n": 3, "p": 3, "mismatches": [],
+                      "pass": True}
+    schema = json.loads((DOCS / "verify_report.schema.json").read_text())
+    schema["properties"]["suite"]["enum"].append("extra")
+    validate(report, "verify_report.schema.json", schema)
+    for flags, message in (
+            (["--n", "4"], "is gated to n <= 3 (got n=4)"),
+            (["--n", "1"], "needs --n >= 2"),
+            (["--n", "2", "--seed", "1"], "does not read --seed")):
+        code = main(["verify", "--suite", "extra", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: verify --suite extra %s\n" % message
+    assert len(calls) == 1
+
+
+def test_report_schema_lists_every_suite_in_table_order():
+    schema = json.loads((DOCS / "verify_report.schema.json").read_text())
+    assert schema["properties"]["suite"]["enum"] == list(cli.VERIFY_SUITES)
 
 
 def test_orbits_json(capsys):
