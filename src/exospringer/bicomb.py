@@ -109,7 +109,7 @@ class Bipartition(Frozen):
     def _set(self, first, second):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-        # labels key the census's dicts, one lookup per labelled line
+        # Bipartitions key the symbolic path's dicts (branching, restriction)
         object.__setattr__(self, "_hash", hash((first, second)))
 
     @property

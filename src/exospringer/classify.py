@@ -26,18 +26,18 @@ no entry of x.  S' N' symmetric makes each block of S' between two
 chains a Hankel matrix, zero past the shorter chain's length, so the
 centralizer part is solved in closed form, sum over chain pairs i <= j
 of min(l_i, l_j), and only the m rows of S' v' = 0 are ranked
-(`_chain_stabilizer_dim`).  The line condition h w in <w> of
-`parabolic_stabilizer_dim` reads J in the original basis, so it keeps
-the x-basis system of `_stabilizer_columns` (h's coordinates on the
-units of `adjoint_units(-1)`, [h, x] read on its 2n^2 - n self-adjoint
-coordinates), which is also the tests' oracle for the chain-basis one.
+(`_chain_stabilizer_dim`).  The line condition h w = t w of
+`parabolic_stabilizer_dim` reads S w = t J w, i.e. S' w' = t g for
+w' = P^-1 w and g = P^T J w, whose entry k is the pairing <P e_k, w> of
+chain vector k with w: one inverse of the chain rows gives P, and the m
+rows of S' w' = t g, over one more unknown t, join those of S' v' = 0.
 """
 
 from operator import mul
 
 from .bicomb import Bipartition, format_bipartition
-from .ffield import (Subspace, commutant_basis, induced_action, jordan_chains,
-                     nilpotent_jordan_type, sparse_rank)
+from .ffield import (FpMatrix, Subspace, commutant_basis, induced_action,
+                     jordan_chains, nilpotent_jordan_type, sparse_rank)
 
 
 class NotDoubledError(ValueError):
@@ -205,58 +205,6 @@ def halve_doubled(parts):
     return parts[::2]
 
 
-def _kernel_dim(space, columns):
-    """dim of the solution space of a homogeneous system given as one
-    sparse column per unknown."""
-    return len(columns) - sparse_rank(columns, space.p)
-
-
-def _stabilizer_columns(space, x, v, line=None):
-    """Linear conditions on h in sp_2n, as one sparse column {condition:
-    coefficient} per unknown, h's coordinate on the unit E_ij + c E_kl of
-    `space.adjoint_units(-1)`: [h, x] = 0, h v = 0, h<w> in <w>.
-
-    x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
-    zero iff its 2n^2 - n coordinates, its entries at the (a, b) of
-    `adjoint_units(1)`, are; these are conditions 0 .. 2n^2 - n - 1, and
-    the 2n entries of h v (with v), then the 2n entries of h w - t w
-    (with a line w), follow.  The line adds one last unknown t, fixed by
-    h as w != 0, so the kernel dimension is that of h alone.  With the
-    coordinates indexed by row a and by column b, a term c E_ij adds
-    c x[j][b] to coordinate (i, b) of h x - x h, -c x[a][i] to
-    coordinate (a, j), and c v_j to entry i of h v (and of h w).
-    """
-    dim, p, xe = space.dim, space.p, x.entries
-    by_row, by_col = [[] for _ in range(dim)], [[] for _ in range(dim)]
-    coords = space.adjoint_units(1)
-    for r, (a, b, _, _, _) in enumerate(coords):
-        by_row[a].append((r, b))
-        by_col[b].append((r, a))
-    hv_at = len(coords)
-    hw_at = hv_at + (dim if v is not None else 0)
-    cols = []
-    for i, j, k, l, c in space.adjoint_units(-1):
-        # the unit is E_ij alone when it is its own image
-        terms = ((i, j, 1),) if (k, l) == (i, j) else ((i, j, 1), (k, l, c))
-        col = {}
-        for i, j, c in terms:
-            xj = xe[j]
-            for r, b in by_row[i]:
-                if xj[b]:
-                    col[r] = col.get(r, 0) + c * xj[b]
-            for r, a in by_col[j]:
-                if xe[a][i]:
-                    col[r] = col.get(r, 0) - c * xe[a][i]
-            if v is not None and v[j]:
-                col[hv_at + i] = col.get(hv_at + i, 0) + c * v[j]
-            if line is not None and line[j]:
-                col[hw_at + i] = col.get(hw_at + i, 0) + c * line[j]
-        cols.append({r: b for r, a in col.items() if (b := a % p)})
-    if line is not None:
-        cols.append({hw_at + j: -w % p for j, w in enumerate(line) if w})
-    return cols
-
-
 def stabilizer_dim(pair, include_v):
     """dim over F_p of {h in sp_2n : h x = x h (, h v = 0)}; pair.x is
     self-adjoint, as every validated pair's is.  Solved in the chain basis
@@ -274,9 +222,10 @@ def label_and_stabilizer_dim(pair):
             _chain_stabilizer_dim(blocks, pair.v, p))
 
 
-def _chain_stabilizer_dim(blocks, v, p):
-    """dim {S' symmetric : S' N' symmetric (, S' v' = 0)}, for `blocks`
-    the rows of P^-1 from `jordan_chains`, N' = P^-1 N P and v' = P^-1 v.
+def _chain_stabilizer_dim(blocks, v, p, line=None):
+    """dim {S' symmetric : S' N' symmetric (, S' v' = 0) (, S' w' in <g>)},
+    for `blocks` the rows of P^-1 from `jordan_chains`, N' = P^-1 N P,
+    v' = P^-1 v and, with `line` = (w, g), w' = P^-1 w.
 
     Coordinate (i, r) is N^r u_i, row r of chain i, so N' sends it to
     (i, r + 1), or to 0 at the chain's end, and (S' N')_ab = S'_(a, b+1).
@@ -287,7 +236,9 @@ def _chain_stabilizer_dim(blocks, v, p):
     t_(i,j,s) per i <= j and s < min(l_i, l_j), and without v the
     dimension is their number.  With v, row (i, r) of S' v' = 0 is the
     sum over j and c < min(l_i, l_j) - r of v'_(j,c) t_({i,j}, r + c);
-    one `sparse_rank` ranks these m rows.
+    one `sparse_rank` ranks these m rows.  A line adds the m rows of
+    S' w' = t g, built so with one more unknown t at coefficient -g_k in
+    row k; h fixes t, as w != 0, so t adds one unknown and no dimension.
     """
     lengths = tuple(map(len, blocks))
     first = {}              # (i, j) -> the number of t_(i,j,0), either order
@@ -298,17 +249,24 @@ def _chain_stabilizer_dim(blocks, v, p):
             count += min(li, lengths[j])
     if v is None:
         return count
-    coords = [[sum(map(mul, row, v)) % p for row in chain] for chain in blocks]
     rows = []
-    for i, li in enumerate(lengths):
-        for r in range(li):
-            row = {}
-            for j, (lj, vj) in enumerate(zip(lengths, coords)):
-                at = first[i, j] + r
-                for c in range(min(li, lj) - r):
-                    if vj[c]:
-                        row[at + c] = vj[c]
-            rows.append(row)
+    for u in (v,) if line is None else (v, line[0]):
+        coords = [[sum(map(mul, row, u)) % p for row in chain]
+                  for chain in blocks]
+        for i, li in enumerate(lengths):
+            for r in range(li):
+                row = {}
+                for j, (lj, uj) in enumerate(zip(lengths, coords)):
+                    at = first[i, j] + r
+                    for c in range(min(li, lj) - r):
+                        if uj[c]:
+                            row[at + c] = uj[c]
+                rows.append(row)
+    if line is not None:
+        for row, gk in zip(rows[len(rows) // 2:], line[1]):
+            if gk:
+                row[count] = -gk % p
+        count += 1
     return count - sparse_rank(rows, p)
 
 
@@ -331,6 +289,7 @@ def parabolic_stabilizer_dim(nf, i, case):
     group counts over F_3 and F_5).
     case 'ii_node': the line through w_i = v'_{p_i, nu_[i]}; needs
     nu_[i] > mu1_[i], i.e. a nonzero second-component part on block i.
+    Solved in the chain basis, as the module docstring derives.
     """
     if not 1 <= i <= nf.num_blocks:
         raise IndexError("block index %d out of range 1..%d" % (i, nf.num_blocks))
@@ -346,6 +305,9 @@ def parabolic_stabilizer_dim(nf, i, case):
         w = nf.dual_basis[(nf.p_rows[i - 1], nf.nu_values[i - 1])]
     else:
         raise ValueError("case must be 'i_node' or 'ii_node'")
-    pair = nf.pair
-    columns = _stabilizer_columns(pair.space, pair.x, pair.v, line=w)
-    return _kernel_dim(pair.space, columns)
+    pair, space = nf.pair, nf.pair.space
+    blocks = jordan_chains(pair.nilpotent_part())
+    # P inverts the stacked chain rows; g_k = <P e_k, w>, column k of P
+    basis = FpMatrix._trusted(sum(blocks, ()), space.p).inverse()
+    g = [space.pairing(u, w) for u in zip(*basis.entries)]
+    return _chain_stabilizer_dim(blocks, pair.v, space.p, line=(w, g))

@@ -109,7 +109,7 @@ def _add_verify(sub):
     sub.add_argument("--flavor", choices=("lie", "group"), default=None)
     # Serial only: perfbench/workloads.py passes --jobs 1 to every census
     # item, so the flag stays, hidden, until the benchmark stops passing it.
-    sub.add_argument("--jobs", type=int, choices=(1,), default=1,
+    sub.add_argument("--jobs", type=_int, choices=(1,), default=1,
                      help=argparse.SUPPRESS)
     sub.add_argument("--check-orbits", action="store_true", default=None)
     sub.add_argument("--seed", type=_int, default=None,

@@ -21,7 +21,8 @@ matrices it makes.
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
 rows; a kernel is one `_rref_rows`, kept as semi-echelon (pivot, row)
 pairs, and `_reduce` is the one loop that reduces a vector against them.
-Only `kernel_basis` makes a kernel canonical; no library path inverts.
+Only `kernel_basis` makes a kernel canonical.  One library path inverts:
+the parabolic line stabilizer, once per call, for its chain basis.
 Nilpotence is decided by one test on row tuples, `power_is_zero`.  It
 and `FpMatrix.power` take their factors from one squaring chain,
 `_power_factors`.  The kernels of the powers of a nilpotent N, which

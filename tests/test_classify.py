@@ -14,12 +14,12 @@ from exospringer import classify, ffield
 from exospringer.bicomb import (Bipartition, bipartitions_of, n_invariant,
                                 orbit_dim, partition_sum)
 from exospringer.classify import (
-    NotDoubledError, _kernel_dim, _stabilizer_columns, cyclic_dim,
-    enhanced_type, exotic_labeler, exotic_type, label_and_stabilizer_dim,
-    parabolic_stabilizer_dim, stabilizer_dim)
+    NotDoubledError, cyclic_dim, enhanced_type, exotic_labeler, exotic_type,
+    label_and_stabilizer_dim, parabolic_stabilizer_dim, stabilizer_dim)
 from exospringer.census import _cone_xs, _line_reps, seeded_basis_change
 from exospringer.ffield import (FpMatrix, NotNilpotentError, jordan_chains,
-                                nilpotent_jordan_type, power_is_zero)
+                                nilpotent_jordan_type, power_is_zero,
+                                sparse_rank)
 from exospringer.symplectic import (ExoticPair, NormalFormData, SymplecticSpace,
                                    normal_form_pair)
 
@@ -430,7 +430,6 @@ def test_parabolic_case_i_needs_removable_node():
         parabolic_stabilizer_dim(nf, 1, "i_node")
     # same geometry computed without the line shortcut: kernel with the
     # line condition has dim 8, not z - 2q + 2 = 9
-    from exospringer.classify import _kernel_dim, _stabilizer_columns
     w = nf.jordan_basis[(1, 1)]
     columns = _stabilizer_columns(sp, nf.pair.x, nf.pair.v, line=w)
     assert len(columns) == len(sp.adjoint_eigenbasis(-1)) + 1   # h, then t
@@ -493,6 +492,63 @@ def test_chain_cover_check_survives_python_O(monkeypatch):
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("1 Jordan chains span 1 of 2 dimensions")
+
+
+# The x-basis stabilizer system `classify` solved line stabilizers with
+# before they moved to the chain basis, kept as the oracle for
+# `_chain_stabilizer_dim`: one sparse column per sp_2n unit, with h x = x h
+# read off the entries of x.
+
+def _kernel_dim(space, columns):
+    """dim of the solution space of a homogeneous system given as one
+    sparse column per unknown."""
+    return len(columns) - sparse_rank(columns, space.p)
+
+
+def _stabilizer_columns(space, x, v, line=None):
+    """Linear conditions on h in sp_2n, as one sparse column {condition:
+    coefficient} per unknown, h's coordinate on the unit E_ij + c E_kl of
+    `space.adjoint_units(-1)`: [h, x] = 0, h v = 0, h<w> in <w>.
+
+    x must be self-adjoint: then so is [h, x] for h in sp_2n, and it is
+    zero iff its 2n^2 - n coordinates, its entries at the (a, b) of
+    `adjoint_units(1)`, are; these are conditions 0 .. 2n^2 - n - 1, and
+    the 2n entries of h v (with v), then the 2n entries of h w - t w
+    (with a line w), follow.  The line adds one last unknown t, fixed by
+    h as w != 0, so the kernel dimension is that of h alone.  With the
+    coordinates indexed by row a and by column b, a term c E_ij adds
+    c x[j][b] to coordinate (i, b) of h x - x h, -c x[a][i] to
+    coordinate (a, j), and c v_j to entry i of h v (and of h w).
+    """
+    dim, p, xe = space.dim, space.p, x.entries
+    by_row, by_col = [[] for _ in range(dim)], [[] for _ in range(dim)]
+    coords = space.adjoint_units(1)
+    for r, (a, b, _, _, _) in enumerate(coords):
+        by_row[a].append((r, b))
+        by_col[b].append((r, a))
+    hv_at = len(coords)
+    hw_at = hv_at + (dim if v is not None else 0)
+    cols = []
+    for i, j, k, l, c in space.adjoint_units(-1):
+        # the unit is E_ij alone when it is its own image
+        terms = ((i, j, 1),) if (k, l) == (i, j) else ((i, j, 1), (k, l, c))
+        col = {}
+        for i, j, c in terms:
+            xj = xe[j]
+            for r, b in by_row[i]:
+                if xj[b]:
+                    col[r] = col.get(r, 0) + c * xj[b]
+            for r, a in by_col[j]:
+                if xe[a][i]:
+                    col[r] = col.get(r, 0) - c * xe[a][i]
+            if v is not None and v[j]:
+                col[hv_at + i] = col.get(hv_at + i, 0) + c * v[j]
+            if line is not None and line[j]:
+                col[hw_at + i] = col.get(hw_at + i, 0) + c * line[j]
+        cols.append({r: b for r, a in col.items() if (b := a % p)})
+    if line is not None:
+        cols.append({hw_at + j: -w % p for j, w in enumerate(line) if w})
+    return cols
 
 
 def dense_stabilizer_rows(space, basis, x, v, line):
@@ -601,12 +657,24 @@ def test_sparse_stabilizer_rows_match_dense_products(rng, p):
                     dense_kernel_dim(space, basis, x, v, w)
 
 
-def x_basis_stabilizer_dim(pair, include_v):
-    # the system `parabolic_stabilizer_dim` keeps: h's coordinates on the
-    # sp_2n units, with h x = x h read off the entries of x
+def x_basis_stabilizer_dim(pair, include_v, line=None):
+    # the x-basis oracle above, with or without v and a line
     space = pair.space
     return _kernel_dim(space, _stabilizer_columns(
-        space, pair.x, pair.v if include_v else None))
+        space, pair.x, pair.v if include_v else None, line=line))
+
+
+def valid_lines(nf):
+    # (i, case, w) for each node `parabolic_stabilizer_dim` accepts, with
+    # the vector w of its line
+    for i in range(1, nf.num_blocks + 1):
+        mu1 = nf.mu1_values[i - 1]
+        mu1_next = nf.mu1_values[i] if i < nf.num_blocks else 0
+        if mu1 > mu1_next:
+            yield i, "i_node", nf.jordan_basis[(nf.q_rows[i - 1], 1)]
+        if nf.nu_values[i - 1] > mu1:
+            yield (i, "ii_node",
+                   nf.dual_basis[(nf.p_rows[i - 1], nf.nu_values[i - 1])])
 
 
 def commutation_row_stabilizer_dim(blocks, v, p):
@@ -660,13 +728,22 @@ def test_hankel_count_equals_the_commutation_row_rank(lengths, p, data):
 def test_chain_basis_stabilizer_dims_equal_the_x_basis_system(p):
     # every label of n <= 4, moved by a seeded symplectic g, in both
     # flavors (x - 1 of a moved unipotent is on the lie cone), with its
-    # normal-form v and with a random v, and with and without v
+    # normal-form v and with a random v, and with and without v; and the
+    # moved normal form's line stabilizers, at every valid node
     rng = random.Random(p)
+    lines = 0
     for n in (1, 2, 3, 4):
         space = SymplecticSpace(n, p)
         for seed, label in enumerate(bipartitions_of(n)):
             nf = normal_form_pair(label, space)
             g = seeded_basis_change(space, seed)
+            moved = moved_normal_form(nf, g)
+            nodes = list(valid_lines(moved))
+            assert [parabolic_stabilizer_dim(moved, i, case)
+                    for i, case, _ in nodes] == \
+                [x_basis_stabilizer_dim(moved.pair, True, line=w)
+                 for _, _, w in nodes]
+            lines += len(nodes)
             y = g * nf.pair.x * space.adjoint(g)
             random_v = tuple(rng.randrange(p) for _ in range(space.dim))
             for flavor, x in (("group", y), ("lie", y - space._one)):
@@ -681,6 +758,7 @@ def test_chain_basis_stabilizer_dims_equal_the_x_basis_system(p):
                         blocks, w, p) for w in (None, v)]
                     assert label_and_stabilizer_dim(pair) == \
                         (exotic_type(pair), dims[1])
+    assert lines > 50
 
 
 @pytest.mark.parametrize("n, p", ((1, 3), (2, 3)))
@@ -750,7 +828,6 @@ def test_stabilizer_dim_cost(monkeypatch):
     monkeypatch.setattr(classify, "sparse_rank", rank_counted)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
     monkeypatch.setattr(ffield, "_product_rows", product_counted)
-    monkeypatch.setattr(classify, "_stabilizer_columns", refuse)
     monkeypatch.setattr(SymplecticSpace, "adjoint_units", refuse)
     monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", refuse)
     assert stabilizer_dim(pair, include_v=False) == 16
@@ -765,6 +842,46 @@ def test_stabilizer_dim_cost(monkeypatch):
     assert any(rows) and all(0 < a < p for row in rows for a in row.values())
     assert rref_calls and all(rref_calls)
     assert products and all(inside and r < m for inside, r in products)
+
+
+def test_parabolic_stabilizer_dim_cost(monkeypatch):
+    # n = 3, label 2|1 moved by a seeded symplectic g: each line stabilizer
+    # takes one `jordan_chains` of the nilpotent part and one inverse of its
+    # rows, for the pairings g_k of the chain vectors with w, and reads no
+    # sp_2n unit or basis matrix
+    space = SymplecticSpace(3, 5)
+    nf = moved_normal_form(normal_form_pair(Bipartition((2,), (1,)), space),
+                           seeded_basis_change(space, 3))
+    nodes = list(valid_lines(nf))
+    assert [case for _, case, _ in nodes] == ["i_node", "ii_node"]
+    z = stabilizer_dim(nf.pair, include_v=True)
+    expected = [x_basis_stabilizer_dim(nf.pair, True, line=w)
+                for _, _, w in nodes]
+    assert expected == [z, z - 1]
+    chains, inverted = [], []
+    jordan, inverse = classify.jordan_chains, FpMatrix.inverse
+
+    def chained(n_mat):
+        chains.append(n_mat)
+        return jordan(n_mat)
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line stabilizer read x in its own basis")
+
+    monkeypatch.setattr(classify, "jordan_chains", chained)
+    monkeypatch.setattr(FpMatrix, "inverse", counted)
+    monkeypatch.setattr(SymplecticSpace, "adjoint_units", refuse)
+    monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", refuse)
+    for (i, case, _), dim in zip(nodes, expected):
+        chains.clear()
+        inverted.clear()
+        assert parabolic_stabilizer_dim(nf, i, case) == dim
+        assert chains == [nf.pair.nilpotent_part()]
+        assert len(inverted) == 1
 
 
 def test_halve_doubled_refuses_undoubled_parts():

@@ -399,6 +399,10 @@ def test_usage_errors(capsys):
              "argument --seed: invalid int value: '\uff11'"),
             (verify + ["--seed=-1_0"],
              "argument --seed: invalid int value: '-1_0'"),
+            (verify + ["--jobs", "\uff11"],
+             "argument --jobs: invalid int value: '\uff11'"),
+            (verify + ["--jobs", " 1"],
+             "argument --jobs: invalid int value: ' 1'"),
             (["verify", "--suite", "bogus", "--n", "1"],
              "argument --suite: invalid choice: 'bogus' (choose from "
              "'restriction', 'd-diff', 'sum-squares', 'determine', 'census', "
