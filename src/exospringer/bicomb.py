@@ -109,16 +109,12 @@ class Bipartition(Frozen):
     def _set(self, first, second):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-        # Bipartitions key the symbolic path's dicts (branching, restriction)
+        # Frozen's hash, stored: keys of the branching and restriction dicts
         object.__setattr__(self, "_hash", hash((first, second)))
 
     @property
     def n(self):
         return sum(self.first) + sum(self.second)
-
-    def __eq__(self, other):
-        return (isinstance(other, Bipartition)
-                and self.first == other.first and self.second == other.second)
 
     def __hash__(self):
         return self._hash

@@ -9,14 +9,14 @@ Inputs are validated once, at the API edge.  The public constructors
 (`FpMatrix(...)`, `FpMatrix.from_json`, `FpMatrix.identity` and
 `Subspace(...)`) check the modulus, reduce every entry mod p and check
 the shape.  The primality test is a deterministic Miller-Rabin; at
-p = 2^31 - 1 it is the dearest of the checks (about 0.1 ms, against
-1 us at p = 7).  Results are trusted inside: every operation's output is
-reduced by construction, so it is built with `Frozen._trusted` (or
-`FpMatrix._identity`), which skips all three checks; `Frozen` is the one
-immutable base of the package's value types.  Library code that builds
-an already-reduced matrix or span over a modulus it has checked uses
-`_trusted` too, so a symplectic space tests its p once and none of the
-matrices it makes.
+p = 2^31 - 1 it is the dearest of the checks (about 20 us, against
+0.4 us at p = 7, on a 2-core Xeon with Python 3.11).  Results are
+trusted inside: every operation's output is reduced by construction, so
+it is built with `Frozen._trusted` (or `FpMatrix._identity`), which
+skips all three checks; `Frozen` is the one immutable base of the
+package's value types.  Library code that builds an already-reduced
+matrix or span over a modulus it has checked uses `_trusted` too, so a
+symplectic space tests its p once and none of the matrices it makes.
 
 Ranks come from one sparse elimination, `sparse_rank`, on {index: value}
 rows; a kernel is one `_rref_rows`, kept as semi-echelon (pivot, row)
@@ -31,24 +31,35 @@ and `FpMatrix.power` take their factors from one squaring chain,
 times N.
 """
 
-from operator import index, mul
+from operator import attrgetter, index, mul
 
 
 class Frozen:
     """Base of a value type: validated at the API edge, trusted inside,
     never mutated.  A subclass stores its slots in `_set`, which its
     checking `__init__` calls, and so does `_trusted`, with no check.
-    `_set_args` names the attributes that hold `_set`'s arguments, so
-    that copy and pickle rebuild a value through `_trusted` rather than
-    by setting its slots, which `__setattr__` refuses."""
+    `_set_args`, two or more attributes, names `_set`'s arguments and is
+    the value's identity: `_key` reads them as a tuple, values of one
+    type are equal when their keys are, a value hashes as its key, and
+    copy and pickle rebuild it from its key through `_trusted`, since
+    `__setattr__` refuses to set its slots."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._set_args)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
     def __reduce__(self):
-        return self._trusted, tuple(getattr(self, a) for a in self._set_args)
+        return self._trusted, self._key(self)
 
     @classmethod
     def _trusted(cls, *values):
@@ -344,13 +355,6 @@ class FpMatrix(Frozen):
 
     # -- basic algebra -----------------------------------------------
 
-    def __eq__(self, other):
-        return (isinstance(other, FpMatrix) and self.p == other.p
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.p, self.entries))
-
     def __repr__(self):
         return "FpMatrix(%r, p=%d)" % ([list(r) for r in self.entries], self.p)
 
@@ -452,6 +456,8 @@ class FpMatrix(Frozen):
 def _unflatten(flat, rows, cols):
     if len(flat) != rows * cols:
         raise ValueError("entries length != rows*cols")
+    if rows < 1 or cols < 1:
+        return ()  # refused as empty, with no row built
     return tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
@@ -484,14 +490,6 @@ class Subspace(Frozen):
     @property
     def dim(self):
         return len(self.basis)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.p == other.p
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis))
 
     def __repr__(self):
         return "Subspace(dim=%d of %d, p=%d)" % (self.dim, self.ambient_dim, self.p)

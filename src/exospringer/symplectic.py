@@ -29,6 +29,7 @@ class SymplecticSpace(Frozen):
     """Dimension-2n symplectic space over F_p with the block form J."""
 
     __slots__ = ("n", "p", "J", "_signed_perm", "_one")
+    _set_args = ("n", "p")
 
     def __init__(self, n, p):
         if n < 1:
@@ -51,13 +52,6 @@ class SymplecticSpace(Frozen):
             next((r, 1 if c == 1 else -1) for r, c in enumerate(col) if c)
             for col in zip(*self.J.entries)))
         object.__setattr__(self, "_one", FpMatrix._identity(2 * n, p))
-
-    def __eq__(self, other):
-        return (isinstance(other, SymplecticSpace)
-                and (self.n, self.p) == (other.n, other.p))
-
-    def __hash__(self):
-        return hash((self.n, self.p))
 
     def __reduce__(self):
         # no trusted path: a copy is built, and checked, from (n, p)
@@ -245,14 +239,6 @@ class ExoticPair(Frozen):
         if self.flavor == "lie":
             return self.x
         return self.x - self.space._one
-
-    def __eq__(self, other):
-        return (isinstance(other, ExoticPair) and self.space == other.space
-                and self.x == other.x and self.v == other.v
-                and self.flavor == other.flavor)
-
-    def __hash__(self):
-        return hash((self.space, self.x, self.v, self.flavor))
 
     def __repr__(self):
         return "ExoticPair(n=%d, p=%d, flavor=%s)" % (

@@ -1028,6 +1028,76 @@ def test_classify_refuses_a_flavor_in_the_wrong_case(monkeypatch, capsys):
     assert captured.err == "error: flavor must be 'lie' or 'group'\n"
 
 
+# a valid lie pair at n = 1, p = 3 (x = 0), and the edits of it, or the
+# texts, that the hostile corpus feeds to classify
+GOOD_PAIR = {"n": 1, "p": 3, "flavor": "lie", "v": [1, 0],
+             "x": {"p": 3, "rows": 2, "cols": 2, "entries": [0, 0, 0, 0]}}
+
+
+def edited(**fields):
+    """GOOD_PAIR as JSON text, with each field set; an x_ name sets x's."""
+    pair = json.loads(json.dumps(GOOD_PAIR))
+    for name, value in fields.items():
+        if name.startswith("x_"):
+            pair["x"][name[2:]] = value
+        else:
+            pair[name] = value
+    return json.dumps(pair)
+
+
+HOSTILE_PAIRS = {
+    "n is a bool": edited(n=True),
+    "n is NaN": edited(n=0).replace('"n": 0', '"n": NaN'),
+    "n has 5000 digits": edited(n=0).replace('"n": 0', '"n": ' + "7" * 5000),
+    "a float entry": edited(x_entries=[0, 1.5, 0, 0]),
+    # reduced mod p, as every FpMatrix entry is, to an x not self-adjoint
+    "negative entries": edited(x_entries=[0, -1, 0, 0]),
+    "p = 9": edited(p=9, x_p=9),
+    "the pair's p is not x's": edited(p=5),
+    "a short v": edited(v=[1]),
+    "a bogus flavor": edited(flavor="exotic"),
+    "x is 1x4": edited(x_rows=1, x_cols=4),
+    "x is not nilpotent": edited(x_entries=[1, 0, 0, 1]),
+    "a top-level array": json.dumps([GOOD_PAIR]),
+    "x is a list": edited(x=[[0, 0], [0, 0]]),
+    "n = 0": edited(n=0),
+    "n = -1": edited(n=-1),
+    "bytes that are not UTF-8": b'{"n": 1, "p": 3, "flavor": "\xff\xfe"}',
+    "x has 10^9 rows of 0 columns": edited(x_rows=10**9, x_cols=0,
+                                           x_entries=[]),
+}
+
+
+def test_the_hostile_corpus_starts_from_a_pair_classify_reads(monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(edited()))
+    code, out = run(capsys, "classify", "--input", "-")
+    assert code == 0 and json.loads(out)["label"] == "1|-"
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PAIRS))
+def test_classify_refuses_hostile_input_with_one_error_line(monkeypatch,
+                                                            tmp_path, capsys,
+                                                            case):
+    text = HOSTILE_PAIRS[case]
+    if isinstance(text, bytes):
+        path = tmp_path / "pair.json"
+        path.write_bytes(text)
+        where = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        where = "-"
+    t0 = time.perf_counter()
+    code = main(["classify", "--input", where])
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if case.startswith("x has 10^9 rows"):
+        assert captured.err == "error: empty matrix\n"
+
+
 def test_report_schema_pins_the_mismatch_record():
     from jsonschema import ValidationError
     from exospringer.springer import mismatch

@@ -1,5 +1,6 @@
 import functools
 import operator
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,6 +512,24 @@ def test_matrix_json_roundtrip():
     assert FpMatrix.from_json(m.to_json()) == m
     obj = m.to_json()
     assert obj == {"p": 3, "rows": 2, "cols": 3, "entries": [1, 2, 0, 0, 1, 2]}
+
+
+@pytest.mark.parametrize("rows, cols, entries, p, error", [
+    (10**9, 0, [], 3, "empty matrix"),
+    (0, 3, [], 3, "empty matrix"),
+    (-2, -1, [1, 2], 3, "empty matrix"),
+    (10**9, 0, [], 9, "modulus must be an odd prime, got 9"),
+    (3, 0, [1], 3, "entries length != rows*cols")])
+def test_matrix_json_with_an_empty_shape_builds_no_row(rows, cols, entries,
+                                                       p, error):
+    # 10^9 empty rows would take minutes and gigabytes to build; each
+    # shape gets the error it got when they were built
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        FpMatrix.from_json({"p": p, "rows": rows, "cols": cols,
+                            "entries": entries})
+    assert time.perf_counter() - t0 < 1
+    assert str(exc.value) == error
 
 
 def test_matrix_inverse(rng):

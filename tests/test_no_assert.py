@@ -36,15 +36,22 @@ def _is_object_new(node):
 
 
 def test_only_frozen_guards_and_builds_unchecked_values():
-    # every value type inherits ffield.Frozen's immutability guard and
-    # trusted constructor; none writes its own copy of either
+    # every value type inherits ffield.Frozen's immutability guard, trusted
+    # constructor and identity rule; none writes its own copy of them, but
+    # Bipartition returns its stored hash and SymplecticSpace copies by
+    # its checking constructor
     found = []
     for path in sorted(SRC.glob("*.py")):
         for owner, node in _nodes(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name in ("__setattr__", "_trusted")):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "__setattr__", "_trusted", "__eq__", "__hash__",
+                    "__reduce__"):
                 found.append("%s:%s" % (path.stem, owner))
             elif _is_object_new(node):
                 found.append("%s:%s calls object.__new__" % (path.stem, owner))
-    assert sorted(found) == ["ffield:Frozen.__setattr__", "ffield:Frozen._trusted",
-                             "ffield:Frozen._trusted calls object.__new__"]
+    assert sorted(found) == [
+        "bicomb:Bipartition.__hash__", "ffield:Frozen.__eq__",
+        "ffield:Frozen.__hash__", "ffield:Frozen.__reduce__",
+        "ffield:Frozen.__setattr__", "ffield:Frozen._trusted",
+        "ffield:Frozen._trusted calls object.__new__",
+        "symplectic:SymplecticSpace.__reduce__"]
