@@ -40,7 +40,12 @@ REPR_MAX_N = 850
 # classify's ceiling by the same rule, on repr's normal form of n|- (at
 # p = 3 and 2^31 - 1, and moved by a seeded g), whose nilpotent part has
 # the largest index, n; checked on the JSON's n before any matrix is built.
-CLASSIFY_MAX_N = 72
+# About half its time is packed products: the n r x 2n ones of the Jordan
+# chains' power kernels and the 2n x 2n ones of validation's squaring
+# chain; the rest is the kernels' reductions and validation's entry-by-
+# entry readout.  p = 2^31 - 1 moved is the slowest case: its product
+# digits take 9 bytes.
+CLASSIFY_MAX_N = 128
 
 
 def _gate(args):
@@ -257,16 +262,27 @@ def cmd_branch(args):
 
 
 def cmd_classify(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError("classify --input %s is not %s text: %s at byte %d"
+                         % (args.input, exc.encoding, exc.reason, exc.start)
+                         ) from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError("classify --input %s is not JSON: %s"
                          % (args.input, exc)) from None
+    except ValueError:
+        # the one other ValueError of json.loads: int()'s digit limit
+        raise ValueError("classify --input %s has an integer of more than "
+                         "%d digits" % (args.input,
+                                        sys.get_int_max_str_digits())
+                         ) from None
     except RecursionError:
         raise ValueError("classify --input %s is nested too deeply"
                          % args.input) from None

@@ -23,14 +23,23 @@ rows; a kernel is one `_rref_rows`, kept as semi-echelon (pivot, row)
 pairs, and `_reduce` is the one loop that reduces a vector against them.
 Only `kernel_basis` makes a kernel canonical.  One library path inverts:
 the parabolic line stabilizer, once per call, for its chain basis.
+Every matrix product is one kernel on row tuples, `_product_rows`, by
+Kronecker substitution: `_pack_rows` packs each row k of the right
+factor b once as an int whose base-2^(8 s) digit j is b[k][j], so each
+row of the product is one big-integer dot product, `_times_packed`,
+whose digits are its entries.  A digit is at most len(b) (p - 1)^2, so
+none carries, and the width s is the fewest bytes that hold that bound
+among 1, 2, 4 and 8 and those plus 8, the widths read in C
+(`_digit_width`).
 Nilpotence is decided by one test on row tuples, `power_is_zero`.  It
 and `FpMatrix.power` take their factors from one squaring chain,
 `_power_factors`.  The kernels of the powers of a nilpotent N, which
 `jordan_chains` and `nilpotent_jordan_type` read, form no power:
 `_power_kernels` takes each one off the reduced rows of the one before,
-times N.
+times N, packed once per call.
 """
 
+import struct
 from operator import attrgetter, index, mul
 
 
@@ -258,10 +267,78 @@ def sparse_rank(rows, p):
     return rank
 
 
+# struct codes of the unsigned ints of 1, 2, 4 and 8 bytes, and the digit
+# widths struct reads: one of those, or 8 bytes and one of those
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_DIGIT_WIDTHS = (*_WORD_CODES, *(8 + w for w in _WORD_CODES))
+
+
+def _digit_width(reach):
+    """Bytes per digit for digits in [0, reach]: the fewest that hold
+    reach among 1, 2, 4 and 8, and 8 more than those (9, 10, 12 and 16),
+    so that `_pack_rows` packs and reads every digit in C.  Over a modulus
+    p <= 2^31, a digit of a product by k rows is below k 2^62, so 16 bytes
+    hold it for any k below 2^66."""
+    size = (reach.bit_length() + 7) // 8
+    for width in _DIGIT_WIDTHS:
+        if width >= size:
+            return width
+    raise ValueError("no digit width holds %d" % reach)
+
+
+def _pack_rows(b, p):
+    """(packed, read): row k of b, entries in [0, p), packed as the int
+    packed[k] whose base-2^(8 s) digit j is b[k][j] (Kronecker
+    substitution), and read, which turns a sum of multiples of these ints
+    into its digits mod p, as a tuple.
+
+    For a row a, sum(map(mul, a, packed)) holds (a b)_j as its digit j,
+    and no digit carries into the next: each is at most len(b) (p - 1)^2,
+    and the width s is `_digit_width` of that bound.  read runs in C but
+    for the mod: at 1 byte one bytes.translate by a mod-p table; at 2, 4
+    and 8 bytes one struct unpack, then % p; wider (a large p, such as
+    2^31 - 1 with more than four rows), one struct unpack of each digit as
+    a low 8-byte word and a high word of s - 8 bytes, joined, then % p."""
+    ncols = len(b[0])
+    size = _digit_width(len(b) * (p - 1) ** 2)
+    if size == 1:
+        table = (bytes(range(p)) * (256 // p + 1))[:256]
+        packed = [int.from_bytes(bytes(row), "little") for row in b]
+
+        def read(total):
+            return tuple(total.to_bytes(ncols, "little").translate(table))
+    elif size <= 8:
+        form = struct.Struct("<%d%s" % (ncols, _WORD_CODES[size]))
+        packed = [int.from_bytes(form.pack(*row), "little") for row in b]
+        unpack, nbytes = form.unpack, form.size
+
+        def read(total):
+            return tuple([d % p for d in unpack(total.to_bytes(nbytes,
+                                                                "little"))])
+    else:
+        form = struct.Struct("<" + ("Q" + _WORD_CODES[size - 8]) * ncols)
+        # each entry of b, below p, is all in its low word
+        packed = [int.from_bytes(form.pack(*[w for x in row for w in (x, 0)]),
+                                 "little") for row in b]
+        unpack, nbytes = form.unpack, form.size
+
+        def read(total):
+            words = iter(unpack(total.to_bytes(nbytes, "little")))
+            return tuple([(lo | hi << 64) % p for lo, hi in zip(words, words)])
+    return packed, read
+
+
+def _times_packed(a, packed, read):
+    """The rows of a b, for b packed by `_pack_rows` as (packed, read):
+    one big-integer dot product per row of a, len(b) multiplications."""
+    return tuple([read(sum(map(mul, row, packed))) for row in a])
+
+
 def _product_rows(a, b, p):
-    """The rows of the product of the matrices with rows a and b."""
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+    """The rows of the product of the matrices with rows a and b, entries
+    in [0, p): b is packed once by `_pack_rows`, and each row of a b is
+    one `_times_packed` dot product, read off its digits."""
+    return _times_packed(a, *_pack_rows(b, p))
 
 
 def _power_factors(rows, k, p):
@@ -289,8 +366,11 @@ def power_is_zero(rows, k, p, minus_one=False):
 
     The one nilpotence test.  M - 1 is M with 1 taken off its diagonal.
     The factors a b = M^k come from `_power_factors`, the chain that
-    `FpMatrix.power` uses too; their product is read entry by entry, and
-    the test stops at its first nonzero entry."""
+    `FpMatrix.power` uses too, each of its products packed by
+    `_product_rows`.  The last product a b is not packed: it is read entry
+    by entry, one dot product each, and the test stops at its first
+    nonzero entry, so that an x off the census's cone costs a few dot
+    products and not a packed product."""
     if k < 1:
         raise ValueError("power_is_zero needs k >= 1")
     if minus_one:
@@ -530,9 +610,11 @@ def _power_kernels(n_mat):
 
     The row space of N^(s+1) is that of N^s times N, so it is spanned by
     the r_s nonzero reduced rows of N^s times N: each step is one product
-    of an r_s x m block by N and one `_rref_rows` of it, whose free
-    columns give the kernel.  A reduced echelon form is canonical for its
-    row space, so every kernel is the one the power itself would give.
+    of an r_s x m block by N, r_s dot products by N's rows as
+    `_pack_rows` packs them once per call, and one `_rref_rows` of it,
+    whose free columns give the kernel.  A reduced echelon form is
+    canonical for its row space, so every kernel is the one the power
+    itself would give.
     The kernels never shrink, and once two in a row are equal they stay
     equal, so a kernel that stops growing short of F_p^m means N is not
     nilpotent.
@@ -540,6 +622,7 @@ def _power_kernels(n_mat):
     m, p = n_mat.rows, n_mat.p
     kernels = []
     rows = n_mat.entries
+    by_n = _pack_rows(rows, p)     # N, packed once for every step
     while True:
         red, pivots = _rref_rows(list(rows), m, p)
         kernel = _rref_kernel(red, pivots, m, p)
@@ -548,7 +631,7 @@ def _power_kernels(n_mat):
         kernels.append(kernel)
         if len(kernel) == m:
             return kernels
-        rows = _product_rows(red[:len(pivots)], n_mat.entries, p)
+        rows = _times_packed(red[:len(pivots)], *by_n)
 
 
 def nilpotent_jordan_type(n_mat):

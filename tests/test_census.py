@@ -763,7 +763,8 @@ def test_pair_validation_takes_the_power_chain(matmul_calls, row_products,
     # x^n (or (x - 1)^n) comes from one squaring chain, 0, 1, 2, 2
     # products at n = 1..4: FpMatrix.power forms them all, and
     # ExoticPair.validate all but the last, which it reads entry by entry,
-    # every entry when x is on the cone
+    # every entry when x is on the cone: dim^3 entry products.  The others
+    # are packed, one dot product of length dim per row, dim^2 in all
     for n, chain in ((1, 0), (2, 1), (3, 2), (4, 2)):
         space = SymplecticSpace(n, 5)
         pair = normal_form_pair(Bipartition((n,), ()), space).pair
@@ -775,7 +776,8 @@ def test_pair_validation_takes_the_power_chain(matmul_calls, row_products,
             del matmul_calls[:], scalar_products[:]
             ExoticPair(space, x, pair.v, flavor)
             assert matmul_calls == []
-            assert len(scalar_products) == chain * space.dim ** 3
+            assert len(scalar_products) == (
+                (chain - 1) * space.dim ** 2 + space.dim ** 3 if chain else 0)
 
 
 def test_group_census_labels_x_minus_one_with_no_log_map(monkeypatch):

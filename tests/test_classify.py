@@ -788,7 +788,7 @@ def test_stabilizer_dim_cost(monkeypatch):
     # entry of x: no x-basis system, no sp_2n unit or basis matrix, no
     # reduced echelon form but the kernels the chains are built from, and
     # no product in the chains of more than the r < m reduced rows of a
-    # kernel step
+    # kernel step, each by the one packed N of the call
     n, p = 4, 5
     m = 2 * n
     space = SymplecticSpace(n, p)
@@ -797,9 +797,10 @@ def test_stabilizer_dim_cost(monkeypatch):
     g = seeded_basis_change(space, 3)
     pair = ExoticPair(space, g * nf.pair.x * g.inverse(), g.apply(nf.pair.v),
                       nf.pair.flavor)
-    chains, ranked, rref_calls, products, inside = [], [], [], [], []
+    chains, ranked, rref_calls, products, packs, inside = [], [], [], [], [], []
     jordan, rref_rows = classify.jordan_chains, ffield._rref_rows
-    product_rows, sparse_rank = ffield._product_rows, classify.sparse_rank
+    pack_rows, times_packed = ffield._pack_rows, ffield._times_packed
+    sparse_rank = classify.sparse_rank
 
     def chained(n_mat):
         chains.append(n_mat)
@@ -817,9 +818,13 @@ def test_stabilizer_dim_cost(monkeypatch):
         rref_calls.append(bool(inside))
         return rref_rows(*args)
 
-    def product_counted(a, b, p):
+    def pack_counted(b, p):
+        packs.append((bool(inside), len(b)))
+        return pack_rows(b, p)
+
+    def product_counted(a, packed, read):
         products.append((bool(inside), len(a)))
-        return product_rows(a, b, p)
+        return times_packed(a, packed, read)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the stabilizer read x in its own basis")
@@ -827,7 +832,8 @@ def test_stabilizer_dim_cost(monkeypatch):
     monkeypatch.setattr(classify, "jordan_chains", chained)
     monkeypatch.setattr(classify, "sparse_rank", rank_counted)
     monkeypatch.setattr(ffield, "_rref_rows", counted)
-    monkeypatch.setattr(ffield, "_product_rows", product_counted)
+    monkeypatch.setattr(ffield, "_pack_rows", pack_counted)
+    monkeypatch.setattr(ffield, "_times_packed", product_counted)
     monkeypatch.setattr(SymplecticSpace, "adjoint_units", refuse)
     monkeypatch.setattr(SymplecticSpace, "adjoint_eigenbasis", refuse)
     assert stabilizer_dim(pair, include_v=False) == 16
@@ -842,6 +848,7 @@ def test_stabilizer_dim_cost(monkeypatch):
     assert any(rows) and all(0 < a < p for row in rows for a in row.values())
     assert rref_calls and all(rref_calls)
     assert products and all(inside and r < m for inside, r in products)
+    assert packs == [(True, m)] * 2      # one per call
 
 
 def test_parabolic_stabilizer_dim_cost(monkeypatch):

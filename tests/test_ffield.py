@@ -405,6 +405,93 @@ def test_power_is_zero_needs_a_positive_power():
         power_is_zero(((0,),), 0, 3)
 
 
+def dot_loop_product_rows(a, b, p):
+    # `ffield._product_rows` before it packed b: one dot product per entry
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in bt)
+                 for row in a)
+
+
+# p = 3, 5 and 7 take 1-byte digits for up to 7 rows of b, p = 61 2 bytes,
+# 4099 4, 1048583 8, and 2^31 - 1 8 for up to 4 rows and 9 beyond
+PACKING_PRIMES = (3, 5, 7, 61, 4099, 1048583, 2**31 - 1)
+
+
+@st.composite
+def product_factors(draw):
+    """(a, b, p): the rows of an r x k and a k x m matrix over F_p, with
+    entries often p - 1, the largest digit sums."""
+    p = draw(st.sampled_from(PACKING_PRIMES))
+    r, k, m = (draw(st.integers(1, 9)) for _ in range(3))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    return a, b, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factors())
+def test_packed_product_matches_the_dot_loop(abp):
+    a, b, p = abp
+    assert ffield._product_rows(a, b, p) == dot_loop_product_rows(a, b, p)
+
+
+@pytest.mark.parametrize("p", PACKING_PRIMES)
+def test_packed_product_does_not_carry_at_its_bound(p):
+    # every entry p - 1, so each digit is k (p - 1)^2, the bound its width
+    # is taken from, for k rows of b on both sides of each width's edge
+    # (7/8 rows at p = 7, 4/5 at 2^31 - 1, 63/64 at p = 3)
+    for k in (1, 4, 5, 7, 8, 63, 64, 144):
+        a = [[p - 1] * k] * 2
+        b = [[p - 1] * 3] * k
+        assert ffield._product_rows(a, b, p) == \
+            ((k * (p - 1) ** 2 % p,) * 3,) * 2 == \
+            dot_loop_product_rows(a, b, p)
+
+
+def test_packing_primes_take_every_digit_width():
+    widths = {ffield._digit_width(k * (p - 1) ** 2)
+              for p in PACKING_PRIMES for k in range(1, 10)}
+    assert widths == {1, 2, 4, 8, 9}
+    assert ffield._digit_width(63 * 4) == 1 < ffield._digit_width(64 * 4)
+    assert [ffield._digit_width(2 ** (8 * s) - 1)
+            for s in range(1, 17)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10, 12, 12,
+                                       16, 16, 16, 16]
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8, 9, 10, 12, 16))
+def test_every_digit_width_reads_the_same_product(monkeypatch, rng, width):
+    # widths 10, 12 and 16 need 2^10, 2^18 and 2^66 rows at p = 2^31 - 1,
+    # so each width is forced here on products that any width holds
+    monkeypatch.setattr(ffield, "_digit_width", lambda reach: width)
+    for p in (3, 7):
+        a = [[rng.randrange(p) for _ in range(5)] for _ in range(4)]
+        b = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+        assert ffield._product_rows(a, b, p) == dot_loop_product_rows(a, b, p)
+
+
+def test_power_kernels_pack_n_once(monkeypatch):
+    # the eight products of the n = 8 regular nilpotent's kernel steps are
+    # by one packed N, and each is one dot product per reduced row of r < m
+    packs, products = [], []
+    pack_rows, times_packed = ffield._pack_rows, ffield._times_packed
+
+    def pack_counted(b, p):
+        packs.append(len(b))
+        return pack_rows(b, p)
+
+    def times_counted(a, packed, read):
+        products.append(len(a))
+        return times_packed(a, packed, read)
+
+    monkeypatch.setattr(ffield, "_pack_rows", pack_counted)
+    monkeypatch.setattr(ffield, "_times_packed", times_counted)
+    kernels = ffield._power_kernels(chain_form([8], 2**31 - 1))
+    assert list(map(len, kernels)) == list(range(1, 9))
+    assert packs == [8]
+    assert products == list(range(7, 0, -1))
+
+
 @st.composite
 def ranked_matrices(draw):
     """A rows x cols product of rows x k and k x cols factors: tall, wide,
